@@ -29,6 +29,7 @@ from .geometry import (
     measure,
     orient2d,
     orientation,
+    orientations,
     point_in_simplex,
 )
 from .triangulation import TriangulationComplex, build_complex
@@ -274,12 +275,6 @@ def verify_empty_circumspheres(
 # 3D construction via the lifted lower hull
 
 
-def _orientation4_sign(rows_base, apex) -> int:
-    """Exact orientation of 5 points in R^4 given as (4 rows, apex)."""
-    mat = np.vstack([rows_base, apex])
-    return orientation(mat)
-
-
 def _collinear_3d(a, b, c) -> bool:
     """Exact collinearity of three points in R^3 via the cross-product minors."""
     u = [Fraction(float(b[i])) - Fraction(float(a[i])) for i in range(3)]
@@ -333,25 +328,26 @@ def delaunay_3d(points, *, provenance=None, verify=True) -> TriangulationComplex
         raise NonGenericError(f"lifted hull is degenerate: {exc}") from exc
 
     interior = lifted.mean(axis=0)
+    base = lifted[hull.simplices]
+    below = base.mean(axis=1)
+    below[:, 3] -= 1.0
+    downs = orientations(np.concatenate([base, below[:, None]], axis=1))
+    ins = orientations(np.concatenate(
+        [base, np.broadcast_to(interior, below.shape)[:, None]], axis=1))
+    sorted_facets = np.sort(hull.simplices, axis=1)
+    flats = orientations(pts[sorted_facets]) == 0
     cells = set()
-    for facet in hull.simplices:
-        base = lifted[facet]
-        below = base.mean(axis=0)
-        below[3] -= 1.0
-        s_down = _orientation4_sign(base, below)
+    for facet, s_down, s_in, flat in zip(sorted_facets.tolist(), downs, ins, flats):
         if s_down == 0:
             continue  # vertical facet (coplanar window-boundary points)
-        s_in = _orientation4_sign(base, interior)
         if s_in == 0:
             raise NonGenericError("lifted hull has a facet through its centroid")
-        if s_in == s_down:
-            continue  # hull lies below the facet: an upper facet
-        cell = tuple(sorted(int(v) for v in facet))
-        if orientation(pts[list(cell)]) == 0:
-            # a coplanar 4-tuple on the window boundary lifts to a lower
-            # facet whose projection is flat; it is not a 3-cell
+        if s_in == s_down or flat:
+            # an upper facet (the hull lies below it), or a coplanar 4-tuple
+            # on the window boundary that lifts to a lower facet whose
+            # projection is flat: not a 3-cell
             continue
-        cells.add(cell)
+        cells.add(tuple(facet))
 
     cx = build_complex(pts, cells, provenance=provenance or {})
     used = cx.vertices_used()

@@ -10,8 +10,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .delaunay import delaunay_2d
-from .errors import WindowError
-from .functionals import FunctionalSpec, eval_batch
+from .errors import GeometryError, WindowError
+from .functionals import FunctionalSpec, _batch_circumcenter, eval_batch
 from .generators import PointSetWindow, StripConfig, strip_layout, stream_rng
 from .geometry import TAU_GEO
 from .triangulation import (
@@ -78,15 +78,9 @@ CSV_HEADER = "alpha,cells_vertexrule,cells_ballrule,sum_F,f_value,f_z_value,gap"
 def _cell_geometry(cx: TriangulationComplex):
     cells = cx.cells_array()
     coords = cx.points[cells]
-    centers = _circumcenters(coords)
+    centers = _batch_circumcenter(coords)
     radii = np.linalg.norm(coords[:, 0, :] - centers, axis=1)
     return cells, coords, centers, radii
-
-
-def _circumcenters(coords: np.ndarray) -> np.ndarray:
-    a = 2.0 * (coords[:, 1:, :] - coords[:, :1, :])
-    b = (coords[:, 1:, :] ** 2).sum(axis=2) - (coords[:, :1, :] ** 2).sum(axis=2)
-    return np.linalg.solve(a, b[:, :, None])[:, :, 0]
 
 
 def max_admissible_alpha(window_radius: float, q_bound: float, center) -> float:
@@ -692,8 +686,10 @@ def perturb_by_reverse_flips(
             )
             if grown > cap:
                 continue
+            if not all(dcx.has_cell(c) for c in old_cells):
+                continue  # a cell made by an earlier flip: keep quads disjoint
             rec = reverse_flip(cx, facet)
-        except Exception:
+        except GeometryError:
             continue
         new_cells = cx.facet_cells((min(a, b), max(a, b)))
         records.append(rec)

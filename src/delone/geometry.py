@@ -60,25 +60,39 @@ def _det4(m):
 _DETS = {2: _det2, 3: _det3, 4: _det4}
 
 
+def _row_bound(rows):
+    """Product of the rows' absolute sums: the filter's scale for det(rows).
+
+    Works on float rows and on rows of NumPy columns (one entry per matrix
+    of a stack), so the scalar and the batched predicates share one filter.
+    """
+    bound = 1.0
+    for row in rows:
+        bound = bound * sum(map(abs, row))
+    return bound
+
+
+def _exact_sign(rows) -> int:
+    det = _DETS[len(rows)](rows)
+    return (det > 0) - (det < 0)
+
+
+def _exact_rows(pts):
+    """Rows p_i - p_0 of a simplex in exact rational arithmetic."""
+    base = [Fraction(float(x)) for x in pts[0]]
+    return [[Fraction(float(x)) - b for x, b in zip(p, base)] for p in pts[1:]]
+
+
 def _filtered_det_sign(rows_float, rows_exact) -> int:
     """Sign of det(rows), exact.
 
     ``rows_float`` are float rows used for the fast path; ``rows_exact`` is a
     zero-argument callable producing the same matrix with Fraction entries.
     """
-    n = len(rows_float)
-    det = _DETS[n](rows_float)
-    bound = 1.0
-    for row in rows_float:
-        bound *= sum(abs(x) for x in row)
-    if abs(det) > _FILTER_EPS * bound:
+    det = _DETS[len(rows_float)](rows_float)
+    if abs(det) > _FILTER_EPS * _row_bound(rows_float):
         return 1 if det > 0 else -1
-    det = _DETS[n](rows_exact())
-    if det > 0:
-        return 1
-    if det < 0:
-        return -1
-    return 0
+    return _exact_sign(rows_exact())
 
 
 def orientation(simplex) -> int:
@@ -92,15 +106,31 @@ def orientation(simplex) -> int:
         raise ValueError(f"orientation needs d+1 points of dimension d, got {n}x{d}")
     base = pts[0]
     rows = [[float(pts[i][j] - base[j]) for j in range(d)] for i in range(1, n)]
+    return _filtered_det_sign(rows, lambda: _exact_rows(pts))
 
-    def exact():
-        fb = [Fraction(float(x)) for x in base]
-        return [
-            [Fraction(float(pts[i][j])) - fb[j] for j in range(d)]
-            for i in range(1, n)
-        ]
 
-    return _filtered_det_sign(rows, exact)
+def orientations(stack) -> np.ndarray:
+    """Exact orientation signs of an (m, d+1, d) stack of simplices.
+
+    The batched form of ``orientation``: every determinant is evaluated in
+    NumPy with the same cofactor expansion and filter, and only the rows the
+    filter cannot certify are re-evaluated in rational arithmetic.  Stacks
+    of fewer than 8 rows go through ``orientation`` row by row, which costs
+    less than the fixed cost of the NumPy pass.
+    """
+    pts = np.asarray(stack, dtype=float)
+    m, n, d = pts.shape
+    if n != d + 1:
+        raise ValueError(f"orientations needs an (m, d+1, d) stack, got {pts.shape}")
+    if m < 8:
+        return np.array([orientation(s) for s in pts], dtype=np.int64)
+    rows = [list(row) for row in (pts[:, 1:] - pts[:, :1]).transpose(1, 2, 0)]
+    det = _DETS[d](rows)
+    signs = np.sign(det).astype(np.int64)
+    certain = np.abs(det) > _FILTER_EPS * _row_bound(rows)
+    for k in np.flatnonzero(~certain):
+        signs[k] = _exact_sign(_exact_rows(pts[k]))
+    return signs
 
 
 def in_sphere(simplex, point) -> Side:
@@ -278,6 +308,21 @@ def segments_cross(p1, p2, q1, q2) -> bool:
     o3 = orient2d(*q1, *q2, *p1)
     o4 = orient2d(*q1, *q2, *p2)
     return o1 * o2 < 0 and o3 * o4 < 0
+
+
+def points_in_simplices(simplices, points) -> np.ndarray:
+    """Batched closed ``point_in_simplex``: entry k is True iff points[k]
+    lies in the closed simplex simplices[k]; degenerate simplices hold no
+    point.  Exact, via ``orientations``."""
+    simp = np.asarray(simplices, dtype=float)
+    m, n, d = simp.shape
+    ref = orientations(simp)
+    # simplex k with vertex i replaced by the point
+    swapped = np.repeat(simp[:, None], n, axis=1)
+    diag = np.arange(n)
+    swapped[:, diag, diag] = np.asarray(points, dtype=float)[:, None]
+    signs = orientations(swapped.reshape(m * n, n, d)).reshape(m, n)
+    return (ref != 0) & (signs * ref[:, None] >= 0).all(axis=1)
 
 
 def point_in_simplex(simplex, point, closed: bool = True) -> bool:

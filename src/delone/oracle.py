@@ -9,11 +9,10 @@ from __future__ import annotations
 
 import itertools
 import math
-from fractions import Fraction
 
 import numpy as np
 
-from .delaunay import delaunay_2d
+from .delaunay import _on_open_segment, delaunay_2d
 from .errors import DegenerateSimplexError, NonGenericError
 from .functionals import FunctionalSpec, complex_sum
 from .geometry import orient2d, orientation, segments_cross
@@ -84,17 +83,6 @@ def enumerate_triangulations_2d(points, limit: int = ENUMERATION_LIMIT):
 # independent enumerator: maximal non-crossing edge sets
 
 
-def _point_on_open_segment(pa, pb, pq) -> bool:
-    if orient2d(*pa, *pb, *pq) != 0:
-        return False
-    ax, ay = Fraction(pa[0]), Fraction(pa[1])
-    bx, by = Fraction(pb[0]), Fraction(pb[1])
-    qx, qy = Fraction(pq[0]), Fraction(pq[1])
-    t = (qx - ax) * (bx - ax) + (qy - ay) * (by - ay)
-    n = (bx - ax) ** 2 + (by - ay) ** 2
-    return 0 < t < n
-
-
 def noncrossing_triangulations(points, limit: int = NONCROSSING_LIMIT):
     """All triangulations of <= 7 generic points as maximal pairwise
     non-crossing edge sets; the independent oracle for the flip-graph route.
@@ -108,7 +96,8 @@ def noncrossing_triangulations(points, limit: int = NONCROSSING_LIMIT):
     segments = []
     for i, j in itertools.combinations(range(n), 2):
         if any(
-            _point_on_open_segment(coords[i], coords[j], coords[k])
+            orient2d(*coords[i], *coords[j], *coords[k]) == 0
+            and _on_open_segment(coords[i], coords[j], coords[k])
             for k in range(n)
             if k not in (i, j)
         ):

@@ -29,8 +29,8 @@ from .geometry import (
     in_sphere,
     measure,
     orient2d,
-    orientation,
-    point_in_simplex,
+    orientations,
+    points_in_simplices,
 )
 
 Cell = tuple  # sorted vertex ids, length d+1
@@ -212,9 +212,11 @@ def build_complex(
             raise InvalidComplexError(f"duplicate cell {cell}")
         cell_set.add(cell)
 
+    cell_list = list(cell_set)
+    coords = points[np.array(cell_list, dtype=np.int64).reshape(-1, dim + 1)]
     adjacency: dict = {}
-    for cell in cell_set:
-        if orientation(points[list(cell)]) == 0:
+    for cell, sign in zip(cell_list, orientations(coords)):
+        if sign == 0:
             raise DegenerateSimplexError(f"cell {cell} is degenerate")
         for facet in itertools.combinations(cell, dim):
             adjacency.setdefault(facet, []).append(cell)
@@ -242,14 +244,30 @@ def build_complex(
             )
         # Any unused point lying inside the underlying space would have to be
         # a vertex; the coverage identity makes a cell scan sufficient.
-        unused = sorted(set(range(n)) - set(used.tolist()))
-        for idx in unused:
-            for cell in cell_set:
-                if point_in_simplex(points[list(cell)], points[idx]):
-                    raise InvalidComplexError(
-                        f"point {idx} lies in the underlying space but is not a vertex"
-                    )
+        unused = np.ones(n, dtype=bool)
+        unused[used] = False
+        unused = np.flatnonzero(unused)
+        chunk = max(1, (1 << 16) // len(cell_list))  # bounds the box mask
+        for start in range(0, len(unused), chunk):
+            ids = unused[start:start + chunk]
+            hits, _ = _containing_pairs(coords, points[ids])
+            if len(hits):
+                raise InvalidComplexError(
+                    f"point {ids[hits[0]]} lies in the underlying space but is not a vertex"
+                )
     return cx
+
+
+def _containing_pairs(coords, pts):
+    """Exact closed containment of every point of ``pts`` in every cell of
+    the (m, d+1, d) stack ``coords``: (point rows, cell rows) of the hits,
+    ordered by point, then cell.  A point of a closed cell lies in the
+    cell's bounding box, so exact float box comparisons choose the
+    candidates and ``points_in_simplices`` decides."""
+    lo, hi = coords.min(axis=1), coords.max(axis=1)
+    pi, ci = np.nonzero(((lo <= pts[:, None]) & (pts[:, None] <= hi)).all(axis=2))
+    hit = points_in_simplices(coords[ci], pts[pi])
+    return pi[hit], ci[hit]
 
 
 # ---------------------------------------------------------------------------
@@ -369,7 +387,8 @@ def legalize_to_delaunay(cx: TriangulationComplex):
         if steps > limit:
             raise RuntimeError("flip scheduling failed to terminate")
     for facet in out.interior_facets():
-        assert is_locally_delaunay(out, facet)
+        if not is_locally_delaunay(out, facet):
+            raise InvalidComplexError(f"legalization left facet {facet} non-Delaunay")
     return out, records
 
 
@@ -459,10 +478,11 @@ class _PrefixBuilder:
         return True
 
     def _containing_cell(self, p) -> Cell | None:
-        for cell in self.cells:
-            if point_in_simplex(self.points[list(cell)], p):
-                return cell
-        return None
+        """First cell, in ``self.cells`` iteration order, holding p."""
+        cells = list(self.cells)
+        coords = self.points[np.array(cells, dtype=np.int64).reshape(-1, 3)]
+        _, hits = _containing_pairs(coords, p[None])
+        return cells[hits[0]] if len(hits) else None
 
     def split_interior_points(self, candidates):
         """Star every covered non-vertex point into its lowest-dimensional

@@ -106,6 +106,46 @@ def test_delaunay_3d_distorted_cube_is_seven_tetrahedra():
     assert cx.n_cells == 7
 
 
+def lower_facet_cells_by_scalar_loop(pts):
+    """The per-facet classification loop with scalar predicates: the
+    reference for the batched one in ``delaunay_3d``."""
+    from scipy.spatial import ConvexHull
+
+    from delone.geometry import lift, orientation
+
+    lifted = np.array([lift(p) for p in pts])
+    hull = ConvexHull(lifted, qhull_options="Qt")
+    interior = lifted.mean(axis=0)
+    cells = set()
+    for facet in hull.simplices:
+        base = lifted[facet]
+        below = base.mean(axis=0)
+        below[3] -= 1.0
+        s_down = orientation(np.vstack([base, below]))
+        if s_down == 0:
+            continue
+        s_in = orientation(np.vstack([base, interior]))
+        assert s_in != 0
+        cell = tuple(sorted(int(v) for v in facet))
+        if s_in != s_down and orientation(pts[list(cell)]) != 0:
+            cells.add(cell)
+    return cells
+
+
+@pytest.mark.parametrize("window", ["distorted-cube", "jittered-lattice"])
+def test_delaunay_3d_batched_classification_matches_scalar_loop(window):
+    from delone.generators import distorted_cubic_window, lattice_window
+
+    if window == "distorted-cube":
+        pts = distorted_cubic_window(4.0).points
+    else:
+        pts = lattice_window(3, 4.0, jitter=True, seed=3).points
+    cx = delaunay_3d(pts, verify=False)
+    ref = build_complex(pts, lower_facet_cells_by_scalar_loop(pts))
+    # same cells, inserted in the same order
+    assert list(cx.facet_adjacency.items()) == list(ref.facet_adjacency.items())
+
+
 def test_delaunay_3d_coplanar_rejected():
     pts = np.zeros((6, 3))
     pts[:, 0] = np.arange(6)

@@ -20,7 +20,12 @@ from delone.density import (
 )
 from delone.errors import WindowError
 from delone.functionals import FunctionalSpec
-from delone.generators import StripConfig, compatible_isoceles, lattice_window
+from delone.generators import (
+    StripConfig,
+    compatible_isoceles,
+    lattice_window,
+    poisson_delone_window,
+)
 from delone.triangulation import build_complex
 
 
@@ -158,6 +163,24 @@ def test_delaunay_minimality_comparison(lattice20):
     assert rep.passed
     assert rep.flips_applied == 15
     assert (rep.bracket_subcomplex >= -1e-9).all()
+
+
+def test_reverse_flips_never_consume_cells_of_earlier_flips():
+    # a small window concentrates the flips, so later ones meet the cells
+    # earlier ones made; every quad must stay disjoint from the others
+    w = poisson_delone_window(0.5, 1.5, 10, seed=1)
+    dcx = delaunay_2d(w.points)
+    alphas = geometric_grid(2.5, 10 - 4 * w.R)
+    for seed in range(4):
+        tcx, records, quads = perturb_by_reverse_flips(
+            dcx, 10, window_radius=w.window_radius, q_bound=w.R, seed=seed)
+        assert len(records) == len(quads) == 10
+        for qd in quads:
+            assert all(dcx.has_cell(c) for c in qd["d_cells"])
+            assert all(tcx.has_cell(c) for c in qd["t_cells"])
+        report = delaunay_minimality_comparison(
+            w, FunctionalSpec.parse("F5"), 10, alphas, seed=seed)
+        assert report.flips_applied == 10
 
 
 def test_main_theorem_zero_flips_equal(lattice20):

@@ -1,4 +1,6 @@
+import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -17,7 +19,9 @@ from delone.geometry import (
     lift,
     measure,
     orientation,
+    orientations,
     point_in_simplex,
+    points_in_simplices,
 )
 
 TRI_345 = [(0.0, 0.0), (4.0, 0.0), (0.0, 3.0)]
@@ -247,3 +251,120 @@ def test_in_sphere_total_on_nondegenerate(tri, q):
     if orientation(tri) == 0:
         return
     assert in_sphere(tri, q) in (Side.INSIDE, Side.ON, Side.OUTSIDE)
+
+
+# ---------------------------------------------------------------------------
+# the batched orientation kernel against pure rational evaluation
+
+
+def fraction_orientation(simplex) -> int:
+    """Reference sign: Gaussian elimination over Fractions, no float at all."""
+    pts = [[Fraction(float(x)) for x in p] for p in simplex]
+    m = [[a - b for a, b in zip(p, pts[0])] for p in pts[1:]]
+    sign = 1
+    for c in range(len(m)):
+        pivot = next((r for r in range(c, len(m)) if m[r][c] != 0), None)
+        if pivot is None:
+            return 0
+        if pivot != c:
+            m[c], m[pivot] = m[pivot], m[c]
+            sign = -sign
+        if m[c][c] < 0:
+            sign = -sign
+        for r in range(c + 1, len(m)):
+            f = m[r][c] / m[c][c]
+            m[r] = [a - f * b for a, b in zip(m[r], m[c])]
+    return sign
+
+
+def nudge(x: float, ulps: int) -> float:
+    for _ in range(abs(ulps)):
+        x = math.nextafter(x, math.inf if ulps > 0 else -math.inf)
+    return x
+
+
+DYADIC = st.integers(-64, 64).map(lambda v: v / 8)
+OFFSET = st.sampled_from([0.0, 0.1, 1000.1, 1e6 / 3])
+# integer points on the sphere of radius 5 about the origin
+SPHERE5 = sorted({
+    tuple(s * v for s, v in zip(signs, perm))
+    for base in ((0, 0, 5), (0, 3, 4))
+    for perm in itertools.permutations(base)
+    for signs in itertools.product((1, -1), repeat=3)
+})
+
+
+@st.composite
+def near_degenerate_simplex(draw, kind):
+    """One simplex of the given kind, degenerate in exact arithmetic before
+    the offset, then with one coordinate moved by -1, 0 or +1 ulp."""
+    if kind == "collinear2d":
+        a, b = ([draw(DYADIC) for _ in range(2)] for _ in range(2))
+        t = draw(st.integers(-8, 8)) / 4
+        simplex = [a, b, [x + t * (y - x) for x, y in zip(a, b)]]
+    elif kind == "coplanar3d":
+        p0, p1, p2 = ([draw(DYADIC) for _ in range(3)] for _ in range(3))
+        s, t = draw(st.integers(-8, 8)) / 4, draw(st.integers(-8, 8)) / 4
+        p3 = [x + s * (y - x) + t * (z - x) for x, y, z in zip(p0, p1, p2)]
+        simplex = [p0, p1, p2, p3]
+    else:  # lifted-cospherical 4D: five points of one sphere, lifted
+        picks = draw(st.lists(st.sampled_from(SPHERE5), min_size=5, max_size=5,
+                              unique=True))
+        center = [draw(DYADIC) for _ in range(3)]
+        simplex = []
+        for p in picks:
+            q = [x + c for x, c in zip(p, center)]
+            simplex.append(q + [sum(x * x for x in q)])
+    off = draw(OFFSET)
+    simplex = [[x + off for x in p] for p in simplex]
+    i = draw(st.integers(0, len(simplex) - 1))
+    j = draw(st.integers(0, len(simplex[0]) - 1))
+    simplex[i][j] = nudge(simplex[i][j], draw(st.integers(-1, 1)))
+    return simplex
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(["collinear2d", "coplanar3d", "cospherical4d"]).flatmap(
+    lambda kind: st.lists(near_degenerate_simplex(kind), min_size=1, max_size=8)))
+def test_orientations_kernel_matches_fractions(stack):
+    want = [fraction_orientation(s) for s in stack]
+    assert orientations(np.array(stack)).tolist() == want
+    assert [orientation(s) for s in stack] == want
+    copies = 8 // len(stack) + 1  # at least 8 rows: the NumPy pass
+    assert orientations(np.array(stack * copies)).tolist() == want * copies
+
+
+def test_orientations_kernel_exact_zero_and_one_ulp_rows():
+    eps = math.ulp(2.0)
+    stack = np.array([
+        [(0.0, 0.0), (1.0, 0.0), (2.0, 0.0)],
+        [(0.0, 0.0), (1.0, 0.0), (2.0, eps)],
+        [(0.0, 0.0), (1.0, 0.0), (2.0, -eps)],
+        [(0.1, 0.1), (0.2, 0.2), (0.3, 0.3)],  # rounded: not exactly collinear
+    ])
+    want = [fraction_orientation(s) for s in stack]
+    assert want[:3] == [0, 1, -1]
+    assert orientations(stack).tolist() == want
+    assert orientations(np.tile(stack, (3, 1, 1))).tolist() == want * 3
+    # 3D lifted cocircular points: exactly coplanar in R^3
+    circle = [(5.0, 0.0), (0.0, 5.0), (-3.0, 4.0), (4.0, -3.0)]
+    lifted = np.array([[x, y, x * x + y * y] for x, y in circle])
+    assert orientations(np.tile(lifted, (8, 1, 1))).tolist() == [0] * 8
+    assert orientations(np.zeros((0, 3, 2))).tolist() == []
+    with pytest.raises(ValueError):
+        orientations(np.zeros((1, 2, 2)))
+
+
+def test_points_in_simplices_matches_scalar():
+    rng = np.random.default_rng(12)
+    tri = np.array(TRI_345)
+    queries = [(1.0, 1.0), (4.0, 3.0), (0.0, 0.0), (2.0, 0.0), (2.0, 1.5),
+               (-1e-300, 0.0)] + [tuple(q) for q in rng.uniform(-1, 5, (40, 2))]
+    got = points_in_simplices(np.repeat(tri[None], len(queries), axis=0), queries)
+    assert got.tolist() == [point_in_simplex(tri, q) for q in queries]
+    tets = rng.normal(size=(60, 4, 3))
+    qs = rng.normal(scale=0.5, size=(60, 3))
+    got = points_in_simplices(tets, qs)
+    assert got.tolist() == [point_in_simplex(t, q) for t, q in zip(tets, qs)]
+    flat = np.array([[(0.0, 0.0), (1.0, 0.0), (2.0, 0.0)]])
+    assert points_in_simplices(flat, [(1.0, 0.0)]).tolist() == [False]

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from delone.delaunay import delaunay_2d
-from delone.errors import InvalidComplexError, NonGenericError
-from delone.geometry import Side, circumradius, in_sphere, measure
+from delone import triangulation
+from delone.errors import DegenerateSimplexError, InvalidComplexError, NonGenericError
+from delone.geometry import Side, circumradius, in_sphere, measure, point_in_simplex
 from delone.triangulation import (
     FROM_DELAUNAY,
     TO_DELAUNAY,
@@ -80,6 +81,56 @@ def test_build_complex_interior_point_not_vertex():
     pts = [(0, 0), (4, 0), (0, 4), (1, 1)]
     with pytest.raises(InvalidComplexError):
         build_complex(pts, [(0, 1, 2)])
+
+
+SQUARE = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
+SQUARE_CELLS = [(0, 1, 3), (1, 2, 3)]  # interior edge 1-3
+
+
+@pytest.mark.parametrize("point", [(0.25, 0.25), (0.5, 0.5), (0.5, 0.0)],
+                         ids=["inside-cell", "on-interior-edge", "on-hull-edge"])
+def test_coverage_scan_names_covered_non_vertex(point):
+    pts = SQUARE + [(2.0, 2.0), point, (0.75, 0.5)]
+    with pytest.raises(InvalidComplexError, match="^point 5 lies in the underlying"):
+        build_complex(pts, SQUARE_CELLS)
+    build_complex(SQUARE + [(2.0, 2.0), (1.0 + 2**-52, 0.5)], SQUARE_CELLS)
+
+
+def test_coverage_scan_reaches_every_chunk():
+    # enough unused points that the scan runs in several chunks; only the
+    # last one lies in the complex
+    rng = np.random.default_rng(5)
+    inner = rng.uniform(0, 1, size=(120, 2))
+    cx = delaunay_2d(inner)
+    ring = rng.uniform(0, 2 * np.pi, size=1000)
+    outer = 1.8 * np.c_[np.cos(ring), np.sin(ring)] + 0.5
+    pts = np.vstack([inner, outer, [cx.cell_coords(cx.cells[-1]).mean(axis=0)]])
+    assert len(outer) > (1 << 16) // cx.n_cells
+    build_complex(pts[:-1], cx.cells)
+    with pytest.raises(InvalidComplexError, match=f"^point {len(pts) - 1} lies"):
+        build_complex(pts, cx.cells)
+
+
+def test_build_complex_reports_degenerate_cell():
+    pts = SQUARE + [(0.5, 0.5)]
+    with pytest.raises(DegenerateSimplexError, match=r"cell \(0, 2, 4\) is degenerate"):
+        build_complex(pts, [(0, 1, 3), (0, 2, 4)], check_coverage=False)
+
+
+def test_prefix_builder_containing_cell_is_first_in_iteration_order():
+    from delone.triangulation import _PrefixBuilder
+
+    rng = np.random.default_rng(3)
+    pts = rng.uniform(-1, 1, size=(30, 2))
+    b = _PrefixBuilder(pts)
+    for cell in delaunay_2d(pts).cells:
+        b._add(cell)
+    queries = [pts[v] for v in range(len(pts))]  # vertices lie in several cells
+    queries += [(pts[u] + pts[v]) / 2 for u, v in list(b.adjacency)[:20]]
+    queries += list(rng.uniform(-1.2, 1.2, size=(40, 2)))
+    for q in queries:
+        want = next((c for c in b.cells if point_in_simplex(pts[list(c)], q)), None)
+        assert b._containing_cell(np.asarray(q)) == want
 
 
 def test_coverage_identity():
@@ -174,6 +225,23 @@ def test_legalize_already_delaunay_zero_flips():
     out, records = legalize_to_delaunay(dt)
     assert records == []
     assert sorted(out.cells) == sorted(dt.cells)
+
+
+def test_legalize_postcondition_raises(monkeypatch):
+    # a flip loop that wrongly sees every edge as locally Delaunay leaves the
+    # non-Delaunay diagonal in place; the final check must catch it
+    real = triangulation.is_locally_delaunay
+    cx = next(c for c in map(quad_complex, (True, False))
+              if not all(real(c, f) for f in c.interior_facets()))
+    calls = []
+
+    def blind_first_pass(c, facet):
+        calls.append(facet)
+        return True if len(calls) <= len(cx.interior_facets()) else real(c, facet)
+
+    monkeypatch.setattr(triangulation, "is_locally_delaunay", blind_first_pass)
+    with pytest.raises(InvalidComplexError, match="non-Delaunay"):
+        legalize_to_delaunay(cx)
 
 
 def test_legalize_idempotent():
