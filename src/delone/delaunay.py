@@ -24,6 +24,7 @@ from .errors import (
 from .geometry import (
     Side,
     in_sphere,
+    in_spheres,
     incircle2d,
     lift,
     measure,
@@ -244,31 +245,30 @@ def verify_empty_circumspheres(
     """Check the defining property of the Delaunay triangulation: no vertex
     lies inside the circumsphere of any cell.
 
-    Exhaustive up to ``exhaustive_limit`` points, randomly sampled above.
-    Raises ``InvalidComplexError`` on an inside vertex and
-    ``NonGenericError`` on a cospherical one.
+    Exhaustive up to ``exhaustive_limit`` points; above that it tests only
+    ``samples`` seeded random (cell, vertex) draws and so is not a proof.
+    The first bad pair (in cell then vertex order, or draw order) raises
+    ``InvalidComplexError`` if inside, ``NonGenericError`` if cospherical.
     """
     n = len(cx.points)
-    cells = cx.cells
-    pairs: list
+    cells = cx.cells_array()
     if n <= exhaustive_limit:
-        pairs = [(cell, v) for cell in cells for v in range(n) if v not in cell]
+        ci, v = np.divmod(np.arange(len(cells) * n), n)
     else:
         rng = np.random.default_rng(seed)
-        pairs = []
-        for _ in range(samples):
-            cell = cells[int(rng.integers(len(cells)))]
-            v = int(rng.integers(n))
-            if v not in cell:
-                pairs.append((cell, v))
-    for cell, v in pairs:
-        side = in_sphere(cx.cell_coords(cell), cx.points[v])
-        if side == Side.INSIDE:
+        draws = [(rng.integers(len(cells)), rng.integers(n)) for _ in range(samples)]
+        ci, v = np.array(draws, dtype=np.int64).reshape(-1, 2).T
+    keep = (cells[ci] != v[:, None]).all(axis=1)
+    ci, v = ci[keep], v[keep]
+    sides = in_spheres(cx.points[cells[ci]], cx.points[v])
+    bad = np.flatnonzero(sides != Side.OUTSIDE)
+    if len(bad):
+        cell, v = cx.cells[ci[bad[0]]], int(v[bad[0]])
+        if sides[bad[0]] == Side.INSIDE:
             raise InvalidComplexError(
                 f"vertex {v} lies inside the circumsphere of cell {cell}"
             )
-        if side == Side.ON:
-            raise NonGenericError(f"vertex {v} is cospherical with cell {cell}")
+        raise NonGenericError(f"vertex {v} is cospherical with cell {cell}")
 
 
 # ---------------------------------------------------------------------------

@@ -11,9 +11,9 @@ import numpy as np
 
 from .delaunay import delaunay_2d
 from .errors import GeometryError, WindowError
-from .functionals import FunctionalSpec, _batch_circumcenter, eval_batch
+from .functionals import FunctionalSpec, eval_batch
 from .generators import PointSetWindow, StripConfig, strip_layout, stream_rng
-from .geometry import TAU_GEO
+from .geometry import TAU_GEO, circumcenters, measures
 from .triangulation import (
     TriangulationComplex,
     is_locally_delaunay,
@@ -78,7 +78,7 @@ CSV_HEADER = "alpha,cells_vertexrule,cells_ballrule,sum_F,f_value,f_z_value,gap"
 def _cell_geometry(cx: TriangulationComplex):
     cells = cx.cells_array()
     coords = cx.points[cells]
-    centers = _batch_circumcenter(coords)
+    centers = circumcenters(coords)
     radii = np.linalg.norm(coords[:, 0, :] - centers, axis=1)
     return cells, coords, centers, radii
 
@@ -256,9 +256,9 @@ def count_certificate(
     p_ann = np.searchsorted(pts_dist, alphas + 1.0, side="right") - pcounts
     c_ann = np.searchsorted(vert_dist, alphas + 1.0, side="right") - ccounts
 
-    measures = np.abs(np.linalg.det(coords[:, 1:, :] - coords[:, :1, :])) / math.factorial(d)
-    min_measure = float(measures[interior].min()) if interior.any() else float(measures.min())
-    max_measure = float(measures[interior].max()) if interior.any() else float(measures.max())
+    vols = measures(coords)
+    min_measure = float(vols[interior].min()) if interior.any() else float(vols.min())
+    max_measure = float(vols[interior].max()) if interior.any() else float(vols.max())
     degrees = np.bincount(cells.ravel(), minlength=len(window.points))
 
     # concrete constants from the packing/covering proofs
@@ -368,7 +368,7 @@ def built_strip_counts(cfg: StripConfig, upto_block: int):
                                                    require_delaunay=False)
     cells, coords, _, _ = _cell_geometry(cx)
     vertex_dist = np.linalg.norm(coords, axis=2).max(axis=1)
-    areas = np.abs(np.linalg.det(coords[:, 1:, :] - coords[:, :1, :])) / 2.0
+    areas = measures(coords)
     a_delta = _triangle_area_from_sides(cfg.delta)
     a_top = _triangle_area_from_sides(cfg.top)
     if abs(a_delta - a_top) < 1e-12 * (a_delta + a_top):
@@ -663,11 +663,13 @@ def perturb_by_reverse_flips(
     quads = []
     tries = 0
     margin = window_radius - 2.0 * max(q_bound, cap)
+    facets = None
     while len(records) < n_flips:
         tries += 1
         if tries > 400 * (n_flips + 1):
             raise WindowError("no reverse flip available")
-        facets = cx.interior_facets()
+        if facets is None:  # only reverse_flip mutates cx
+            facets = cx.interior_facets()
         facet = facets[int(rng.integers(len(facets)))]
         if np.linalg.norm(cx.points[list(facet)], axis=1).max() > margin:
             continue
@@ -688,6 +690,7 @@ def perturb_by_reverse_flips(
                 continue
             if not all(dcx.has_cell(c) for c in old_cells):
                 continue  # a cell made by an earlier flip: keep quads disjoint
+            facets = None
             rec = reverse_flip(cx, facet)
         except GeometryError:
             continue

@@ -22,7 +22,7 @@ import numpy as np
 from .delaunay import delaunay_of, radon_two_triangulations, restrict_delaunay
 from .errors import DegenerateSimplexError, SamplerError
 from .generators import stream_rng
-from .geometry import measure, orientation
+from .geometry import circumcenters, measures, orientation
 
 _PLANAR_ONLY = {"F3", "F4", "F5", "F6"}
 _KINDS = {"F1", "F2", "F3", "F4", "F5", "F6", "FR", "FE", "AREA"}
@@ -72,20 +72,8 @@ class FunctionalSpec:
 # batched evaluation
 
 
-def _batch_measure(coords: np.ndarray) -> np.ndarray:
-    d = coords.shape[2]
-    edges = coords[:, 1:, :] - coords[:, :1, :]
-    return np.abs(np.linalg.det(edges)) / math.factorial(d)
-
-
-def _batch_circumcenter(coords: np.ndarray) -> np.ndarray:
-    a = 2.0 * (coords[:, 1:, :] - coords[:, :1, :])
-    b = (coords[:, 1:, :] ** 2).sum(axis=2) - (coords[:, :1, :] ** 2).sum(axis=2)
-    return np.linalg.solve(a, b[:, :, None])[:, :, 0]
-
-
 def _batch_circumradius(coords: np.ndarray) -> np.ndarray:
-    centers = _batch_circumcenter(coords)
+    centers = circumcenters(coords)
     return np.linalg.norm(coords[:, 0, :] - centers, axis=1)
 
 
@@ -103,7 +91,7 @@ def fe_lifted_volume_batch(coords: np.ndarray) -> np.ndarray:
     and the paraboloid graph: Vol * [(d+1) sum|v|^2 - |sum v|^2] / ((d+1)(d+2)).
     """
     d = coords.shape[2]
-    vol = _batch_measure(coords)
+    vol = measures(coords)
     sq = (coords**2).sum(axis=(1, 2))
     tot = coords.sum(axis=1)
     tot_sq = (tot**2).sum(axis=1)
@@ -127,16 +115,16 @@ def eval_batch(spec: FunctionalSpec, coords) -> np.ndarray:
         raise ValueError(f"{spec} is not defined in dimension {d}")
     kind = spec.kind
     if kind == "AREA":
-        return _batch_measure(coords)
+        return measures(coords)
     if kind == "F1":
         return _batch_circumradius(coords) ** spec.c1
     if kind == "F2":
-        return _batch_circumradius(coords) ** spec.c2 * _batch_measure(coords)
+        return _batch_circumradius(coords) ** spec.c2 * measures(coords)
     if kind == "FR":
-        return _batch_measure(coords) * _batch_sq_edge_sum(coords)
+        return measures(coords) * _batch_sq_edge_sum(coords)
     if kind == "FE":
         return fe_lifted_volume_batch(coords)
-    area = _batch_measure(coords)
+    area = measures(coords)
     if kind == "F3":
         a = np.linalg.norm(coords[:, 1, :] - coords[:, 2, :], axis=1)
         b = np.linalg.norm(coords[:, 0, :] - coords[:, 2, :], axis=1)
@@ -148,7 +136,7 @@ def eval_batch(spec: FunctionalSpec, coords) -> np.ndarray:
     if kind == "F5":
         return _batch_sq_edge_sum(coords) * area
     if kind == "F6":
-        centers = _batch_circumcenter(coords)
+        centers = circumcenters(coords)
         cent = coords.mean(axis=1)
         return ((cent - centers) ** 2).sum(axis=1) * area
     raise AssertionError(kind)

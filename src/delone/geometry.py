@@ -95,6 +95,16 @@ def _filtered_det_sign(rows_float, rows_exact) -> int:
     return _exact_sign(rows_exact())
 
 
+def _filtered_det_signs(rows, exact_rows) -> np.ndarray:
+    """Batched ``_filtered_det_sign``: ``rows`` hold NumPy columns (one entry
+    per matrix) and ``exact_rows(k)`` gives matrix k with Fraction entries."""
+    det = _DETS[len(rows)](rows)
+    signs = np.sign(det).astype(np.int64)
+    for k in np.flatnonzero(~(np.abs(det) > _FILTER_EPS * _row_bound(rows))):
+        signs[k] = _exact_sign(exact_rows(k))
+    return signs
+
+
 def orientation(simplex) -> int:
     """Orientation sign of d+1 points in R^d: +1, -1, or 0 (degenerate).
 
@@ -125,12 +135,19 @@ def orientations(stack) -> np.ndarray:
     if m < 8:
         return np.array([orientation(s) for s in pts], dtype=np.int64)
     rows = [list(row) for row in (pts[:, 1:] - pts[:, :1]).transpose(1, 2, 0)]
-    det = _DETS[d](rows)
-    signs = np.sign(det).astype(np.int64)
-    certain = np.abs(det) > _FILTER_EPS * _row_bound(rows)
-    for k in np.flatnonzero(~certain):
-        signs[k] = _exact_sign(_exact_rows(pts[k]))
-    return signs
+    return _filtered_det_signs(rows, lambda k: _exact_rows(pts[k]))
+
+
+def _lifted_rows(pts, q):
+    """Rows (p_i - q, |p_i - q|^2) of the in-sphere determinant, over floats,
+    Fractions or NumPy columns, so both predicates share one formula."""
+    diffs = [[x - y for x, y in zip(p, q)] for p in pts]
+    return [diff + [sum(x * x for x in diff)] for diff in diffs]
+
+
+def _exact_lifted_rows(pts, q):
+    return _lifted_rows([[Fraction(x) for x in p] for p in pts.tolist()],
+                        [Fraction(x) for x in q.tolist()])
 
 
 def in_sphere(simplex, point) -> Side:
@@ -143,27 +160,30 @@ def in_sphere(simplex, point) -> Side:
     orient = orientation(pts)
     if orient == 0:
         raise DegenerateSimplexError("in_sphere: degenerate simplex")
-
-    rows = []
-    for i in range(n):
-        diff = [float(pts[i][j] - q[j]) for j in range(d)]
-        rows.append(diff + [sum(x * x for x in diff)])
-
-    def exact():
-        fq = [Fraction(float(x)) for x in q]
-        out = []
-        for i in range(n):
-            diff = [Fraction(float(pts[i][j])) - fq[j] for j in range(d)]
-            out.append(diff + [sum(x * x for x in diff)])
-        return out
-
-    s = _filtered_det_sign(rows, exact) * orient
-    if s == 0:
-        return Side.ON
+    rows = _lifted_rows(pts.tolist(), q.tolist())
+    s = _filtered_det_sign(rows, lambda: _exact_lifted_rows(pts, q))
     # The translated lifted determinant is positive-inside in even dimension
-    # and negative-inside in odd dimension.
-    inside_sign = 1 if d % 2 == 0 else -1
-    return Side.INSIDE if s == inside_sign else Side.OUTSIDE
+    # and negative-inside in odd dimension; index -1 picks OUTSIDE.
+    return (Side.ON, Side.INSIDE, Side.OUTSIDE)[s * orient * (-1) ** d]
+
+
+def in_spheres(simplices, points) -> np.ndarray:
+    """Batched ``in_sphere``: the ``Side`` value of points[k] against the
+    circumsphere of simplices[k], for an (m, d+1, d) stack and m points.
+    Built like ``orientations``; raises if any simplex is degenerate."""
+    simp = np.asarray(simplices, dtype=float)
+    q = np.asarray(points, dtype=float)
+    m, n, d = simp.shape
+    if n != d + 1 or q.shape != (m, d):
+        raise ValueError(f"in_spheres got shapes {simp.shape} and {q.shape}")
+    if m < 8:
+        return np.array([in_sphere(s, p) for s, p in zip(simp, q)], dtype=np.int64)
+    orient = orientations(simp)
+    if not orient.all():
+        raise DegenerateSimplexError("in_spheres: degenerate simplex")
+    rows = _lifted_rows(simp.transpose(1, 2, 0), q.T)
+    signs = _filtered_det_signs(rows, lambda k: _exact_lifted_rows(simp[k], q[k]))
+    return signs * orient * (-1) ** d
 
 
 # ---------------------------------------------------------------------------
@@ -181,8 +201,14 @@ def measure(simplex) -> float:
     n, d = pts.shape
     if n != d + 1:
         raise ValueError("measure needs d+1 points of dimension d")
-    det = np.linalg.det(pts[1:] - pts[0])
-    return abs(det) / math.factorial(d)
+    return measures(pts[None])[0]
+
+
+def measures(stack) -> np.ndarray:
+    """Batched ``measure`` of an (m, d+1, d) stack."""
+    coords = np.asarray(stack, dtype=float)
+    edges = coords[:, 1:, :] - coords[:, :1, :]
+    return np.abs(np.linalg.det(edges)) / math.factorial(coords.shape[2])
 
 
 def circumsphere(simplex) -> Circumsphere:
@@ -198,6 +224,27 @@ def circumsphere(simplex) -> Circumsphere:
     if dists.max() - dists.min() > TAU_GEO * max(radius, 1.0):
         raise DegenerateSimplexError("circumsphere solve lost accuracy")
     return Circumsphere(center=center, radius=radius)
+
+
+def circumcenters(stack) -> np.ndarray:
+    """Circumcenters of an (m, d+1, d) stack of non-degenerate simplices."""
+    coords = np.asarray(stack, dtype=float)
+    a = 2.0 * (coords[:, 1:, :] - coords[:, :1, :])
+    b = (coords[:, 1:, :] ** 2).sum(axis=2) - (coords[:, :1, :] ** 2).sum(axis=2)
+    return np.linalg.solve(a, b[:, :, None])[:, :, 0]
+
+
+def circumradii(stack) -> np.ndarray:
+    """Batched ``circumradius``: the same solve, mean of the d+1 vertex
+    distances, exact degeneracy check and ``TAU_GEO`` accuracy check."""
+    pts = np.asarray(stack, dtype=float)
+    if not orientations(pts).all():
+        raise DegenerateSimplexError("degenerate simplex has no circumsphere")
+    dists = np.linalg.norm(pts - circumcenters(pts)[:, None, :], axis=2)
+    radii = dists.mean(axis=1)
+    if (dists.max(axis=1) - dists.min(axis=1) > TAU_GEO * np.maximum(radii, 1.0)).any():
+        raise DegenerateSimplexError("circumsphere solve lost accuracy")
+    return radii
 
 
 def circumradius(simplex) -> float:

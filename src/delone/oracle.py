@@ -15,7 +15,7 @@ import numpy as np
 from .delaunay import _on_open_segment, delaunay_2d
 from .errors import DegenerateSimplexError, NonGenericError
 from .functionals import FunctionalSpec, complex_sum
-from .geometry import orient2d, orientation, segments_cross
+from .geometry import measures, orient2d, orientation, segments_cross
 from .triangulation import build_complex
 
 ENUMERATION_LIMIT = 9
@@ -255,8 +255,8 @@ def _degree2_rule_batch(elements: np.ndarray, alpha, beta) -> float:
     """Degree-2 exact quadrature (edge midpoints, plus vertices in 3D) of the
     paraboloid gap, summed over an (m, d+1, d) stack of simplices."""
     v = np.asarray(elements, dtype=float)
-    n, d = v.shape[1], v.shape[2]
-    vols = np.abs(np.linalg.det(v[:, 1:, :] - v[:, :1, :])) / math.factorial(d)
+    n = v.shape[1]
+    vols = measures(v)
     pairs = list(itertools.combinations(range(n), 2))
     mids = np.stack([(v[:, i, :] + v[:, j, :]) / 2.0 for i, j in pairs], axis=1)
     gap_m = alpha + mids @ beta - (mids**2).sum(axis=2)

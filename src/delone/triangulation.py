@@ -25,9 +25,10 @@ from .errors import (
 from .geometry import (
     Side,
     TAU_GEO,
+    circumradii,
     circumsphere,
     in_sphere,
-    measure,
+    measures,
     orient2d,
     orientations,
     points_in_simplices,
@@ -80,11 +81,9 @@ class TriangulationComplex:
         return self.points[list(cell)]
 
     def cells_array(self) -> np.ndarray:
-        return np.array(self.cells, dtype=np.int64)
+        return np.array(self.cells, dtype=np.int64).reshape(-1, self.dim + 1)
 
     def vertices_used(self) -> np.ndarray:
-        if not self._cells:
-            return np.array([], dtype=np.int64)
         return np.unique(self.cells_array())
 
     def facets(self) -> Iterable[Facet]:
@@ -145,10 +144,10 @@ class TriangulationComplex:
     # -- metric summaries ----------------------------------------------------
 
     def cell_circumradii(self) -> np.ndarray:
-        return np.array([circumsphere(self.cell_coords(c)).radius for c in self.cells])
+        return circumradii(self.points[self.cells_array()])
 
     def cell_measures(self) -> np.ndarray:
-        return np.array([measure(self.cell_coords(c)) for c in self.cells])
+        return measures(self.points[self.cells_array()])
 
     # -- serialization -------------------------------------------------------
 

@@ -8,8 +8,15 @@ from delone.delaunay import (
     restrict_delaunay,
     verify_empty_circumspheres,
 )
-from delone.errors import DegenerateSimplexError, NonGenericError
-from delone.triangulation import build_complex, legalize_to_delaunay
+from delone.errors import (
+    DegenerateSimplexError,
+    GeometryError,
+    InvalidComplexError,
+    NonGenericError,
+)
+from delone.generators import distorted_cubic_window, lattice_window
+from delone.geometry import Side, in_sphere, in_spheres
+from delone.triangulation import build_complex, legalize_to_delaunay, reverse_flip
 
 
 def jittered_grid_2d(n, seed, eta=1e-6):
@@ -233,3 +240,103 @@ def test_restrict_delaunay_nonconvex_region_not_overcounted():
     region = build_complex(pts, region_cells, check_coverage=False)
     restricted = restrict_delaunay(D, region)
     assert sorted(restricted.cells) == sorted(region_cells)
+
+
+# ---------------------------------------------------------------------------
+# verification and interior-facet certificates
+
+
+def first_bad_pair_scalar(cx, *, exhaustive_limit=200, samples=2000, seed=0):
+    """The scalar loop behind ``verify_empty_circumspheres``: the side,
+    vertex and cell of the first (cell, vertex) pair that is not OUTSIDE."""
+    n = len(cx.points)
+    if n <= exhaustive_limit:
+        pairs = [(cell, v) for cell in cx.cells for v in range(n) if v not in cell]
+    else:
+        rng = np.random.default_rng(seed)
+        pairs = []
+        for _ in range(samples):
+            cell = cx.cells[int(rng.integers(len(cx.cells)))]
+            v = int(rng.integers(n))
+            if v not in cell:
+                pairs.append((cell, v))
+    for cell, v in pairs:
+        side = in_sphere(cx.cell_coords(cell), cx.points[v])
+        if side != Side.OUTSIDE:
+            return side, v, cell
+    return None
+
+
+def _scrambled_grid():
+    cx = delaunay_2d(jittered_grid_2d(8, seed=3, eta=0.1))
+    for facet in sorted(cx.interior_facets())[::7]:
+        try:
+            reverse_flip(cx, facet)
+        except GeometryError:
+            continue  # no longer interior, not convex or not locally Delaunay
+    return cx
+
+
+def _radon_other_3d():
+    pts = [(0.0, 0.0, 0.0), (2.0, 0.1, 0.0), (0.2, 2.0, 0.1), (0.1, 0.3, 2.0),
+           (1.5, 1.4, 1.6)]
+    return radon_two_triangulations(pts)[1]
+
+
+VERIFY_CASES = {
+    "scrambled-2d": (_scrambled_grid, {}),
+    "scrambled-2d-sampled": (_scrambled_grid, {"exhaustive_limit": 0, "samples": 3000}),
+    "square-2d": (lambda: build_complex(
+        [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)], [(0, 1, 2), (0, 2, 3)]), {}),
+    "radon-other-3d": (_radon_other_3d, {}),
+    "distorted-cube-3d": (
+        lambda: delaunay_3d(distorted_cubic_window(3).points, verify=False), {}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(VERIFY_CASES))
+def test_verification_names_the_scalar_loops_first_bad_pair(case):
+    build, kwargs = VERIFY_CASES[case]
+    cx = build()
+    side, v, cell = first_bad_pair_scalar(cx, **kwargs)
+    with pytest.raises(GeometryError) as info:
+        verify_empty_circumspheres(cx, **kwargs)
+    want = InvalidComplexError if side == Side.INSIDE else NonGenericError
+    assert type(info.value) is want
+    assert f"vertex {v} " in str(info.value) and f"cell {cell}" in str(info.value)
+
+
+def interior_facet_sides(cx):
+    """Every interior facet, and the side of its second cell's opposite
+    vertex against the circumsphere of its first cell."""
+    facets = cx.interior_facets()
+    incident = [cx.facet_cells(f) for f in facets]
+    first = np.array([c0 for c0, _ in incident])
+    opposite = [(set(c1) - set(f)).pop() for f, (_, c1) in zip(facets, incident)]
+    return facets, incident, in_spheres(cx.points[first], cx.points[opposite])
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "Qhull's lifted lower hull is one 2-3 flip off here: facet "
+    "(1223, 1234, 1314) is not locally Delaunay, and the sampled "
+    "verification above 200 points misses it; a fix needs exact 3D flips"))
+def test_delaunay_3d_jittered_lattice_every_interior_facet_locally_delaunay():
+    cx = delaunay_3d(lattice_window(3, 7.0, jitter=True, seed=14000112).points)
+    _, _, sides = interior_facet_sides(cx)
+    assert (sides == Side.OUTSIDE).all()
+
+
+@pytest.mark.parametrize("W, ties", [(4, 37), (6, 65)])
+def test_distorted_cube_ties_lie_outside_the_report_region(W, ties):
+    """The cospherical interior facets of the distorted cube each have a
+    vertex beyond norm W - 2, where ``distorted_cube_report`` (default
+    margin 2) counts no cube, so its verdict does not depend on how Qhull
+    breaks the ties."""
+    cx = delaunay_3d(distorted_cubic_window(W).points)
+    facets, incident, sides = interior_facet_sides(cx)
+    assert not (sides == Side.INSIDE).any()
+    on = np.flatnonzero(sides == Side.ON)
+    assert len(on) == ties
+    for k in on:
+        five = sorted(set(incident[k][0]) | set(incident[k][1]))
+        assert np.linalg.norm(cx.points[five], axis=1).max() > W - 2

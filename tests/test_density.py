@@ -150,6 +150,10 @@ def test_perturbation_grows_circumradius(lattice20):
         cx, 10, window_radius=w.window_radius, q_bound=w.R, seed=3
     )
     assert len(records) == 10
+    # the edges picked when the facet list was rebuilt on every try
+    assert [rec.facet for rec in records] == [
+        (677, 717), (385, 423), (118, 147), (396, 434), (632, 671),
+        (817, 855), (483, 523), (791, 831), (86, 115), (1169, 1196)]
     assert sorted(tcx.cells) != sorted(cx.cells)
     for rec in records:
         assert rec.after_max_circumradius >= rec.before_max_circumradius - 1e-12

@@ -4,20 +4,26 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from delone.delaunay import delaunay_2d, delaunay_3d
 from delone.errors import DegenerateSimplexError
+from delone.generators import lattice_window
 from delone.geometry import (
     Side,
     area_via_circumradius,
     centroid,
+    circumcenters,
+    circumradii,
     circumradius,
     circumsphere,
     in_sphere,
+    in_spheres,
     inradius_2d,
     lift,
     measure,
+    measures,
     orientation,
     orientations,
     point_in_simplex,
@@ -368,3 +374,100 @@ def test_points_in_simplices_matches_scalar():
     assert got.tolist() == [point_in_simplex(t, q) for t, q in zip(tets, qs)]
     flat = np.array([[(0.0, 0.0), (1.0, 0.0), (2.0, 0.0)]])
     assert points_in_simplices(flat, [(1.0, 0.0)]).tolist() == [False]
+
+
+# ---------------------------------------------------------------------------
+# the batched in-sphere kernel against pure rational evaluation
+
+
+def fraction_side(simplex, q) -> int:
+    """Reference ``Side`` value: the circumcenter by Gauss-Jordan elimination
+    over Fractions, then the squared distances compared exactly."""
+    pts = [[Fraction(float(x)) for x in p] for p in simplex]
+    fq = [Fraction(float(x)) for x in q]
+    d = len(fq)
+    # 2 (p_i - p_0) . c = |p_i|^2 - |p_0|^2
+    m = [[2 * (a - b) for a, b in zip(p, pts[0])]
+         + [sum(a * a for a in p) - sum(b * b for b in pts[0])] for p in pts[1:]]
+    for c in range(d):
+        pivot = next(r for r in range(c, d) if m[r][c] != 0)
+        m[c], m[pivot] = m[pivot], m[c]
+        m[c] = [x / m[c][c] for x in m[c]]
+        for r in range(d):
+            if r != c:
+                m[r] = [a - m[r][c] * b for a, b in zip(m[r], m[c])]
+    center = [row[d] for row in m]
+    r2 = sum((a - c) ** 2 for a, c in zip(pts[0], center))
+    q2 = sum((a - c) ** 2 for a, c in zip(fq, center))
+    return (r2 > q2) - (r2 < q2)
+
+
+# integer points on the circle of radius 5 about the origin
+CIRCLE5 = sorted({(s * x, t * y) for x, y in ((0, 5), (3, 4), (4, 3), (5, 0))
+                  for s in (1, -1) for t in (1, -1)})
+
+
+@st.composite
+def near_cospherical_query(draw, d):
+    """A d-simplex and a query point, all d+2 on one circle (d = 2) or sphere
+    (d = 3) before the offset, then one coordinate moved by -1, 0 or +1 ulp."""
+    sphere = CIRCLE5 if d == 2 else SPHERE5
+    picks = draw(st.lists(st.sampled_from(sphere), min_size=d + 2, max_size=d + 2,
+                          unique=True))
+    center = [draw(DYADIC) for _ in range(d)]
+    off = draw(OFFSET)
+    rows = [[x + c + off for x, c in zip(p, center)] for p in picks]
+    i, j = draw(st.integers(0, d + 1)), draw(st.integers(0, d - 1))
+    rows[i][j] = nudge(rows[i][j], draw(st.integers(-1, 1)))
+    return rows[:-1], rows[-1]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([2, 3]).flatmap(
+    lambda d: st.lists(near_cospherical_query(d), min_size=1, max_size=8)))
+def test_in_spheres_kernel_matches_fractions(rows):
+    rows = [(s, q) for s, q in rows if fraction_orientation(s) != 0]
+    assume(rows)
+    simplices, queries = (np.array(x) for x in zip(*rows))
+    want = [fraction_side(s, q) for s, q in rows]
+    assert in_spheres(simplices, queries).tolist() == want
+    assert [in_sphere(s, q) for s, q in rows] == want
+    copies = 8 // len(rows) + 1  # at least 8 rows: the NumPy pass
+    got = in_spheres(np.tile(simplices, (copies, 1, 1)), np.tile(queries, (copies, 1)))
+    assert got.tolist() == want * copies
+
+
+def test_in_spheres_exact_on_rows_both_paths():
+    tri = [(5.0, 0.0), (0.0, 5.0), (-3.0, 4.0)]
+    tet = [(5.0, 0.0, 0.0), (0.0, 5.0, 0.0), (0.0, 0.0, 5.0), (-3.0, -4.0, 0.0)]
+    for simplex, on in ((tri, [4.0, -3.0]), (tet, [0.0, -3.0, -4.0])):
+        inside, outside = list(on), list(on)
+        inside[-1], outside[-1] = nudge(on[-1], 1), nudge(on[-1], -1)
+        queries = np.array([on, inside, outside])
+        want = [Side.ON, Side.INSIDE, Side.OUTSIDE]
+        assert [fraction_side(simplex, q) for q in queries] == want
+        stack = np.array([simplex] * 3)
+        assert in_spheres(stack, queries).tolist() == want
+        assert in_spheres(np.tile(stack, (3, 1, 1)), np.tile(queries, (3, 1))).tolist() == want * 3
+    flat = [[(0.0, 0.0), (1.0, 0.0), (2.0, 0.0)]]
+    for m in (1, 8):  # row by row and the NumPy pass
+        with pytest.raises(DegenerateSimplexError):
+            in_spheres(np.array([TRI_345] * (m - 1) + flat), np.zeros((m, 2)))
+    with pytest.raises(ValueError):
+        in_spheres(np.array([TRI_345]), np.zeros((2, 2)))
+    assert in_spheres(np.zeros((0, 3, 2)), np.zeros((0, 2))).tolist() == []
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_batched_metrics_equal_scalar_loops(d):
+    window = lattice_window(d, 6.0 if d == 2 else 3.0, jitter=True, seed=5)
+    cx = (delaunay_2d if d == 2 else delaunay_3d)(window.points)
+    coords = [cx.cell_coords(c) for c in cx.cells]
+    assert np.array_equal(cx.cell_measures(), [measure(s) for s in coords])
+    assert np.array_equal(measures(coords), [measure(s) for s in coords])
+    spheres = [circumsphere(s) for s in coords]
+    assert np.array_equal(cx.cell_circumradii(), [c.radius for c in spheres])
+    assert np.array_equal(circumcenters(coords), [c.center for c in spheres])
+    for m in (1, 8):  # row by row and the NumPy pass
+        with pytest.raises(DegenerateSimplexError):
+            circumradii([TRI_345] * (m - 1) + [[(0.0, 0.0), (1.0, 0.0), (2.0, 0.0)]])

@@ -306,15 +306,11 @@ def test_build_unbounded_prefix_small():
     }
     longest = max(np.linalg.norm(cx.points[a] - cx.points[b]) for a, b in edges)
     assert longest > 3.0
-    # every covered window point is a vertex
-    from delone.geometry import point_in_simplex
-
-    used = set(cx.vertices_used().tolist())
-    for idx in range(len(cx.points)):
-        if idx in used:
-            continue
-        for cell in cx.cells:
-            assert not point_in_simplex(cx.cell_coords(cell), cx.points[idx])
+    # every covered window point is a vertex (exact closed containment)
+    unused = np.setdiff1d(np.arange(len(cx.points)), cx.vertices_used())
+    hits, _ = triangulation._containing_pairs(cx.points[cx.cells_array()],
+                                              cx.points[unused])
+    assert len(hits) == 0
 
 
 def test_prefix_builder_splits_point_on_boundary_edge():
