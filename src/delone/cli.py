@@ -18,7 +18,7 @@ import numpy as np
 
 from . import density as density_mod
 from . import functionals as fun
-from .delaunay import delaunay_2d, delaunay_3d
+from .delaunay import delaunay_of
 from .generators import (
     PointSetWindow,
     StripConfig,
@@ -145,8 +145,7 @@ def cmd_tri(args) -> dict:
             json.dump({"schema": SCHEMA, "flips": log}, fh)
         return {"out": out, "flips": len(records), "cells": legal.n_cells}
     window = PointSetWindow.load(args.pointfile)
-    build = delaunay_3d if (args.d3 or window.dim == 3) else delaunay_2d
-    cx = build(window.points, provenance=dict(window.provenance))
+    cx = delaunay_of(window.points, provenance=dict(window.provenance))
     out = args.out or args.pointfile + ".delaunay.json"
     with open(out, "w") as fh:
         fh.write(cx.to_json())
@@ -282,8 +281,7 @@ def cmd_cube3d(args) -> dict:
 
 def cmd_counts(args) -> dict:
     window = PointSetWindow.load(args.pointfile)
-    build = delaunay_3d if window.dim == 3 else delaunay_2d
-    cx = build(window.points, provenance=dict(window.provenance))
+    cx = delaunay_of(window.points, provenance=dict(window.provenance))
     cert = density_mod.count_certificate(window, cx)
     out = args.out or "counts.json"
     with open(out, "w") as fh:
@@ -329,9 +327,9 @@ def cmd_compare(args) -> dict:
 def cmd_oracle(args) -> dict:
     window = PointSetWindow.load(args.pointfile)
     spec = fun.FunctionalSpec.parse(args.F)
-    tris = enumerate_triangulations_2d(window.points)
-    best, best_sum, ties = min_sum_triangulation(window.points, spec)
-    delaunay_cells = sorted(delaunay_2d(window.points).cells)
+    tris = enumerate_triangulations_2d(window.points)  # Delaunay first
+    best, best_sum, ties = min_sum_triangulation(tris, spec)
+    argmin_is_delaunay = best.cells == tris[0].cells
     out = args.out or "oracle.json"
     with open(out, "w") as fh:
         json.dump(
@@ -340,7 +338,7 @@ def cmd_oracle(args) -> dict:
                 "n_triangulations": len(tris),
                 "best_sum": best_sum,
                 "ties": ties,
-                "argmin_is_delaunay": sorted(best.cells) == delaunay_cells,
+                "argmin_is_delaunay": argmin_is_delaunay,
                 "argmin_cells": [list(c) for c in best.cells],
             },
             fh,
@@ -348,7 +346,7 @@ def cmd_oracle(args) -> dict:
     return {
         "out": out,
         "n_triangulations": len(tris),
-        "argmin_is_delaunay": sorted(best.cells) == delaunay_cells,
+        "argmin_is_delaunay": argmin_is_delaunay,
     }
 
 
@@ -383,7 +381,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     t = sub.add_parser("tri", help="Delaunay triangulation or flip legalization")
     t.add_argument("pointfile", nargs="?")
-    t.add_argument("--d3", action="store_true")
     t.add_argument("--legalize", help="complex JSON to legalize instead")
     t.add_argument("--out")
     t.set_defaults(func=cmd_tri)

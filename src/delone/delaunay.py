@@ -10,7 +10,6 @@ classification and the emptiness verification use exact arithmetic.
 
 from __future__ import annotations
 
-import itertools
 import math
 from fractions import Fraction
 
@@ -27,11 +26,13 @@ from .geometry import (
     in_spheres,
     incircle2d,
     lift,
-    measure,
+    on_open_segment,
     orient2d,
     orientation,
     orientations,
     point_in_simplex,
+    points_in_simplices,
+    segments_cross,
 )
 from .triangulation import TriangulationComplex, build_complex
 
@@ -40,16 +41,6 @@ GHOST = -1
 
 # ---------------------------------------------------------------------------
 # 2D incremental construction
-
-
-def _on_open_segment(pa, pb, pq) -> bool:
-    """Exact: pq collinear with pa-pb and strictly between them."""
-    ax, ay = Fraction(pa[0]), Fraction(pa[1])
-    bx, by = Fraction(pb[0]), Fraction(pb[1])
-    qx, qy = Fraction(pq[0]), Fraction(pq[1])
-    t = (qx - ax) * (bx - ax) + (qy - ay) * (by - ay)
-    n = (bx - ax) * (bx - ax) + (by - ay) * (by - ay)
-    return 0 < t < n
 
 
 class _Mesh2D:
@@ -96,7 +87,7 @@ class _Mesh2D:
             if s > 0:
                 return True
             if s == 0:
-                return _on_open_segment(pa, pb, (qx, qy))
+                return on_open_segment(pa, pb, (qx, qy))
             return False
         a, b, c = t
         s = incircle2d(*self.coords[a], *self.coords[b], *self.coords[c], qx, qy)
@@ -409,112 +400,56 @@ def radon_two_triangulations(points):
 # restriction of a Delaunay triangulation to a region
 
 
-def _clip_polygon_halfplane(poly, a, b):
-    """Sutherland-Hodgman step: keep the part of ``poly`` left of a->b."""
-    out = []
-    m = len(poly)
-    for i in range(m):
-        p, q = poly[i], poly[(i + 1) % m]
-        sp = (b[0] - a[0]) * (p[1] - a[1]) - (b[1] - a[1]) * (p[0] - a[0])
-        sq = (b[0] - a[0]) * (q[1] - a[1]) - (b[1] - a[1]) * (q[0] - a[0])
-        if sp >= 0:
-            out.append(p)
-        if (sp > 0 > sq) or (sp < 0 < sq):
-            t = sp / (sp - sq)
-            out.append((p[0] + t * (q[0] - p[0]), p[1] + t * (q[1] - p[1])))
-    return out
-
-
-def _poly_area(poly) -> float:
-    s = 0.0
-    m = len(poly)
-    for i in range(m):
-        x1, y1 = poly[i]
-        x2, y2 = poly[(i + 1) % m]
-        s += x1 * y2 - x2 * y1
-    return abs(s) / 2.0
-
-
-def _tri_intersection_area(t1, t2) -> float:
-    poly = [tuple(p) for p in t1]
-    a, b, c = [tuple(p) for p in t2]
-    if orient2d(*a, *b, *c) < 0:
-        a, b, c = a, c, b
-    for u, v in ((a, b), (b, c), (c, a)):
-        poly = _clip_polygon_halfplane(poly, u, v)
-        if len(poly) < 3:
-            return 0.0
-    return _poly_area(poly)
-
-
-def _tet_intersection_volume(t1, t2) -> float:
-    """Volume of the intersection of two tetrahedra (vertex enumeration)."""
-    from scipy.spatial import ConvexHull, QhullError
-
-    candidates = []
-    for a, bset in ((t1, t2), (t2, t1)):
-        for v in a:
-            if point_in_simplex(bset, v):
-                candidates.append(tuple(v))
-    # edge-face crossing points, both ways
-    for a, bset in ((t1, t2), (t2, t1)):
-        for i, j in itertools.combinations(range(4), 2):
-            p, q = np.asarray(a[i], float), np.asarray(a[j], float)
-            for face in itertools.combinations(range(4), 3):
-                tri = np.asarray(bset, float)[list(face)]
-                pt = _segment_triangle_intersection(p, q, tri)
-                if pt is not None:
-                    candidates.append(tuple(pt))
-    if len(candidates) < 4:
-        return 0.0
-    arr = np.unique(np.round(np.array(candidates), 12), axis=0)
-    if len(arr) < 4:
-        return 0.0
-    try:
-        return float(ConvexHull(arr, qhull_options="QJ").volume)
-    except QhullError:
-        return 0.0
-
-
-def _segment_triangle_intersection(p, q, tri):
-    n = np.cross(tri[1] - tri[0], tri[2] - tri[0])
-    denom = n @ (q - p)
-    if abs(denom) < 1e-14:
-        return None
-    t = (n @ (tri[0] - p)) / denom
-    if not (0.0 <= t <= 1.0):
-        return None
-    x = p + t * (q - p)
-    # barycentric containment check
-    for i in range(3):
-        a, b = tri[i], tri[(i + 1) % 3]
-        if np.cross(b - a, x - a) @ n < -1e-12 * max(1.0, float(n @ n)):
-            return None
-    return x
-
-
 def restrict_delaunay(
     dcx: TriangulationComplex, region: TriangulationComplex
 ) -> TriangulationComplex:
-    """Subcomplex of the cells of ``dcx`` whose closed cells lie in the
-    underlying space of ``region`` (containment decided by intersection
-    measure, so non-convex regions are handled correctly)."""
-    region_cells = set(region.cells)
-    region_coords = [region.cell_coords(c) for c in region.cells]
-    kept = []
-    for cell in dcx.cells:
-        if cell in region_cells and np.shares_memory(dcx.points, region.points):
-            kept.append(cell)
-            continue
-        coords = dcx.cell_coords(cell)
-        vol = measure(coords)
-        if vol == 0.0:
-            continue
-        if dcx.dim == 2:
-            covered = sum(_tri_intersection_area(coords, rc) for rc in region_coords)
-        else:
-            covered = sum(_tet_intersection_volume(coords, rc) for rc in region_coords)
-        if covered >= vol * (1.0 - 1e-9):
-            kept.append(cell)
-    return build_complex(dcx.points, kept, check_coverage=False,
+    """Subcomplex of the cells of the 2D Delaunay triangulation ``dcx`` that
+    lie in the underlying space |T'| of ``region``, decided exactly.
+
+    ``region`` must be a complex on the same points Y, and no point of Y may
+    lie in a closed region cell other than that cell's own vertices.  Every
+    point of Y is a vertex of ``dcx``, so no point of Y lies in an open
+    Delaunay cell or edge either, nor in an open region cell or edge.  Hence
+    a Delaunay cell and a region cell have overlapping interiors only if they
+    are equal or an edge of one properly crosses an edge of the other, and
+    the interior of a Delaunay cell meets the boundary of |T'| only if one of
+    its edges properly crosses a boundary edge of T' (an edge with one
+    incident region cell).  A cell lies in |T'| iff its (connected) interior
+    meets the interior of |T'| and misses its boundary, so a Delaunay cell is
+    kept iff it is a region cell, or some edge of it properly crosses a
+    region edge and none properly crosses a boundary edge.  Every decision is
+    an exact orientation sign.
+
+    Raises ``ValueError`` on 3D input, on point arrays that differ, and on a
+    point lying in a closed region cell that it is not a vertex of.
+    """
+    if dcx.dim != 2:
+        raise ValueError("restrict_delaunay is 2D only")
+    if not np.array_equal(dcx.points, region.points):
+        raise ValueError("the region is not a complex on the Delaunay points")
+    pts = dcx.points
+    # a cell's own vertices lie in it; their zero determinants would each
+    # take the rational path, so they are left out of the scan
+    rcells = region.cells_array()
+    pi, ci = np.nonzero((rcells != np.arange(len(pts))[:, None, None]).all(axis=2))
+    inside = np.flatnonzero(points_in_simplices(pts[rcells[ci]], pts[pi]))
+    if len(inside):
+        k = inside[0]
+        raise ValueError(
+            f"point {pi[k]} lies in region cell {tuple(rcells[ci[k]].tolist())} "
+            "but is not one of its vertices"
+        )
+    dedges, redges = list(dcx.facets()), list(region.facets())
+    d, r = np.array(dedges).reshape(-1, 2), np.array(redges).reshape(-1, 2)
+    # edges sharing an endpoint cannot cross properly
+    di, ri = np.nonzero((d[:, None, :, None] != r[None, :, None, :]).all(axis=(2, 3)))
+    crossed, walled = set(), set()
+    for k in np.flatnonzero(segments_cross(pts[d[di]], pts[r[ri]])):
+        cells = dcx.facet_adjacency[dedges[di[k]]]
+        crossed.update(cells)
+        if len(region.facet_adjacency[redges[ri[k]]]) == 1:
+            walled.update(cells)
+    kept = [c for c in dcx.cells
+            if region.has_cell(c) or (c in crossed and c not in walled)]
+    return build_complex(pts, kept, check_coverage=False,
                          provenance=dict(dcx.provenance))

@@ -218,7 +218,10 @@ def circumsphere(simplex) -> Circumsphere:
         raise DegenerateSimplexError("degenerate simplex has no circumsphere")
     a = 2.0 * (pts[1:] - pts[0])
     b = (pts[1:] ** 2).sum(axis=1) - (pts[0] ** 2).sum()
-    center = np.linalg.solve(a, b)
+    try:
+        center = np.linalg.solve(a, b)
+    except np.linalg.LinAlgError as exc:
+        raise DegenerateSimplexError("circumsphere solve is singular in floating point") from exc
     dists = np.linalg.norm(pts - center, axis=1)
     radius = float(dists.mean())
     if dists.max() - dists.min() > TAU_GEO * max(radius, 1.0):
@@ -240,7 +243,11 @@ def circumradii(stack) -> np.ndarray:
     pts = np.asarray(stack, dtype=float)
     if not orientations(pts).all():
         raise DegenerateSimplexError("degenerate simplex has no circumsphere")
-    dists = np.linalg.norm(pts - circumcenters(pts)[:, None, :], axis=2)
+    try:
+        centers = circumcenters(pts)
+    except np.linalg.LinAlgError as exc:
+        raise DegenerateSimplexError("circumsphere solve is singular in floating point") from exc
+    dists = np.linalg.norm(pts - centers[:, None, :], axis=2)
     radii = dists.mean(axis=1)
     if (dists.max(axis=1) - dists.min(axis=1) > TAU_GEO * np.maximum(radii, 1.0)).any():
         raise DegenerateSimplexError("circumsphere solve lost accuracy")
@@ -348,13 +355,23 @@ def incircle2d(ax, ay, bx, by, cx, cy, qx, qy) -> int:
     return 1 if det > 0 else (-1 if det < 0 else 0)
 
 
-def segments_cross(p1, p2, q1, q2) -> bool:
-    """True iff the open segments p1p2 and q1q2 properly intersect."""
-    o1 = orient2d(*p1, *p2, *q1)
-    o2 = orient2d(*p1, *p2, *q2)
-    o3 = orient2d(*q1, *q2, *p1)
-    o4 = orient2d(*q1, *q2, *p2)
-    return o1 * o2 < 0 and o3 * o4 < 0
+def on_open_segment(a, b, q) -> bool:
+    """Exact: planar point q lies on the open segment ab.  A point collinear
+    with a and b lies on the closed segment iff it lies in the segment's
+    bounding box, and float comparisons of coordinates are exact."""
+    in_box = all(min(u, v) <= w <= max(u, v) for u, v, w in zip(a, b, q))
+    is_end = all(u == w for u, w in zip(a, q)) or all(v == w for v, w in zip(b, q))
+    return in_box and not is_end and orient2d(*a, *b, *q) == 0
+
+
+def segments_cross(a, b) -> np.ndarray:
+    """Entry k is True iff the open segments a[k] and b[k] of two (m, 2, 2)
+    stacks properly cross: the endpoints of each lie strictly on opposite
+    sides of the other's line.  Exact, via one ``orientations`` call."""
+    ends = np.concatenate([np.asarray(a, dtype=float), np.asarray(b, dtype=float)], axis=1)
+    tris = ends[:, [[0, 1, 2], [0, 1, 3], [2, 3, 0], [2, 3, 1]]]
+    o = orientations(tris.reshape(-1, 3, 2)).reshape(-1, 4)
+    return (o[:, 0] * o[:, 1] < 0) & (o[:, 2] * o[:, 3] < 0)
 
 
 def points_in_simplices(simplices, points) -> np.ndarray:

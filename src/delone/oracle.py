@@ -12,10 +12,10 @@ import math
 
 import numpy as np
 
-from .delaunay import _on_open_segment, delaunay_2d
+from .delaunay import delaunay_2d
 from .errors import DegenerateSimplexError, NonGenericError
 from .functionals import FunctionalSpec, complex_sum
-from .geometry import measures, orient2d, orientation, segments_cross
+from .geometry import measures, on_open_segment, orient2d, orientation, segments_cross
 from .triangulation import build_complex
 
 ENUMERATION_LIMIT = 9
@@ -93,25 +93,21 @@ def noncrossing_triangulations(points, limit: int = NONCROSSING_LIMIT):
     if n > limit:
         raise ValueError(f"non-crossing enumeration is limited to {limit} points")
     coords = [tuple(map(float, p)) for p in pts]
-    segments = []
-    for i, j in itertools.combinations(range(n), 2):
-        if any(
-            orient2d(*coords[i], *coords[j], *coords[k]) == 0
-            and _on_open_segment(coords[i], coords[j], coords[k])
-            for k in range(n)
-            if k not in (i, j)
-        ):
-            continue  # would put a vertex inside an edge
-        segments.append((i, j))
+    segments = [
+        (i, j) for i, j in itertools.combinations(range(n), 2)
+        # an edge may not have a vertex inside it
+        if not any(on_open_segment(coords[i], coords[j], coords[k]) for k in range(n))
+    ]
     m = len(segments)
+    # segments sharing an endpoint cannot cross properly
+    pairs = np.array([(s, t) for s, t in itertools.combinations(range(m), 2)
+                      if not set(segments[s]) & set(segments[t])],
+                     dtype=np.int64).reshape(-1, 2)
+    ends = pts[np.array(segments, dtype=np.int64).reshape(-1, 2)]
     crossing = [set() for _ in range(m)]
-    for s, t in itertools.combinations(range(m), 2):
-        (i, j), (k, l) = segments[s], segments[t]
-        if {i, j} & {k, l}:
-            continue
-        if segments_cross(coords[i], coords[j], coords[k], coords[l]):
-            crossing[s].add(t)
-            crossing[t].add(s)
+    for s, t in pairs[segments_cross(ends[pairs[:, 0]], ends[pairs[:, 1]])].tolist():
+        crossing[s].add(t)
+        crossing[t].add(s)
 
     results = []
 
@@ -205,12 +201,12 @@ def run_g_trials(spec: FunctionalSpec, trials: int, *, n_range=(5, 8), seed: int
     )
 
 
-def min_sum_triangulation(points, spec: FunctionalSpec):
-    """Argmin of the functional sum over all triangulations of the point set.
+def min_sum_triangulation(tris, spec: FunctionalSpec):
+    """Argmin of the functional sum over the triangulations ``tris`` of a
+    point set, as listed by ``enumerate_triangulations_2d``.
 
     Returns (best complex, best sum, number of ties); ties are counted within
     the relative inequality tolerance."""
-    tris = enumerate_triangulations_2d(points)
     sums = [complex_sum(spec, cx) for cx in tris]
     best = min(sums)
     tol = (abs(best) + 1.0) * 1e-9

@@ -28,7 +28,9 @@ from .geometry import (
     circumradii,
     circumsphere,
     in_sphere,
+    in_spheres,
     measures,
+    on_open_segment,
     orient2d,
     orientations,
     points_in_simplices,
@@ -385,9 +387,17 @@ def legalize_to_delaunay(cx: TriangulationComplex):
         steps += 1
         if steps > limit:
             raise RuntimeError("flip scheduling failed to terminate")
-    for facet in out.interior_facets():
-        if not is_locally_delaunay(out, facet):
-            raise InvalidComplexError(f"legalization left facet {facet} non-Delaunay")
+    # postcondition: is_locally_delaunay on every interior facet, batched
+    facets = out.interior_facets()
+    near = np.array([out.facet_cells(f)[0] for f in facets], dtype=np.int64)
+    far = np.array([_quad_of(out, f)[2] for f in facets], dtype=np.int64)
+    sides = in_spheres(out.points[near.reshape(-1, 3)], out.points[far])
+    bad = np.flatnonzero(sides != Side.OUTSIDE)
+    if len(bad):
+        facet = facets[bad[0]]
+        if sides[bad[0]] == Side.ON:
+            raise NonGenericError(f"facet {facet}: cospherical opposite vertex")
+        raise InvalidComplexError(f"legalization left facet {facet} non-Delaunay")
     return out, records
 
 
@@ -408,28 +418,11 @@ class _PrefixBuilder:
 
     def __init__(self, points: np.ndarray):
         self.points = points
-        self.cells: set = set()
-        self.adjacency: dict = {}
+        self.cx = TriangulationComplex(dim=2, points=points, _cells=set(),
+                                       facet_adjacency={})
         self.hull: list = []  # CCW vertex cycle
         self.is_vertex = np.zeros(len(points), dtype=bool)
         self.long_edges: list = []
-
-    def _add(self, cell):
-        cell = tuple(sorted(cell))
-        self.cells.add(cell)
-        for facet in itertools.combinations(cell, 2):
-            self.adjacency.setdefault(facet, []).append(cell)
-        for v in cell:
-            self.is_vertex[v] = True
-
-    def _remove(self, cell):
-        cell = tuple(sorted(cell))
-        self.cells.remove(cell)
-        for facet in itertools.combinations(cell, 2):
-            entry = self.adjacency[facet]
-            entry.remove(cell)
-            if not entry:
-                del self.adjacency[facet]
 
     def seed(self, i, j, k):
         pi, pj, pk = self.points[i], self.points[j], self.points[k]
@@ -437,7 +430,8 @@ class _PrefixBuilder:
             self.hull = [i, j, k]
         else:
             self.hull = [j, i, k]
-        self._add((i, j, k))
+        self.cx._add_cell((i, j, k))
+        self.is_vertex[[i, j, k]] = True
 
     def star_exterior(self, w: int):
         """Attach exterior point w to every strictly visible hull edge."""
@@ -452,7 +446,7 @@ class _PrefixBuilder:
             raise InvalidComplexError(f"point {w} sees no hull edge")
         for t in visible:
             u, v = self.hull[t], self.hull[(t + 1) % m]
-            self._add((v, u, w))
+            self.cx._add_cell((v, u, w))
         # visible edges form a contiguous arc on the cycle
         vis = set(visible)
         start = next(t for t in visible if (t - 1) % m not in vis)
@@ -477,8 +471,8 @@ class _PrefixBuilder:
         return True
 
     def _containing_cell(self, p) -> Cell | None:
-        """First cell, in ``self.cells`` iteration order, holding p."""
-        cells = list(self.cells)
+        """First cell, in ``self.cx._cells`` iteration order, holding p."""
+        cells = list(self.cx._cells)
         coords = self.points[np.array(cells, dtype=np.int64).reshape(-1, 3)]
         _, hits = _containing_pairs(coords, p[None])
         return cells[hits[0]] if len(hits) else None
@@ -503,19 +497,18 @@ class _PrefixBuilder:
                     on_edge = (u, v)
                     break
             if on_edge is None:
-                self._remove(host)
-                self._add((a, b, w))
-                self._add((b, c, w))
-                self._add((a, c, w))
+                self.cx._remove_cell(host)
+                self.cx._add_cell((a, b, w))
+                self.cx._add_cell((b, c, w))
+                self.cx._add_cell((a, c, w))
             else:
                 u, v = on_edge
-                key = tuple(sorted((u, v)))
-                incident = list(self.adjacency.get(key, ()))
+                incident = self.cx.facet_cells((u, v))
                 for cell in incident:
                     (t,) = set(cell) - {u, v}
-                    self._remove(cell)
-                    self._add((u, w, t))
-                    self._add((v, w, t))
+                    self.cx._remove_cell(cell)
+                    self.cx._add_cell((u, w, t))
+                    self.cx._add_cell((v, w, t))
                 if len(incident) == 1:
                     # hull edge split: keep the hull cycle in step
                     m = len(self.hull)
@@ -530,20 +523,11 @@ class _PrefixBuilder:
 def _segment_clear(points, i, j, candidate_ids) -> bool:
     """No point of ``candidate_ids`` lies on the open segment (i, j)."""
     pi, pj = points[i], points[j]
-    lo = np.minimum(pi, pj) - 1e-12
-    hi = np.maximum(pi, pj) + 1e-12
     cand = np.asarray(candidate_ids)
     sub = points[cand]
-    mask = ((sub >= lo) & (sub <= hi)).all(axis=1)
-    for k in cand[mask]:
-        if k == i or k == j:
-            continue
-        pk = points[k]
-        if orient2d(*pi, *pj, *pk) == 0:
-            t = float((pk - pi) @ (pj - pi))
-            if 0.0 < t < float((pj - pi) @ (pj - pi)):
-                return False
-    return True
+    # exact closed box: the cheap filter before the exact predicate
+    box = ((sub >= np.minimum(pi, pj)) & (sub <= np.maximum(pi, pj))).all(axis=1)
+    return not any(on_open_segment(pi, pj, points[k]) for k in cand[box])
 
 
 def build_unbounded_prefix(window, phases: int) -> TriangulationComplex:
@@ -568,7 +552,7 @@ def build_unbounded_prefix(window, phases: int) -> TriangulationComplex:
     all_ids = range(n)
 
     for phase in range(1, phases + 1):
-        if not builder.cells:
+        if not builder.cx.n_cells:
             x = min(i0, i1)
             hull_prev = hull_next = None
         else:
@@ -579,7 +563,7 @@ def build_unbounded_prefix(window, phases: int) -> TriangulationComplex:
         y = _find_long_edge_target(
             points, builder, x, float(phase), hull_prev, hull_next, i0, i1
         )
-        if not builder.cells:
+        if not builder.cx.n_cells:
             builder.seed(i0, i1, y)
         else:
             builder.star_exterior(y)
@@ -598,7 +582,7 @@ def build_unbounded_prefix(window, phases: int) -> TriangulationComplex:
 
     cx = build_complex(
         points,
-        builder.cells,
+        builder.cx._cells,
         provenance={
             "generator": "unbounded_prefix",
             "phases": phases,
@@ -634,7 +618,7 @@ def _find_long_edge_target(points, builder, x, length, hull_prev, hull_next, i0,
             y = int(y)
             if builder.is_vertex[y]:
                 continue
-            if builder.cells:
+            if builder.cx.n_cells:
                 # direction must leave the convex hull immediately at x
                 py = points[y]
                 s1 = orient2d(*px, *points[hull_next], *py)

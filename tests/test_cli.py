@@ -190,6 +190,38 @@ def test_compare_cli(tmp_path, capsys):
     assert last_json(stdout)["passed"] is True
 
 
+ORACLE_POINTS = """\
+2 0.01 2.0 2.0
+0.25714040553839923 0.9985557248802299
+1.202996715246715 0.05737801674388909
+0.29585216915491186 1.856422045920739
+0.14084115230839367 0.25954789879859597
+1.8966569065835501 1.2437671855927657
+0.737986247459582 1.0227800436065253
+1.3256859050335985 0.5506176315222586
+"""
+
+
+@pytest.mark.parametrize("spec, want", [
+    ("F5", '{"schema": 1, "n_triangulations": 19, "best_sum": 6.687882644190788, '
+           '"ties": 1, "argmin_is_delaunay": true, "argmin_cells": [[0, 2, 3], '
+           '[0, 2, 5], [0, 3, 5], [1, 3, 5], [1, 4, 6], [1, 5, 6], [2, 4, 5], [4, 5, 6]]}'),
+    ("AREA", '{"schema": 1, "n_triangulations": 19, "best_sum": 2.025809503618531, '
+             '"ties": 19, "argmin_is_delaunay": false, "argmin_cells": [[0, 1, 3], '
+             '[0, 1, 5], [0, 2, 3], [0, 2, 4], [0, 4, 5], [1, 4, 6], [1, 5, 6], [4, 5, 6]]}'),
+])
+def test_oracle_cli_json_is_unchanged(tmp_path, capsys, spec, want):
+    # recorded from the version that enumerated twice and rebuilt the
+    # Delaunay triangulation a third time; AREA ties everywhere, so its
+    # argmin is not the Delaunay triangulation
+    pts = tmp_path / "small.pts"
+    pts.write_text(ORACLE_POINTS)
+    out = tmp_path / "oracle.json"
+    code, _, _ = run(capsys, "oracle", str(pts), "--F", spec, "--out", str(out))
+    assert code == 0
+    assert out.read_text() == want
+
+
 def test_oracle_cli(tmp_path, capsys):
     rng = np.random.default_rng(7)
     w = PointSetWindow(dim=2, points=rng.uniform(size=(6, 2)) * 2,

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -14,8 +16,9 @@ from delone.errors import (
     InvalidComplexError,
     NonGenericError,
 )
-from delone.generators import distorted_cubic_window, lattice_window
+from delone.generators import distorted_cubic_window, lattice_window, stream_rng
 from delone.geometry import Side, in_sphere, in_spheres
+from delone.oracle import enumerate_triangulations_2d
 from delone.triangulation import build_complex, legalize_to_delaunay, reverse_flip
 
 
@@ -240,6 +243,114 @@ def test_restrict_delaunay_nonconvex_region_not_overcounted():
     region = build_complex(pts, region_cells, check_coverage=False)
     restricted = restrict_delaunay(D, region)
     assert sorted(restricted.cells) == sorted(region_cells)
+
+
+def exact_area(poly):
+    return abs(sum(p[0] * q[1] - q[0] * p[1]
+                   for p, q in zip(poly, poly[1:] + poly[:1]))) / 2
+
+
+def exact_clipped_area(poly, region_tri):
+    """Exact area of the intersection of a convex polygon and a triangle:
+    Sutherland-Hodgman clipping in rational arithmetic."""
+    a, b, c = region_tri
+    if (b[0] - a[0]) * (c[1] - a[1]) < (b[1] - a[1]) * (c[0] - a[0]):
+        b, c = c, b
+    for u, v in ((a, b), (b, c), (c, a)):
+        dx, dy = v[0] - u[0], v[1] - u[1]
+        sides = [dx * (p[1] - u[1]) - dy * (p[0] - u[0]) for p in poly]
+        out = []
+        for p, q, sp, sq in zip(poly, poly[1:] + poly[:1], sides, sides[1:] + sides[:1]):
+            if sp >= 0:
+                out.append(p)
+            if sp * sq < 0:
+                t = sp / (sp - sq)
+                out.append((p[0] + t * (q[0] - p[0]), p[1] + t * (q[1] - p[1])))
+        poly = out
+        if len(poly) < 3:
+            return 0
+    return exact_area(poly)
+
+
+def exact_restriction(D, region):
+    """Reference: the cells of D whose exact area equals the exact area they
+    share with the region cells (which have disjoint interiors)."""
+    def exact(cx, cell):
+        return [tuple(map(Fraction, p)) for p in cx.cell_coords(cell).tolist()]
+
+    rtris = [exact(region, c) for c in region.cells]
+    kept = []
+    for cell in D.cells:
+        tri = exact(D, cell)
+        area, shared = exact_area(tri), 0
+        for rtri in rtris:
+            if shared == area:
+                break
+            if all(max(p[k] for p in rtri) >= min(p[k] for p in tri)
+                   and min(p[k] for p in rtri) <= max(p[k] for p in tri) for k in (0, 1)):
+                shared += exact_clipped_area(tri, rtri)
+        if shared == area:
+            kept.append(cell)
+    return kept
+
+
+def test_restrict_delaunay_matches_exact_area_reference():
+    # 300 (Y, T') pairs as in run_g_trials: for 100 sets of 5..8 random
+    # points, a random triangulation, its non-Delaunay cells and a random
+    # subset of its cells
+    rng = stream_rng(4, "restrict-reference")
+    done = 0
+    while done < 300:
+        pts = rng.uniform(size=(int(rng.integers(5, 9)), 2)) * 4.0
+        try:
+            tris = enumerate_triangulations_2d(pts)
+        except NonGenericError:
+            continue
+        cells = tris[int(rng.integers(len(tris)))].cells
+        for region_cells in (
+            cells,
+            [c for c in cells if c not in set(tris[0].cells)] or cells,
+            [c for c in cells if rng.random() < 0.5] or cells,
+        ):
+            region = build_complex(pts, region_cells, check_coverage=False)
+            assert restrict_delaunay(tris[0], region).cells == \
+                exact_restriction(tris[0], region), done
+            done += 1
+
+
+def test_restrict_delaunay_drops_cell_with_sliver_outside_region():
+    # edge (3, 4) cuts a corner of relative area 1e-10 off Delaunay cell
+    # (0, 1, 2); a 1e-9 area tolerance would keep the cell
+    pts = np.array([(0, 0), (1, 0), (0, 1), (-1, 1 + 1e-5), (1 + 1e-5, -1)])
+    D = delaunay_2d(pts)
+    assert (0, 1, 2) in D.cells
+    T = next(t for t in enumerate_triangulations_2d(pts)
+             if any({3, 4} <= set(c) for c in t.cells))
+    region = build_complex(pts, [c for c in T.cells if 0 not in c],
+                           check_coverage=False)
+    assert restrict_delaunay(D, region).cells == exact_restriction(D, region) == []
+
+
+def test_restrict_delaunay_rejects_3d():
+    D = build_complex(np.eye(4, 3), [(0, 1, 2, 3)])
+    with pytest.raises(ValueError, match="2D only"):
+        restrict_delaunay(D, D)
+
+
+def test_restrict_delaunay_rejects_other_points():
+    pts = np.random.default_rng(3).uniform(size=(8, 2))
+    D = delaunay_2d(pts)
+    moved = build_complex(pts + 1.0, D.cells, check_coverage=False)
+    with pytest.raises(ValueError, match="not a complex on the Delaunay points"):
+        restrict_delaunay(D, moved)
+
+
+def test_restrict_delaunay_rejects_region_cell_holding_a_point():
+    pts = np.array([(0.0, 0.0), (4.0, 0.0), (2.0, 3.0), (2.0, 1.0)])
+    D = delaunay_2d(pts)
+    region = build_complex(pts, [(0, 1, 2)], check_coverage=False)
+    with pytest.raises(ValueError, match=r"point 3 lies in region cell \(0, 1, 2\)"):
+        restrict_delaunay(D, region)
 
 
 # ---------------------------------------------------------------------------

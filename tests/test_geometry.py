@@ -24,10 +24,12 @@ from delone.geometry import (
     lift,
     measure,
     measures,
+    on_open_segment,
     orientation,
     orientations,
     point_in_simplex,
     points_in_simplices,
+    segments_cross,
 )
 
 TRI_345 = [(0.0, 0.0), (4.0, 0.0), (0.0, 3.0)]
@@ -230,6 +232,44 @@ def test_rigid_motion_invariance():
             moved = move(pts)
             assert measure(moved) == pytest.approx(measure(pts), rel=1e-9)
             assert circumradius(moved) == pytest.approx(circumradius(pts), rel=1e-9)
+
+
+def test_circumsphere_float_singular_raises_degenerate():
+    # exactly non-degenerate, but the float solve sees a singular matrix
+    tri = [[0.0, 0.0], [0.686424914749346, 1.5059366220404455],
+           [0.424040095722155, 0.9302947717081502]]
+    assert orientation(tri) == -1
+    with pytest.raises(DegenerateSimplexError):
+        circumsphere(tri)
+    with pytest.raises(DegenerateSimplexError):
+        circumradii([tri])
+
+
+def test_on_open_segment():
+    a, b = (0.0, 0.0), (3.0, 1.5)
+    assert on_open_segment(a, b, (1.0, 0.5))
+    assert not on_open_segment(a, b, a) and not on_open_segment(a, b, b)
+    assert not on_open_segment(a, b, (4.0, 2.0))  # collinear, outside
+    assert not on_open_segment(a, b, (1.0, np.nextafter(0.5, 1.0)))
+    assert on_open_segment((0.0, 2.0), (0.0, -1.0), (0.0, 0.5))  # vertical
+    assert not on_open_segment((0.0, 2.0), (0.0, -1.0), (0.0, 2.5))
+
+
+def test_segments_cross_proper_crossings_only():
+    cases = [
+        (((0, 0), (2, 2)), ((0, 2), (2, 0)), True),  # X
+        (((0, 0), (2, 2)), ((1, 1), (2, 0)), False),  # endpoint on the other
+        (((0, 0), (2, 0)), ((1, 0), (3, 0)), False),  # collinear overlap
+        (((0, 0), (1, 0)), ((0, 1), (1, 1)), False),  # parallel
+        (((0, 0), (2, 2)), ((2, 2), (3, 0)), False),  # shared endpoint
+        (((0, 0), (1, 1e-300)), ((0.5, -1), (0.5, 1)), True),  # shallow
+    ]
+    a = np.array([c[0] for c in cases], dtype=float)
+    b = np.array([c[1] for c in cases], dtype=float)
+    want = [c[2] for c in cases]
+    assert segments_cross(a, b).tolist() == want  # batched path
+    assert [bool(segments_cross(a[k:k + 1], b[k:k + 1])[0])
+            for k in range(len(cases))] == want  # row-by-row path
 
 
 def test_point_in_simplex():

@@ -66,7 +66,7 @@ def test_min_sum_f5_is_delaunay():
     rng = np.random.default_rng(31)
     for _ in range(8):
         pts = rng.uniform(size=(7, 2)) * 2
-        best, _, _ = min_sum_triangulation(pts, FunctionalSpec("F5"))
+        best, _, _ = min_sum_triangulation(enumerate_triangulations_2d(pts), FunctionalSpec("F5"))
         assert sorted(best.cells) == sorted(delaunay_2d(pts).cells)
 
 
@@ -74,7 +74,7 @@ def test_min_sum_fe_is_delaunay():
     rng = np.random.default_rng(37)
     for _ in range(8):
         pts = rng.uniform(size=(6, 2)) * 2
-        best, _, _ = min_sum_triangulation(pts, FunctionalSpec("FE"))
+        best, _, _ = min_sum_triangulation(enumerate_triangulations_2d(pts), FunctionalSpec("FE"))
         assert sorted(best.cells) == sorted(delaunay_2d(pts).cells)
 
 
@@ -82,7 +82,7 @@ def test_min_sum_area_all_tie():
     rng = np.random.default_rng(41)
     pts = rng.uniform(size=(6, 2))
     tris = enumerate_triangulations_2d(pts)
-    _, _, ties = min_sum_triangulation(pts, FunctionalSpec("AREA"))
+    _, _, ties = min_sum_triangulation(tris, FunctionalSpec("AREA"))
     assert ties == len(tris)
 
 

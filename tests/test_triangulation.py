@@ -124,12 +124,12 @@ def test_prefix_builder_containing_cell_is_first_in_iteration_order():
     pts = rng.uniform(-1, 1, size=(30, 2))
     b = _PrefixBuilder(pts)
     for cell in delaunay_2d(pts).cells:
-        b._add(cell)
+        b.cx._add_cell(cell)
     queries = [pts[v] for v in range(len(pts))]  # vertices lie in several cells
-    queries += [(pts[u] + pts[v]) / 2 for u, v in list(b.adjacency)[:20]]
+    queries += [(pts[u] + pts[v]) / 2 for u, v in list(b.cx.facet_adjacency)[:20]]
     queries += list(rng.uniform(-1.2, 1.2, size=(40, 2)))
     for q in queries:
-        want = next((c for c in b.cells if point_in_simplex(pts[list(c)], q)), None)
+        want = next((c for c in b.cx._cells if point_in_simplex(pts[list(c)], q)), None)
         assert b._containing_cell(np.asarray(q)) == want
 
 
@@ -327,7 +327,7 @@ def test_prefix_builder_splits_point_on_boundary_edge():
     b.seed(0, 1, 2)
     b.split_interior_points([3, 4])
     assert b.is_vertex.all()
-    cx = build_complex(pts, b.cells)
+    cx = build_complex(pts, b.cx.cells)
     assert cx.n_cells == 4
     assert 3 in b.hull and len(b.hull) == 4
     # every cell uses the on-edge point or the interior point correctly
