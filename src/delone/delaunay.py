@@ -30,7 +30,6 @@ from .geometry import (
     orient2d,
     orientation,
     orientations,
-    point_in_simplex,
     points_in_simplices,
     segments_cross,
 )
@@ -362,38 +361,53 @@ def delaunay_of(points, *, provenance=None, verify=True) -> TriangulationComplex
 # Radon two-triangulations of d+2 points
 
 
-def radon_two_triangulations(points):
+def radon_split(points):
     """Split the non-degenerate d-simplices spanned by d+2 generic points in
     convex position into the Delaunay triangulation and the other one.
 
-    The leave-one-out simplex omitting vertex v is Delaunay iff v lies
-    outside its circumsphere; the pair realizes the directed flip T -> D.
+    Returns the cell lists (lower, upper).  The leave-one-out simplex S_i
+    omitting vertex i is Delaunay iff p_i lies outside its circumsphere.
+    The signs lam_i = (-1)^i orientation(S_i) are those of the points'
+    affine dependence (their Radon circuit): p_i lies in the closed hull of
+    the others iff lam_i lam_j <= 0 for every j != i.  All d+2 lifted points
+    share one determinant, so side(S_i, p_i) = side(S_0, p_0) lam_i lam_0.
+    Raises at the first i whose S_i is degenerate (``NonGenericError``) or
+    whose p_i lies in the hull of the others (``ValueError``), and at i = 0
+    if all points are cospherical (``NonGenericError``).
     """
     pts = np.asarray(points, dtype=float)
     n, d = pts.shape
     if n != d + 2:
         raise ValueError("radon_two_triangulations needs exactly d+2 points")
+    rests = [[j for j in range(n) if j != i] for i in range(n)]
+    lam = [(-1) ** i * orientation(pts[rest]) for i, rest in enumerate(rests)]
     lower, upper = [], []
-    for i in range(n):
-        rest = [j for j in range(n) if j != i]
-        simplex = pts[rest]
-        if orientation(simplex) == 0:
+    for i, rest in enumerate(rests):
+        if lam[i] == 0:
             raise NonGenericError(f"points without {i} are affinely degenerate")
-        if point_in_simplex(simplex, pts[i]):
+        if all(lam[i] * lam[j] <= 0 for j in rest):
             raise ValueError(
                 f"point {i} lies inside the convex hull of the others"
             )
-        side = in_sphere(simplex, pts[i])
-        if side == Side.ON:
-            raise NonGenericError(f"all {n} points are cospherical")
+        if i == 0:
+            side0 = in_sphere(pts[rest], pts[0])
+            if side0 == Side.ON:
+                raise NonGenericError(f"all {n} points are cospherical")
         cell = tuple(rest)
-        if side == Side.OUTSIDE:
+        if side0 * lam[i] * lam[0] == Side.OUTSIDE:
             lower.append(cell)
         else:
             upper.append(cell)
-    dcx = build_complex(pts, lower)
-    tcx = build_complex(pts, upper)
-    return dcx, tcx
+    return lower, upper
+
+
+def radon_two_triangulations(points):
+    """The Delaunay triangulation and the other triangulation of d+2 generic
+    points in convex position (see ``radon_split``); the pair realizes the
+    directed flip T -> D."""
+    pts = np.asarray(points, dtype=float)
+    lower, upper = radon_split(pts)
+    return build_complex(pts, lower), build_complex(pts, upper)
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .delaunay import delaunay_of, radon_two_triangulations, restrict_delaunay
+from .delaunay import delaunay_of, radon_split, radon_two_triangulations, restrict_delaunay
 from .errors import DegenerateSimplexError, SamplerError
 from .generators import stream_rng
 from .geometry import circumcenters, measures, orientation
@@ -285,7 +285,7 @@ def random_radon_points(rng, d: int) -> np.ndarray:
     while True:
         pts = rng.uniform(size=(d + 2, d))
         try:
-            radon_two_triangulations(pts)
+            radon_split(pts)
         except ValueError:
             continue
         return pts

@@ -114,6 +114,9 @@ def orientation(simplex) -> int:
     n, d = pts.shape
     if n != d + 1:
         raise ValueError(f"orientation needs d+1 points of dimension d, got {n}x{d}")
+    if d == 2:  # the same filter and fallback on Python floats
+        (ax, ay), (bx, by), (cx, cy) = pts.tolist()
+        return orient2d(ax, ay, bx, by, cx, cy)
     base = pts[0]
     rows = [[float(pts[i][j] - base[j]) for j in range(d)] for i in range(1, n)]
     return _filtered_det_sign(rows, lambda: _exact_rows(pts))
@@ -160,8 +163,12 @@ def in_sphere(simplex, point) -> Side:
     orient = orientation(pts)
     if orient == 0:
         raise DegenerateSimplexError("in_sphere: degenerate simplex")
-    rows = _lifted_rows(pts.tolist(), q.tolist())
-    s = _filtered_det_sign(rows, lambda: _exact_lifted_rows(pts, q))
+    if d == 2:  # the same lifted rows, filter and fallback on Python floats
+        (ax, ay), (bx, by), (cx, cy) = pts.tolist()
+        s = incircle2d(ax, ay, bx, by, cx, cy, *q.tolist())
+    else:
+        rows = _lifted_rows(pts.tolist(), q.tolist())
+        s = _filtered_det_sign(rows, lambda: _exact_lifted_rows(pts, q))
     # The translated lifted determinant is positive-inside in even dimension
     # and negative-inside in odd dimension; index -1 picks OUTSIDE.
     return (Side.ON, Side.INSIDE, Side.OUTSIDE)[s * orient * (-1) ** d]
@@ -230,11 +237,16 @@ def circumsphere(simplex) -> Circumsphere:
 
 
 def circumcenters(stack) -> np.ndarray:
-    """Circumcenters of an (m, d+1, d) stack of non-degenerate simplices."""
+    """Circumcenters of an (m, d+1, d) stack of non-degenerate simplices;
+    raises ``DegenerateSimplexError`` if a solve is singular in floating
+    point."""
     coords = np.asarray(stack, dtype=float)
     a = 2.0 * (coords[:, 1:, :] - coords[:, :1, :])
     b = (coords[:, 1:, :] ** 2).sum(axis=2) - (coords[:, :1, :] ** 2).sum(axis=2)
-    return np.linalg.solve(a, b[:, :, None])[:, :, 0]
+    try:
+        return np.linalg.solve(a, b[:, :, None])[:, :, 0]
+    except np.linalg.LinAlgError as exc:
+        raise DegenerateSimplexError("circumsphere solve is singular in floating point") from exc
 
 
 def circumradii(stack) -> np.ndarray:
@@ -243,10 +255,7 @@ def circumradii(stack) -> np.ndarray:
     pts = np.asarray(stack, dtype=float)
     if not orientations(pts).all():
         raise DegenerateSimplexError("degenerate simplex has no circumsphere")
-    try:
-        centers = circumcenters(pts)
-    except np.linalg.LinAlgError as exc:
-        raise DegenerateSimplexError("circumsphere solve is singular in floating point") from exc
+    centers = circumcenters(pts)
     dists = np.linalg.norm(pts - centers[:, None, :], axis=2)
     radii = dists.mean(axis=1)
     if (dists.max(axis=1) - dists.min(axis=1) > TAU_GEO * np.maximum(radii, 1.0)).any():
@@ -305,7 +314,10 @@ def squared_norm(p) -> float:
     return float(p @ p)
 
 
-# Fast 2D shims used by the incremental builder; same exactness guarantees.
+# 2D predicates on Python floats: the incremental builder calls them
+# directly, and ``orientation``/``in_sphere`` route d = 2 through them.  They
+# evaluate the same expansion with the same ``_row_bound`` filter and the
+# same rational fallback, so their signs are identical.
 
 def orient2d(ax, ay, bx, by, cx, cy) -> int:
     ux, uy = bx - ax, by - ay

@@ -15,8 +15,15 @@ import numpy as np
 from .delaunay import delaunay_2d
 from .errors import DegenerateSimplexError, NonGenericError
 from .functionals import FunctionalSpec, complex_sum
-from .geometry import measures, on_open_segment, orient2d, orientation, segments_cross
-from .triangulation import build_complex
+from .geometry import (
+    measures,
+    on_open_segment,
+    orient2d,
+    orientation,
+    orientations,
+    segments_cross,
+)
+from .triangulation import _hull_volume, build_complex
 
 ENUMERATION_LIMIT = 9
 NONCROSSING_LIMIT = 7
@@ -30,8 +37,24 @@ def _facet_map(cells):
     return adj
 
 
-def _flip_neighbors(points, cells: frozenset):
-    """All triangulations reachable from this one by a single diagonal swap."""
+def _orientation_table(pts):
+    """Exact orientation signs of every ordered triple of the points, as
+    nested lists: table[a][b][c] = orient2d(p_a, p_b, p_c).  One
+    ``orientations`` call over the sorted triples; an odd permutation of a
+    triple flips the sign of its exact determinant."""
+    n = len(pts)
+    triples = np.array(list(itertools.combinations(range(n), 3)), dtype=np.int64).reshape(-1, 3)
+    signs = orientations(pts[triples])
+    table = np.zeros((n, n, n), dtype=np.int64)
+    for perm, parity in zip(itertools.permutations(range(3)), (1, -1, -1, 1, 1, -1)):
+        i, j, k = triples[:, perm].T
+        table[i, j, k] = parity * signs
+    return table.tolist()
+
+
+def _flip_neighbors(sign, cells: frozenset):
+    """All triangulations reachable from this one by a single diagonal swap;
+    ``sign`` is the ``_orientation_table`` of the points."""
     out = []
     for facet, incident in _facet_map(cells).items():
         if len(incident) != 2:
@@ -41,13 +64,9 @@ def _flip_neighbors(points, cells: frozenset):
         (b,) = set(c1) - set(facet)
         u, v = facet
         # both diagonals must split a strictly convex quadrilateral
-        if orient2d(*points[a], *points[b], *points[u]) * orient2d(
-            *points[a], *points[b], *points[v]
-        ) >= 0:
+        if sign[a][b][u] * sign[a][b][v] >= 0:
             continue
-        if orient2d(*points[u], *points[v], *points[a]) * orient2d(
-            *points[u], *points[v], *points[b]
-        ) >= 0:
+        if sign[u][v][a] * sign[u][v][b] >= 0:
             continue
         swapped = (cells - {c0, c1}) | {
             tuple(sorted((a, b, u))),
@@ -65,18 +84,21 @@ def enumerate_triangulations_2d(points, limit: int = ENUMERATION_LIMIT):
     if len(pts) > limit:
         raise ValueError(f"enumeration is limited to {limit} points")
     start = delaunay_2d(pts)
+    sign = _orientation_table(pts)
     root = frozenset(start.cells)
     seen = {root}
     order = [root]
     queue = [root]
     while queue:
         state = queue.pop()
-        for nxt in _flip_neighbors(pts, state):
+        for nxt in _flip_neighbors(sign, state):
             if nxt not in seen:
                 seen.add(nxt)
                 order.append(nxt)
                 queue.append(nxt)
-    return [build_complex(pts, sorted(state)) for state in order]
+    # a flip keeps the vertex set, so every state has the root's hull
+    hull = _hull_volume(pts[start.vertices_used()])
+    return [build_complex(pts, sorted(state), hull_volume=hull) for state in order]
 
 
 # ---------------------------------------------------------------------------

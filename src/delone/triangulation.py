@@ -26,7 +26,6 @@ from .geometry import (
     Side,
     TAU_GEO,
     circumradii,
-    circumsphere,
     in_sphere,
     in_spheres,
     measures,
@@ -189,13 +188,16 @@ def build_complex(
     *,
     provenance: dict | None = None,
     check_coverage: bool = True,
+    hull_volume: float | None = None,
 ) -> TriangulationComplex:
     """Build a complex from points and d-cells, verifying its invariants.
 
     Coverage (sum of cell measures equals the hull volume of the used
     vertices) is only checked for complexes of at most
     ``COVERAGE_CHECK_MAX_CELLS`` cells, and can be disabled for deliberate
-    subcomplexes whose union is not a convex hull.
+    subcomplexes whose union is not a convex hull.  A caller that builds
+    many complexes on one vertex set passes that hull volume as
+    ``hull_volume``; it is computed otherwise.
     """
     points = np.asarray(points, dtype=float)
     if points.ndim != 2:
@@ -238,7 +240,7 @@ def build_complex(
     if check_coverage and cell_set and len(cell_set) <= COVERAGE_CHECK_MAX_CELLS:
         used = cx.vertices_used()
         total = cx.cell_measures().sum()
-        hull = _hull_volume(points[used])
+        hull = _hull_volume(points[used]) if hull_volume is None else hull_volume
         if abs(total - hull) > COVERAGE_RTOL * max(hull, 1.0):
             raise InvalidComplexError(
                 f"cell measures sum to {total}, convex hull volume is {hull}"
@@ -299,10 +301,6 @@ def _quad_of(cx: TriangulationComplex, facet) -> tuple:
     return facet, a, b
 
 
-def _max_circumradius(cx, cells) -> float:
-    return max(circumsphere(cx.cell_coords(c)).radius for c in cells)
-
-
 def _do_flip(cx: TriangulationComplex, facet, direction: str) -> FlipRecord:
     (u, v), a, b = _quad_of(cx, facet)
     pa, pb = cx.points[a], cx.points[b]
@@ -315,17 +313,16 @@ def _do_flip(cx: TriangulationComplex, facet, direction: str) -> FlipRecord:
     if orient2d(*pu, *pv, *pa) * orient2d(*pu, *pv, *pb) >= 0:
         raise InvalidComplexError(f"facet {(u, v)}: opposite vertices not separated")
     old = cx.facet_cells((u, v))
-    before = _max_circumradius(cx, old)
+    new = [tuple(sorted((a, b, u))), tuple(sorted((a, b, v)))]
+    radii = circumradii(cx.points[np.array(old + new, dtype=np.int64)])
     for cell in old:
         cx._remove_cell(cell)
-    new = [tuple(sorted((a, b, u))), tuple(sorted((a, b, v)))]
     for cell in new:
         cx._add_cell(cell)
-    after = _max_circumradius(cx, new)
     return FlipRecord(
         facet=(u, v),
-        before_max_circumradius=before,
-        after_max_circumradius=after,
+        before_max_circumradius=float(radii[:2].max()),
+        after_max_circumradius=float(radii[2:].max()),
         direction=direction,
     )
 

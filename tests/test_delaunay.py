@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from delone.delaunay import (
     delaunay_2d,
     delaunay_3d,
+    radon_split,
     radon_two_triangulations,
     restrict_delaunay,
     verify_empty_circumspheres,
@@ -17,7 +19,7 @@ from delone.errors import (
     NonGenericError,
 )
 from delone.generators import distorted_cubic_window, lattice_window, stream_rng
-from delone.geometry import Side, in_sphere, in_spheres
+from delone.geometry import Side, in_sphere, in_spheres, orientation, point_in_simplex
 from delone.oracle import enumerate_triangulations_2d
 from delone.triangulation import build_complex, legalize_to_delaunay, reverse_flip
 
@@ -215,6 +217,69 @@ def test_radon_rejects_interior_point():
 def test_radon_rejects_cocircular():
     with pytest.raises(NonGenericError):
         radon_two_triangulations([(0, 0), (1, 0), (1, 1), (0, 1)])
+
+
+def scalar_radon_split(points):
+    """Reference split: one orientation, closed point-in-simplex and
+    in-sphere test per leave-one-out simplex, raising in that order."""
+    pts = np.asarray(points, dtype=float)
+    n, d = pts.shape
+    if n != d + 2:
+        raise ValueError("radon_two_triangulations needs exactly d+2 points")
+    lower, upper = [], []
+    for i in range(n):
+        rest = [j for j in range(n) if j != i]
+        simplex = pts[rest]
+        if orientation(simplex) == 0:
+            raise NonGenericError(f"points without {i} are affinely degenerate")
+        if point_in_simplex(simplex, pts[i]):
+            raise ValueError(
+                f"point {i} lies inside the convex hull of the others"
+            )
+        side = in_sphere(simplex, pts[i])
+        if side == Side.ON:
+            raise NonGenericError(f"all {n} points are cospherical")
+        (lower if side == Side.OUTSIDE else upper).append(tuple(rest))
+    return lower, upper
+
+
+def split_outcome(split, pts):
+    try:
+        return split(pts)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+# integer points on the circle and the sphere of radius 5 about the origin
+RADIUS5 = {
+    d: np.array([p for p in itertools.product(range(-5, 6), repeat=d)
+                 if sum(x * x for x in p) == 25], dtype=float)
+    for d in (2, 3)
+}
+
+
+def radon_inputs(d, seed, count):
+    """Seeded d+2 point sets: uniform, on an integer grid (degenerate
+    subsets and interior points are common), and cospherical with an
+    offset (all ON, or degenerate subsets)."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        yield rng.uniform(size=(d + 2, d))
+        yield rng.integers(0, 3, size=(d + 2, d)).astype(float)
+        picks = rng.choice(len(RADIUS5[d]), size=d + 2, replace=False)
+        yield RADIUS5[d][picks] + rng.integers(-3, 4, size=d) / 8
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_radon_split_matches_scalar_split(d):
+    kinds = {"ok": 0, NonGenericError: 0, ValueError: 0}
+    for pts in radon_inputs(d, seed=40 + d, count=400):
+        want = split_outcome(scalar_radon_split, pts)
+        assert split_outcome(radon_split, pts) == want
+        kinds[want[0] if isinstance(want[0], type) else "ok"] += 1
+    assert min(kinds.values()) > 50  # every outcome is exercised
+    with pytest.raises(ValueError, match="exactly d\\+2"):
+        radon_split(np.zeros((3, 2)))
 
 
 def test_restrict_delaunay_full_and_single():

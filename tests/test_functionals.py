@@ -105,6 +105,15 @@ def test_f4_degenerate_raises():
         eval_functional(FunctionalSpec("F4"), [(0, 0), (1, 0), (2, 0)])
 
 
+@pytest.mark.parametrize("kind", ["F1", "F2", "F6"])
+def test_circumcenter_kinds_raise_degenerate_on_float_singular_triangle(kind):
+    # exactly non-degenerate, but the float circumcenter solve is singular
+    tri = [[0.0, 0.0], [0.686424914749346, 1.5059366220404455],
+           [0.424040095722155, 0.9302947717081502]]
+    with pytest.raises(DegenerateSimplexError):
+        eval_batch(FunctionalSpec(kind), [tri])
+
+
 def test_ecal_bounds_area():
     r, q = 0.5, 1.0
     e_hat, E_hat = check_ecal_bounds(FunctionalSpec("AREA"), r, q, 2, samples=400, seed=1)

@@ -12,6 +12,10 @@ from delone.errors import DegenerateSimplexError
 from delone.generators import lattice_window
 from delone.geometry import (
     Side,
+    _exact_lifted_rows,
+    _exact_rows,
+    _filtered_det_sign,
+    _lifted_rows,
     area_via_circumradius,
     centroid,
     circumcenters,
@@ -243,6 +247,8 @@ def test_circumsphere_float_singular_raises_degenerate():
         circumsphere(tri)
     with pytest.raises(DegenerateSimplexError):
         circumradii([tri])
+    with pytest.raises(DegenerateSimplexError):
+        circumcenters([tri])
 
 
 def test_on_open_segment():
@@ -496,6 +502,49 @@ def test_in_spheres_exact_on_rows_both_paths():
     with pytest.raises(ValueError):
         in_spheres(np.array([TRI_345]), np.zeros((2, 2)))
     assert in_spheres(np.zeros((0, 3, 2)), np.zeros((0, 2))).tolist() == []
+
+
+def determinant_orientation(simplex) -> int:
+    """Reference: ``_filtered_det_sign`` on the NumPy-built rows p_i - p_0."""
+    pts = np.asarray(simplex, dtype=float)
+    rows = [[float(x - y) for x, y in zip(p, pts[0])] for p in pts[1:]]
+    return _filtered_det_sign(rows, lambda: _exact_rows(pts))
+
+
+def determinant_side(simplex, q) -> int:
+    """Reference: ``_filtered_det_sign`` on the lifted rows, times the
+    orientation (positive-inside in even dimension)."""
+    pts, q = np.asarray(simplex, dtype=float), np.asarray(q, dtype=float)
+    rows = _lifted_rows(pts.tolist(), q.tolist())
+    s = _filtered_det_sign(rows, lambda: _exact_lifted_rows(pts, q))
+    return s * determinant_orientation(pts)
+
+
+@settings(max_examples=300, deadline=None)
+@given(near_degenerate_simplex("collinear2d"), near_cospherical_query(2))
+def test_2d_scalar_predicates_match_filtered_determinants(tri, query):
+    assert orientation(tri) == determinant_orientation(tri)
+    simplex, q = query
+    if determinant_orientation(simplex) == 0:
+        with pytest.raises(DegenerateSimplexError):
+            in_sphere(simplex, q)
+    else:
+        assert in_sphere(simplex, q) == determinant_side(simplex, q)
+
+
+def test_2d_scalar_predicates_exact_zero_on_and_one_ulp():
+    for off in (0.0, 0.1, 1000.1):
+        flat = [(off, off), (1.0 + off, off), (2.0 + off, off)]
+        for ulps, want in ((0, 0), (1, 1), (-1, -1)):
+            tri = [flat[0], flat[1], (flat[2][0], nudge(off, ulps))]
+            assert orientation(tri) == determinant_orientation(tri) == want
+        with pytest.raises(DegenerateSimplexError):
+            in_sphere(flat, (off, 1.0 + off))
+    tri, on = [(5.0, 0.0), (0.0, 5.0), (-3.0, 4.0)], (4.0, -3.0)
+    for simplex in (tri, tri[::-1]):  # both orientations
+        for ulps, want in ((0, Side.ON), (1, Side.INSIDE), (-1, Side.OUTSIDE)):
+            q = (on[0], nudge(on[1], ulps))
+            assert in_sphere(simplex, q) == determinant_side(simplex, q) == want
 
 
 @pytest.mark.parametrize("d", [2, 3])

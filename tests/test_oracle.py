@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from delone.delaunay import delaunay_2d
+from delone.errors import NonGenericError
 from delone.functionals import FunctionalSpec, complex_sum, fe_lifted_volume
 from delone.oracle import (
     enumerate_triangulations_2d,
@@ -11,6 +12,9 @@ from delone.oracle import (
     min_sum_triangulation,
     noncrossing_triangulations,
 )
+from delone.geometry import orient2d
+from delone.oracle import _facet_map
+from delone.triangulation import build_complex
 
 TRI_345 = [(0.0, 0.0), (4.0, 0.0), (0.0, 3.0)]
 
@@ -51,6 +55,69 @@ def test_enumerators_agree_on_random_instances():
         flips = {frozenset(cx.cells) for cx in enumerate_triangulations_2d(pts)}
         independent = set(noncrossing_triangulations(pts))
         assert flips == independent, trial
+
+
+def scalar_enumeration(points):
+    """Reference flip-graph traversal: four scalar ``orient2d`` calls per
+    interior edge and state, and a full ``build_complex`` per state."""
+    pts = np.asarray(points, dtype=float)
+
+    def neighbors(cells):
+        out = []
+        for facet, incident in _facet_map(cells).items():
+            if len(incident) != 2:
+                continue
+            c0, c1 = incident
+            (a,) = set(c0) - set(facet)
+            (b,) = set(c1) - set(facet)
+            u, v = facet
+            if orient2d(*pts[a], *pts[b], *pts[u]) * orient2d(*pts[a], *pts[b], *pts[v]) >= 0:
+                continue
+            if orient2d(*pts[u], *pts[v], *pts[a]) * orient2d(*pts[u], *pts[v], *pts[b]) >= 0:
+                continue
+            out.append(frozenset((cells - {c0, c1}) | {
+                tuple(sorted((a, b, u))), tuple(sorted((a, b, v)))}))
+        return out
+
+    root = frozenset(delaunay_2d(pts).cells)
+    seen, order, queue = {root}, [root], [root]
+    while queue:
+        for nxt in neighbors(queue.pop()):
+            if nxt not in seen:
+                seen.add(nxt)
+                order.append(nxt)
+                queue.append(nxt)
+    return [build_complex(pts, sorted(state)).cells for state in order]
+
+
+def enumeration_outcome(enumerate_cells, pts):
+    try:
+        return enumerate_cells(pts)
+    except NonGenericError as exc:
+        return str(exc)
+
+
+def test_enumeration_matches_scalar_traversal():
+    rng = np.random.default_rng(43)
+    generic = collinear = 0
+    for n in range(4, 10):
+        for _ in range(6):
+            uniform = rng.uniform(size=(n, 2)) * 3
+            # dyadic points, the last the exact midpoint of two others
+            dyadic = rng.integers(0, 64, size=(n, 2)) / 8
+            i, j = rng.choice(n - 1, size=2, replace=False)
+            dyadic[-1] = (dyadic[i] + dyadic[j]) / 2
+            for pts in (uniform, dyadic):
+                if len(np.unique(pts, axis=0)) < n:
+                    continue
+                want = enumeration_outcome(scalar_enumeration, pts)
+                got = enumeration_outcome(
+                    lambda p: [cx.cells for cx in enumerate_triangulations_2d(p)], pts)
+                assert got == want
+                if isinstance(want, list):
+                    generic += pts is uniform
+                    collinear += pts is dyadic
+    assert generic > 30 and collinear > 10
 
 
 def test_delaunay_appears_exactly_once():

@@ -4,7 +4,14 @@ import pytest
 from delone.delaunay import delaunay_2d
 from delone import triangulation
 from delone.errors import DegenerateSimplexError, InvalidComplexError, NonGenericError
-from delone.geometry import Side, circumradius, in_sphere, measure, point_in_simplex
+from delone.geometry import (
+    Side,
+    circumradius,
+    circumsphere,
+    in_sphere,
+    measure,
+    point_in_simplex,
+)
 from delone.triangulation import (
     FROM_DELAUNAY,
     TO_DELAUNAY,
@@ -217,6 +224,33 @@ def test_legalize_small_sets_match_delaunay():
         assert sorted(out.cells) == sorted(dt.cells)
         for rec in records:
             assert rec.after_max_circumradius <= rec.before_max_circumradius + 1e-9
+
+
+def test_flip_records_equal_scalar_circumsphere_radii():
+    """Replays each legalization's flips on a copy of its input: the
+    recorded radii equal the larger scalar ``circumsphere`` radius of the
+    two cells before and after the flip."""
+    rng = np.random.default_rng(321)
+    flips = 0
+    for trial in range(50):
+        pts = rng.uniform(size=(int(rng.integers(8, 25)), 2)) * 4
+        cx = scrambled(pts, seed=trial, flips=int(rng.integers(1, 12)))
+        replay = cx.copy()
+        _, records = legalize_to_delaunay(cx)
+        for rec in records:
+            old = replay.facet_cells(rec.facet)
+            a, b = replay.opposite_vertices(rec.facet)
+            new = [tuple(sorted((a, b, w))) for w in rec.facet]
+            radius = lambda cells: max(
+                circumsphere(replay.cell_coords(c)).radius for c in cells)
+            assert rec.before_max_circumradius == radius(old)
+            assert rec.after_max_circumradius == radius(new)
+            for cell in old:
+                replay._remove_cell(cell)
+            for cell in new:
+                replay._add_cell(cell)
+            flips += 1
+    assert flips > 100
 
 
 def test_legalize_already_delaunay_zero_flips():
