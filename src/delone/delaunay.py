@@ -190,9 +190,11 @@ def delaunay_2d(points, *, provenance=None, verify=True) -> TriangulationComplex
     if n < 3 or pts.shape[1] != 2:
         raise DegenerateSimplexError("delaunay_2d needs at least 3 planar points")
     lex = np.lexsort((pts[:, 1], pts[:, 0]))
-    for s, t in zip(lex, lex[1:]):
-        if pts[s][0] == pts[t][0] and pts[s][1] == pts[t][1]:
-            raise ValueError(f"duplicate points {int(s)} and {int(t)}")
+    srt = pts[lex]
+    dup = np.flatnonzero((srt[1:] == srt[:-1]).all(axis=1))
+    if len(dup):
+        s, t = lex[dup[0]], lex[dup[0] + 1]
+        raise ValueError(f"duplicate points {int(s)} and {int(t)}")
     order = _serpentine_order(pts, lex)
 
     coords = [tuple(map(float, p)) for p in pts]

@@ -163,30 +163,35 @@ def distorted_cubic_window(W: float) -> PointSetWindow:
 
 def poisson_delone_window(r: float, R: float, W: float, seed: int = 0) -> PointSetWindow:
     """Maximal dart-throwing with spacing 2r (Bridson sampling) followed by
-    hole-filling until no empty R-ball remains in the shrunken window."""
+    hole-filling until no empty R-ball remains in the shrunken window.
+
+    The points depend only on (r, R, W, seed), and they equal those of the
+    loop that draws one radius and one angle per attempt.  Each base draws
+    its 30 attempts' doubles at once; on an accept at attempt k the saved
+    generator state is restored and 2(k + 1) doubles are redrawn, so the
+    stream stands where the one-draw loop leaves it.  The state is restored
+    rather than advanced because ``advance`` drops the buffered 32-bit half
+    that the next ``integers`` call reads.  The distance tests stay in Python
+    floats: NumPy's ``x * x`` and Python's ``x ** 2`` differ in the last bit
+    on some inputs.
+    """
     if R < 2 * r:
         raise ValueError("need R >= 2r for the sampler to make progress")
     if W <= 4 * R:
         raise ValueError("window too small: need W > 4R")
     rng = stream_rng(seed, "poisson")
+    bitgen = rng.bit_generator
     spacing = 2.0 * r
+    min_sq = spacing**2
     cell = spacing / math.sqrt(2)
     grid = {}
-
-    def cell_of(p):
-        return (int((p[0] + W) / cell), int((p[1] + W) / cell))
-
-    def fits(p):
-        cx, cy = cell_of(p)
-        for ix in range(cx - 2, cx + 3):
-            for iy in range(cy - 2, cy + 3):
-                q = grid.get((ix, iy))
-                if q is not None and (p[0] - q[0]) ** 2 + (p[1] - q[1]) ** 2 < spacing**2:
-                    return False
-        return True
+    # the 25 cells that can hold a conflict, nearest first; any conflict
+    # rejects, so the order decides only how soon the scan stops
+    near = sorted(((dx, dy) for dx in range(-2, 3) for dy in range(-2, 3)),
+                  key=lambda o: o[0] * o[0] + o[1] * o[1])
 
     def accept(p):
-        grid[cell_of(p)] = p
+        grid[(int((p[0] + W) / cell), int((p[1] + W) / cell))] = p
         points.append(p)
         active.append(p)
 
@@ -197,15 +202,24 @@ def poisson_delone_window(r: float, R: float, W: float, seed: int = 0) -> PointS
     k_attempts = 30
     while active:
         idx = int(rng.integers(len(active)))
-        base = active[idx]
-        for _ in range(k_attempts):
-            rad = spacing * (1 + rng.random())
-            ang = rng.uniform(0, 2 * math.pi)
-            p = (base[0] + rad * math.cos(ang), base[1] + rad * math.sin(ang))
-            if p[0] ** 2 + p[1] ** 2 > W * W:
+        bx, by = active[idx]
+        state = bitgen.state
+        u = rng.random(2 * k_attempts).tolist()
+        for k in range(k_attempts):
+            rad = spacing * (1 + u[2 * k])
+            ang = 0.0 + 2 * math.pi * u[2 * k + 1]  # what rng.uniform(0, 2 pi) computes
+            px, py = bx + rad * math.cos(ang), by + rad * math.sin(ang)
+            if px**2 + py**2 > W * W:
                 continue
-            if fits(p):
-                accept(p)
+            cx, cy = int((px + W) / cell), int((py + W) / cell)
+            for dx, dy in near:
+                q = grid.get((cx + dx, cy + dy))
+                if q is not None and (px - q[0]) ** 2 + (py - q[1]) ** 2 < min_sq:
+                    break
+            else:
+                bitgen.state = state
+                rng.random(2 * (k + 1))
+                accept((px, py))
                 break
         else:
             active[idx] = active[-1]

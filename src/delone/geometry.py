@@ -300,20 +300,6 @@ def inradius_2d(triangle) -> float:
     return float(2.0 * area / (a + b + c))
 
 
-def edge_lengths(simplex) -> np.ndarray:
-    """Lengths of all C(d+1, 2) edges, in index order of the vertex pairs."""
-    pts = np.asarray(simplex, dtype=float)
-    n = len(pts)
-    return np.array(
-        [np.linalg.norm(pts[i] - pts[j]) for i in range(n) for j in range(i + 1, n)]
-    )
-
-
-def squared_norm(p) -> float:
-    p = np.asarray(p, dtype=float)
-    return float(p @ p)
-
-
 # 2D predicates on Python floats: the incremental builder calls them
 # directly, and ``orientation``/``in_sphere`` route d = 2 through them.  They
 # evaluate the same expansion with the same ``_row_bound`` filter and the

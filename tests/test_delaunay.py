@@ -76,6 +76,14 @@ def test_collinear_rejected():
 def test_duplicates_rejected():
     with pytest.raises(ValueError):
         delaunay_2d([(0, 0), (1, 0), (0, 1), (1, 0)])
+    # two duplicate pairs: the first pair in lexicographic order is named
+    pts = np.array([(0, 0), (1, 0), (0, 1), (2, 2), (1, 0), (0, 1)], dtype=float)
+    lex = np.lexsort((pts[:, 1], pts[:, 0]))
+    first = next((int(s), int(t)) for s, t in zip(lex, lex[1:])
+                 if pts[s][0] == pts[t][0] and pts[s][1] == pts[t][1])
+    assert first == (2, 5)
+    with pytest.raises(ValueError, match=r"^duplicate points 2 and 5$"):
+        delaunay_2d(pts)
 
 
 def test_big_random_cloud_sampled_verification():

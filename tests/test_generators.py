@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -83,6 +84,90 @@ def test_poisson_rejects_bad_parameters():
         poisson_delone_window(0.4, 1.5, 5)
 
 
+def _reference_dart_throwing(r, R, W, seed):
+    """The dart-throwing loop of ``poisson_delone_window`` with one ``rng``
+    call per draw.  Returns its points and how many of them were accepted
+    at the last of the 30 attempts."""
+    rng = stream_rng(seed, "poisson")
+    spacing = 2.0 * r
+    cell = spacing / math.sqrt(2)
+    grid = {}
+
+    def cell_of(p):
+        return (int((p[0] + W) / cell), int((p[1] + W) / cell))
+
+    def fits(p):
+        cx, cy = cell_of(p)
+        for ix in range(cx - 2, cx + 3):
+            for iy in range(cy - 2, cy + 3):
+                q = grid.get((ix, iy))
+                if q is not None and (p[0] - q[0]) ** 2 + (p[1] - q[1]) ** 2 < spacing**2:
+                    return False
+        return True
+
+    def accept(p):
+        grid[cell_of(p)] = p
+        points.append(p)
+        active.append(p)
+
+    points: list = []
+    active: list = []
+    last_attempt_accepts = 0
+    first = rng.uniform(-W / 2, W / 2, 2)
+    accept((float(first[0]), float(first[1])))
+    k_attempts = 30
+    while active:
+        idx = int(rng.integers(len(active)))
+        base = active[idx]
+        for attempt in range(k_attempts):
+            rad = spacing * (1 + rng.random())
+            ang = rng.uniform(0, 2 * math.pi)
+            p = (base[0] + rad * math.cos(ang), base[1] + rad * math.sin(ang))
+            if p[0] ** 2 + p[1] ** 2 > W * W:
+                continue
+            if fits(p):
+                accept(p)
+                last_attempt_accepts += attempt == k_attempts - 1
+                break
+        else:
+            active[idx] = active[-1]
+            active.pop()
+    return points, last_attempt_accepts
+
+
+def test_poisson_dart_throwing_matches_one_draw_reference():
+    # from just above W = 4R, where many candidates leave the disk, up to 26
+    settings = [((0.4, 0.8, 3.3), 14), ((0.5, 1.0, 4.1), 14), ((0.4, 1.5, 6.1), 14),
+                ((0.5, 1.5, 6.1), 14), ((0.4, 0.8, 10.0), 3), ((0.5, 1.0, 16.0), 1),
+                ((0.5, 1.5, 26.0), 1)]
+    inputs = [(*rRW, seed) for rRW, seeds in settings for seed in range(seeds)]
+    assert len(inputs) >= 60
+    last_attempt_accepts = 0
+    for r, R, W, seed in inputs:
+        want, late = _reference_dart_throwing(r, R, W, seed)
+        last_attempt_accepts += late
+        got = poisson_delone_window(r, R, W, seed=seed).points
+        # hole filling only appends points after the dart-throwing ones
+        assert np.array_equal(got[: len(want)], np.array(want)), (r, R, W, seed)
+    assert last_attempt_accepts >= 1
+
+
+@pytest.mark.parametrize(
+    "r, R, W, seed, n_points, digest",
+    [
+        (0.5, 1.5, 60, 9, 7136, "8af5f8a81b938b29"),
+        (0.4, 1.5, 25, 11, 1959, "959570dfcfd49815"),
+        (0.4, 1.5, 20, 7, 1252, "aed0c8cf942b5cac"),
+        (0.5, 1.5, 10, 1, 206, "5e9a09c63aaec49a"),
+    ],
+)
+def test_poisson_window_pinned(r, R, W, seed, n_points, digest):
+    """Any change of draw order or arithmetic moves these."""
+    w = poisson_delone_window(r, R, W, seed=seed)
+    assert w.n_points == n_points
+    assert hashlib.sha256(w.points.tobytes()).hexdigest()[:16] == digest
+
+
 def test_pointset_file_roundtrip(tmp_path):
     w = lattice_window(2, 4, jitter=True, seed=1)
     path = tmp_path / "w.pts"
@@ -158,8 +243,6 @@ def test_strip_block_triangulation_all_wide():
     cfg = valid_cfg([3])
     window, cx, alphas = strip_block_triangulation(cfg, 1)
     # every triangle congruent to the wide triangle
-    from delone.geometry import edge_lengths
-
     want = sorted(cfg.delta)
     for cell in cx.cells:
         got = sorted(edge_lengths(cx.cell_coords(cell)))
@@ -219,3 +302,12 @@ def test_stream_rng_independent_names():
     b = stream_rng(42, "two").integers(1 << 30)
     c = stream_rng(42, "one").integers(1 << 30)
     assert a == c and a != b
+
+
+def edge_lengths(simplex) -> np.ndarray:
+    """Lengths of all C(d+1, 2) edges, in index order of the vertex pairs."""
+    pts = np.asarray(simplex, dtype=float)
+    n = len(pts)
+    return np.array(
+        [np.linalg.norm(pts[i] - pts[j]) for i in range(n) for j in range(i + 1, n)]
+    )
