@@ -11,7 +11,6 @@ classification and the emptiness verification use exact arithmetic.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 import numpy as np
 
@@ -22,6 +21,7 @@ from .errors import (
 )
 from .geometry import (
     Side,
+    _exact_rows,
     in_sphere,
     in_spheres,
     incircle2d,
@@ -268,9 +268,9 @@ def verify_empty_circumspheres(
 
 
 def _collinear_3d(a, b, c) -> bool:
-    """Exact collinearity of three points in R^3 via the cross-product minors."""
-    u = [Fraction(float(b[i])) - Fraction(float(a[i])) for i in range(3)]
-    v = [Fraction(float(c[i])) - Fraction(float(a[i])) for i in range(3)]
+    """Exact collinearity of three points in R^3 via the cross-product minors
+    of the integer-scaled rows b - a, c - a."""
+    u, v = _exact_rows((a, b, c))
     return (
         u[1] * v[2] == u[2] * v[1]
         and u[2] * v[0] == u[0] * v[2]

@@ -4,6 +4,7 @@ and the Delaunay-vs-perturbed comparison."""
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -543,68 +544,54 @@ def distorted_cube_report(W: float, *, interior_margin: float = 2.0) -> CubeRepo
     have volumes (2/3) / (2 + |k|) at lattice level k."""
     from .delaunay import delaunay_3d
     from .generators import displaced_lattice_point, distorted_cubic_window
-    from .geometry import measure
 
     window = distorted_cubic_window(W)
     cx = delaunay_3d(window.points, provenance=dict(window.provenance))
     index = {tuple(p): idx for idx, p in enumerate(map(tuple, window.points))}
-    by_cell = {}
-    for cell in cx.cells:
-        by_cell.setdefault(frozenset(cell), cell)
+    cells = cx.cells
+    incident = {}
+    for pos, cell in enumerate(cells):
+        for v in cell:
+            incident.setdefault(v, []).append(pos)
+    # The vertex order fixes the last bits of each volume, which the CSV
+    # prints in full: keep each cell's frozenset order.
+    volumes = measures(cx.points[[list(frozenset(c)) for c in cells]]).tolist()
 
     n = int(math.ceil(W))
     rows = []
     all_seven = True
     worst = 0.0
     min_vol = math.inf
-    for i in range(-n, n):
-        for j in range(-n, n):
-            for k in range(-n, n):
-                ids = []
-                ok = True
-                for di in (0, 1):
-                    for dj in (0, 1):
-                        for dk in (0, 1):
-                            p = displaced_lattice_point(i + di, j + dj, k + dk)
-                            idx = index.get(p)
-                            if idx is None or np.linalg.norm(p) > W - interior_margin:
-                                ok = False
-                                break
-                            ids.append(idx)
-                        if not ok:
-                            break
-                    if not ok:
-                        break
-                if not ok:
-                    continue
-                corner_set = set(ids)
-                tets = [c for s, c in by_cell.items() if s <= corner_set]
-                bottom = frozenset(
-                    index[displaced_lattice_point(i + di, j + dj, k)]
-                    for di in (0, 1) for dj in (0, 1)
-                )
-                top = frozenset(
-                    index[displaced_lattice_point(i + di, j + dj, k + 1)]
-                    for di in (0, 1) for dj in (0, 1)
-                )
-                vol = {s: float(measure(cx.points[list(s)])) for s in map(frozenset, tets)}
-                if vol:
-                    min_vol = min(min_vol, min(vol.values()))
-                vb = vol.get(bottom, math.nan)
-                vt = vol.get(top, math.nan)
-                want_b = (2.0 / 3.0) / (2 + abs(k))
-                want_t = (2.0 / 3.0) / (2 + abs(k + 1))
-                rows.append((i, j, k, len(tets), vb, vt, want_b, want_t))
-                if len(tets) != 7:
-                    all_seven = False
-                if not math.isnan(vb):
-                    worst = max(worst, abs(vb - want_b))
-                else:
-                    all_seven = False
-                if not math.isnan(vt):
-                    worst = max(worst, abs(vt - want_t))
-                else:
-                    all_seven = False
+    for i, j, k in itertools.product(range(-n, n), repeat=3):
+        ids = []  # corners in (di, dj, dk) order: even positions at level k
+        for di, dj, dk in itertools.product((0, 1), repeat=3):
+            p = displaced_lattice_point(i + di, j + dj, k + dk)
+            if p not in index or np.linalg.norm(p) > W - interior_margin:
+                break
+            ids.append(index[p])
+        if len(ids) < 8:
+            continue
+        corner_set = set(ids)
+        found = sorted({pos for v in ids for pos in incident.get(v, ())
+                        if corner_set.issuperset(cells[pos])})
+        vol = {frozenset(cells[pos]): volumes[pos] for pos in found}
+        if vol:
+            min_vol = min(min_vol, min(vol.values()))
+        vb = vol.get(frozenset(ids[0::2]), math.nan)
+        vt = vol.get(frozenset(ids[1::2]), math.nan)
+        want_b = (2.0 / 3.0) / (2 + abs(k))
+        want_t = (2.0 / 3.0) / (2 + abs(k + 1))
+        rows.append((i, j, k, len(found), vb, vt, want_b, want_t))
+        if len(found) != 7:
+            all_seven = False
+        if not math.isnan(vb):
+            worst = max(worst, abs(vb - want_b))
+        else:
+            all_seven = False
+        if not math.isnan(vt):
+            worst = max(worst, abs(vt - want_t))
+        else:
+            all_seven = False
 
     return CubeReport(
         window=float(W),

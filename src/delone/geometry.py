@@ -1,9 +1,13 @@
 """Exact-leaning low-level geometry.
 
 Sign predicates (orientation, in-sphere) are evaluated with a floating-point
-filter backed by exact rational arithmetic, so combinatorial decisions are
-never wrong.  Metric quantities (volumes, radii) are plain floating point and
-are compared with the relative tolerance ``TAU_GEO``.
+filter backed by exact integer arithmetic, so combinatorial decisions are
+never wrong.  Every finite float is an integer times a power of two, so the
+coordinates entering one determinant, times their largest denominator D, are
+exact Python ints.  That scales each coordinate column by D > 0 and the lifted
+column of the in-sphere determinant by D^2 > 0, which leaves its sign as it
+was.  Metric quantities (volumes, radii) are plain floating point and are
+compared with the relative tolerance ``TAU_GEO``.
 """
 
 from __future__ import annotations
@@ -11,7 +15,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import IntEnum
-from fractions import Fraction
 import numpy as np
 
 from .errors import DegenerateSimplexError
@@ -33,7 +36,7 @@ class Side(IntEnum):
 
 
 # ---------------------------------------------------------------------------
-# determinants (generic over float / Fraction entries)
+# determinants (generic over float / int entries)
 
 def _det2(m):
     return m[0][0] * m[1][1] - m[0][1] * m[1][0]
@@ -77,17 +80,28 @@ def _exact_sign(rows) -> int:
     return (det > 0) - (det < 0)
 
 
+def _scaled(pts):
+    """The coordinates of ``pts`` times their largest denominator, a power of
+    two, as exact ints."""
+    ratios = [[float(x).as_integer_ratio() for x in p] for p in pts]
+    scale = max(den for p in ratios for _, den in p)
+    return [[num * (scale // den) for num, den in p] for p in ratios]
+
+
 def _exact_rows(pts):
-    """Rows p_i - p_0 of a simplex in exact rational arithmetic."""
-    base = [Fraction(float(x)) for x in pts[0]]
-    return [[Fraction(float(x)) - b for x, b in zip(p, base)] for p in pts[1:]]
+    """Rows p_i - p_0 of a simplex over exact ints: the coordinates scaled by
+    one power of two D.  Each of the d rows scales by D, so the determinant
+    scales by D^d > 0 and keeps its sign."""
+    base, *rest = _scaled(pts)
+    return [[x - b for x, b in zip(p, base)] for p in rest]
 
 
 def _filtered_det_sign(rows_float, rows_exact) -> int:
     """Sign of det(rows), exact.
 
     ``rows_float`` are float rows used for the fast path; ``rows_exact`` is a
-    zero-argument callable producing the same matrix with Fraction entries.
+    zero-argument callable producing a matrix of exact ints whose
+    determinant has the same sign.
     """
     det = _DETS[len(rows_float)](rows_float)
     if abs(det) > _FILTER_EPS * _row_bound(rows_float):
@@ -97,7 +111,7 @@ def _filtered_det_sign(rows_float, rows_exact) -> int:
 
 def _filtered_det_signs(rows, exact_rows) -> np.ndarray:
     """Batched ``_filtered_det_sign``: ``rows`` hold NumPy columns (one entry
-    per matrix) and ``exact_rows(k)`` gives matrix k with Fraction entries."""
+    per matrix) and ``exact_rows(k)`` gives matrix k over exact ints."""
     det = _DETS[len(rows)](rows)
     signs = np.sign(det).astype(np.int64)
     for k in np.flatnonzero(~(np.abs(det) > _FILTER_EPS * _row_bound(rows))):
@@ -127,7 +141,7 @@ def orientations(stack) -> np.ndarray:
 
     The batched form of ``orientation``: every determinant is evaluated in
     NumPy with the same cofactor expansion and filter, and only the rows the
-    filter cannot certify are re-evaluated in rational arithmetic.  Stacks
+    filter cannot certify are re-evaluated in integer arithmetic.  Stacks
     of fewer than 8 rows go through ``orientation`` row by row, which costs
     less than the fixed cost of the NumPy pass.
     """
@@ -143,14 +157,17 @@ def orientations(stack) -> np.ndarray:
 
 def _lifted_rows(pts, q):
     """Rows (p_i - q, |p_i - q|^2) of the in-sphere determinant, over floats,
-    Fractions or NumPy columns, so both predicates share one formula."""
+    ints or NumPy columns, so both predicates share one formula."""
     diffs = [[x - y for x, y in zip(p, q)] for p in pts]
     return [diff + [sum(x * x for x in diff)] for diff in diffs]
 
 
 def _exact_lifted_rows(pts, q):
-    return _lifted_rows([[Fraction(x) for x in p] for p in pts.tolist()],
-                        [Fraction(x) for x in q.tolist()])
+    """The lifted rows over the simplex and ``q`` scaled to exact ints by one
+    power of two D: the coordinate columns scale by D, the lifted column by
+    D^2, so the sign is kept."""
+    *simplex, q = _scaled([*pts, q])
+    return _lifted_rows(simplex, q)
 
 
 def in_sphere(simplex, point) -> Side:
@@ -303,7 +320,7 @@ def inradius_2d(triangle) -> float:
 # 2D predicates on Python floats: the incremental builder calls them
 # directly, and ``orientation``/``in_sphere`` route d = 2 through them.  They
 # evaluate the same expansion with the same ``_row_bound`` filter and the
-# same rational fallback, so their signs are identical.
+# same integer fallback, so their signs are identical.
 
 def orient2d(ax, ay, bx, by, cx, cy) -> int:
     ux, uy = bx - ax, by - ay
@@ -314,11 +331,7 @@ def orient2d(ax, ay, bx, by, cx, cy) -> int:
         return 1
     if det < -_FILTER_EPS * bound:
         return -1
-    fax, fay = Fraction(ax), Fraction(ay)
-    det = (Fraction(bx) - fax) * (Fraction(cy) - fay) - (
-        Fraction(by) - fay
-    ) * (Fraction(cx) - fax)
-    return 1 if det > 0 else (-1 if det < 0 else 0)
+    return _exact_sign(_exact_rows(((ax, ay), (bx, by), (cx, cy))))
 
 
 def incircle2d(ax, ay, bx, by, cx, cy, qx, qy) -> int:
@@ -344,13 +357,7 @@ def incircle2d(ax, ay, bx, by, cx, cy, qx, qy) -> int:
         return 1
     if det < -_FILTER_EPS * bound:
         return -1
-    fqx, fqy = Fraction(qx), Fraction(qy)
-    rows = []
-    for px, py in ((ax, ay), (bx, by), (cx, cy)):
-        dx, dy = Fraction(px) - fqx, Fraction(py) - fqy
-        rows.append([dx, dy, dx * dx + dy * dy])
-    det = _det3(rows)
-    return 1 if det > 0 else (-1 if det < 0 else 0)
+    return _exact_sign(_exact_lifted_rows(((ax, ay), (bx, by), (cx, cy)), (qx, qy)))
 
 
 def on_open_segment(a, b, q) -> bool:

@@ -23,7 +23,7 @@ from .geometry import (
     orientations,
     segments_cross,
 )
-from .triangulation import _hull_volume, build_complex
+from .triangulation import build_complex
 
 ENUMERATION_LIMIT = 9
 NONCROSSING_LIMIT = 7
@@ -96,9 +96,9 @@ def enumerate_triangulations_2d(points, limit: int = ENUMERATION_LIMIT):
                 seen.add(nxt)
                 order.append(nxt)
                 queue.append(nxt)
-    # a flip keeps the vertex set, so every state has the root's hull
-    hull = _hull_volume(pts[start.vertices_used()])
-    return [build_complex(pts, sorted(state), hull_volume=hull) for state in order]
+    # delaunay_2d certified the root, and a flip of a strictly convex
+    # quadrilateral maps a triangulation of the points to another one
+    return [build_complex(pts, sorted(state), check_coverage=False) for state in order]
 
 
 # ---------------------------------------------------------------------------

@@ -188,16 +188,13 @@ def build_complex(
     *,
     provenance: dict | None = None,
     check_coverage: bool = True,
-    hull_volume: float | None = None,
 ) -> TriangulationComplex:
     """Build a complex from points and d-cells, verifying its invariants.
 
     Coverage (sum of cell measures equals the hull volume of the used
     vertices) is only checked for complexes of at most
     ``COVERAGE_CHECK_MAX_CELLS`` cells, and can be disabled for deliberate
-    subcomplexes whose union is not a convex hull.  A caller that builds
-    many complexes on one vertex set passes that hull volume as
-    ``hull_volume``; it is computed otherwise.
+    subcomplexes whose union is not a convex hull.
     """
     points = np.asarray(points, dtype=float)
     if points.ndim != 2:
@@ -240,7 +237,7 @@ def build_complex(
     if check_coverage and cell_set and len(cell_set) <= COVERAGE_CHECK_MAX_CELLS:
         used = cx.vertices_used()
         total = cx.cell_measures().sum()
-        hull = _hull_volume(points[used]) if hull_volume is None else hull_volume
+        hull = _hull_volume(points[used])
         if abs(total - hull) > COVERAGE_RTOL * max(hull, 1.0):
             raise InvalidComplexError(
                 f"cell measures sum to {total}, convex hull volume is {hull}"

@@ -1,9 +1,10 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from delone.delaunay import delaunay_2d
+from delone.delaunay import delaunay_2d, delaunay_3d
 from delone.density import (
     analytic_strip_counts,
     built_strip_counts,
@@ -23,9 +24,12 @@ from delone.functionals import FunctionalSpec
 from delone.generators import (
     StripConfig,
     compatible_isoceles,
+    displaced_lattice_point,
+    distorted_cubic_window,
     lattice_window,
     poisson_delone_window,
 )
+from delone.geometry import measure
 from delone.triangulation import build_complex
 
 
@@ -326,6 +330,41 @@ def test_distorted_cube_interior_circumradii_below_covering_radius():
     assert interior.any()
     radii = cx.cell_circumradii()
     assert radii[interior].max() <= w.R + 1e-9
+
+
+def cube_report_by_full_scan(W, interior_margin=2.0):
+    """Reference: every cell tested against every cube's corners, and each
+    volume from one scalar ``measure`` call in frozenset vertex order.
+    Returns the rows, all_seven and the smallest interior volume."""
+    window = distorted_cubic_window(W)
+    cx = delaunay_3d(window.points)
+    index = {tuple(p): idx for idx, p in enumerate(map(tuple, window.points))}
+    n = int(math.ceil(W))
+    rows, all_seven, min_vol = [], True, math.inf
+    for i, j, k in itertools.product(range(-n, n), repeat=3):
+        corners = [displaced_lattice_point(i + a, j + b, k + c)
+                   for a, b, c in itertools.product((0, 1), repeat=3)]
+        if any(p not in index or np.linalg.norm(p) > W - interior_margin for p in corners):
+            continue
+        corner_set = {index[p] for p in corners}
+        tets = [c for c in cx.cells if set(c) <= corner_set]
+        vol = {frozenset(c): float(measure(cx.points[list(frozenset(c))])) for c in tets}
+        min_vol = min([min_vol, *vol.values()])
+        # corners[0::2] lie at level k, corners[1::2] at level k + 1
+        vb, vt = (vol.get(frozenset(index[p] for p in corners[h::2]), math.nan) for h in (0, 1))
+        want_b, want_t = ((2.0 / 3.0) / (2 + abs(k + h)) for h in (0, 1))
+        rows.append((i, j, k, len(tets), vb, vt, want_b, want_t))
+        all_seven &= len(tets) == 7 and not math.isnan(vb) and not math.isnan(vt)
+    return rows, all_seven, min_vol
+
+
+@pytest.mark.parametrize("W", [4.0, 6.0])
+def test_distorted_cube_report_matches_full_scan(W):
+    rep = distorted_cube_report(W)
+    rows, all_seven, min_vol = cube_report_by_full_scan(W)
+    assert rep.rows == rows
+    assert rep.all_seven == all_seven
+    assert rep.min_interior_volume == min_vol
 
 
 def test_distorted_cube_report_w4():

@@ -7,13 +7,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from delone.delaunay import delaunay_2d, delaunay_3d
+from delone.delaunay import _collinear_3d, delaunay_2d, delaunay_3d
 from delone.errors import DegenerateSimplexError
 from delone.generators import lattice_window
 from delone.geometry import (
     Side,
     _exact_lifted_rows,
     _exact_rows,
+    _exact_sign,
     _filtered_det_sign,
     _lifted_rows,
     area_via_circumradius,
@@ -560,3 +561,115 @@ def test_batched_metrics_equal_scalar_loops(d):
     for m in (1, 8):  # row by row and the NumPy pass
         with pytest.raises(DegenerateSimplexError):
             circumradii([TRI_345] * (m - 1) + [[(0.0, 0.0), (1.0, 0.0), (2.0, 0.0)]])
+
+
+# ---------------------------------------------------------------------------
+# the integer fallback on its own, against pure rational evaluation
+
+
+def integer_orientation(simplex) -> int:
+    """Sign of the integer-scaled rows p_i - p_0, no float filter."""
+    return _exact_sign(_exact_rows(simplex))
+
+
+def integer_side(simplex, q) -> int:
+    """``Side`` value from the integer-scaled lifted rows, no float filter."""
+    lifted = _exact_sign(_exact_lifted_rows(simplex, q))
+    return lifted * integer_orientation(simplex) * (-1) ** len(q)
+
+
+def fraction_collinear(a, b, c) -> bool:
+    """Reference: the Fraction rows b - a and c - a have a zero cross product."""
+    u, v = ([Fraction(float(y)) - Fraction(float(x)) for x, y in zip(a, p)] for p in (b, c))
+    return all(u[i] * v[j] == u[j] * v[i] for i, j in ((0, 1), (1, 2), (0, 2)))
+
+
+@st.composite
+def near_collinear_3d(draw):
+    """Three points of one line in R^3 before the offset, then one coordinate
+    moved by -1, 0 or +1 ulp."""
+    a, b = ([draw(DYADIC) for _ in range(3)] for _ in range(2))
+    t = draw(st.integers(-8, 8)) / 4
+    off = draw(OFFSET)
+    pts = [[x + off for x in p] for p in (a, b, [x + t * (y - x) for x, y in zip(a, b)])]
+    i, j = draw(st.integers(0, 2)), draw(st.integers(0, 2))
+    pts[i][j] = nudge(pts[i][j], draw(st.integers(-1, 1)))
+    return pts
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(["collinear2d", "coplanar3d", "cospherical4d"]).flatmap(
+    near_degenerate_simplex))
+def test_integer_rows_match_fractions(simplex):
+    assert integer_orientation(simplex) == fraction_orientation(simplex)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([2, 3]).flatmap(near_cospherical_query))
+def test_integer_lifted_rows_match_fractions(query):
+    simplex, q = query
+    assume(fraction_orientation(simplex) != 0)
+    assert integer_side(simplex, q) == fraction_side(simplex, q)
+
+
+@settings(max_examples=300, deadline=None)
+@given(near_collinear_3d())
+def test_collinear_3d_matches_fractions(pts):
+    assert _collinear_3d(*pts) == fraction_collinear(*pts)
+
+
+TINY = 5e-324  # 2^-1074, the smallest subnormal
+EXTREME = st.sampled_from([0.0, TINY, -TINY, 3 * TINY, 2.2250738585072014e-308,
+                           1e-300, 0.1, 1.0, -3.0, 1e150, 1e300, -1e300,
+                           1.7976931348623157e308])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([2, 3]).flatmap(lambda d: st.tuples(
+    st.lists(st.lists(EXTREME, min_size=d, max_size=d), min_size=d + 1, max_size=d + 1),
+    st.lists(EXTREME, min_size=d, max_size=d))))
+def test_integer_path_exact_on_mixed_extreme_exponents(case):
+    simplex, q = case
+    want = fraction_orientation(simplex)
+    assert integer_orientation(simplex) == want
+    if want:
+        assert integer_side(simplex, q) == fraction_side(simplex, q)
+    pts = [p + [0.0] * (3 - len(p)) for p in simplex[:3]]
+    assert _collinear_3d(*pts) == fraction_collinear(*pts)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # NumPy overflow to inf
+def test_predicates_exact_on_extreme_exponents_both_paths():
+    big = 1e300
+    cases = [  # (simplex, exact orientation)
+        ([(TINY, TINY), (big, big), (2 * big, 2 * big)], 0),  # y = x
+        ([(TINY, TINY), (big, big), (2 * big, nudge(2 * big, 1))], 1),
+        ([(TINY, TINY), (big, big), (2 * big, nudge(2 * big, -1))], -1),
+        ([(0.0, 0.0), (TINY, 0.0), (0.0, TINY)], 1),
+        ([(0.0, 0.0), (TINY, TINY), (3 * TINY, 3 * TINY)], 0),
+        ([(0.0, 0.0, 0.0), (big, 0.0, 0.0), (0.0, TINY, 0.0), (0.0, 0.0, TINY)], 1),
+        ([(0.0, 0.0, 0.0), (big, 0.0, 0.0), (0.0, big, 0.0), (TINY, TINY, 0.0)], 0),
+        ([(0.0, 0.0, 0.0), (big, 0.0, 0.0), (0.0, big, 0.0), (TINY, TINY, TINY)], 1),
+        ([(0.0, 0.0, 0.0), (big, 0.0, 0.0), (0.0, big, 0.0), (TINY, TINY, -TINY)], -1),
+    ]
+    for simplex, want in cases:
+        assert fraction_orientation(simplex) == want
+        assert orientation(simplex) == want
+        assert orientations(np.array([simplex])).tolist() == [want]
+        assert orientations(np.array([simplex] * 8)).tolist() == [want] * 8
+        if len(simplex) == 3:  # the same three points in R^3
+            pts = [p + (p[1],) for p in simplex]
+            assert _collinear_3d(*pts) == (want == 0) == fraction_collinear(*pts)
+    # cocircular and cospherical points with subnormal coordinates
+    tri = [(5 * TINY, 0.0), (0.0, 5 * TINY), (-3 * TINY, 4 * TINY)]
+    tet = [(5 * TINY, 0.0, 0.0), (0.0, 5 * TINY, 0.0), (0.0, 0.0, 5 * TINY),
+           (-3 * TINY, -4 * TINY, 0.0)]
+    for simplex, on in ((tri, [4 * TINY, -3 * TINY]), (tet, [0.0, -3 * TINY, -4 * TINY])):
+        inside, outside = list(on), list(on)
+        inside[-1], outside[-1] = on[-1] + TINY, on[-1] - TINY
+        queries = [on, inside, outside]
+        want = [Side.ON, Side.INSIDE, Side.OUTSIDE]
+        assert [fraction_side(simplex, q) for q in queries] == want
+        assert [in_sphere(simplex, q) for q in queries] == want
+        stack = np.array([simplex] * 9)
+        assert in_spheres(stack, np.array(queries * 3)).tolist() == want * 3
