@@ -2,10 +2,11 @@
 
 The 2D builder is an incremental Bowyer-Watson with ghost triangles and
 exact predicates, so its combinatorics are exact for generic input and
-non-generic input is detected rather than silently mis-triangulated.
-The 3D builder projects the lower faces of the convex hull of the lifted
-points; the hull combinatorics come from Qhull, while lower-face
-classification and the emptiness verification use exact arithmetic.
+non-generic input is detected rather than silently mis-triangulated; one
+exact in-circle test per interior edge then certifies the output.  The 3D
+builder projects the lower faces of the convex hull of the lifted points;
+the hull combinatorics come from Qhull, while lower-face classification and
+the emptiness verification (sampled above 200 points) use exact arithmetic.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from .geometry import (
     points_in_simplices,
     segments_cross,
 )
-from .triangulation import TriangulationComplex, build_complex
+from .triangulation import TriangulationComplex, build_complex, first_non_delaunay_facet
 
 GHOST = -1
 
@@ -178,12 +179,14 @@ def _serpentine_order(pts, lex):
     return np.lexsort((np.arange(n), ys, col))
 
 
-def delaunay_2d(points, *, provenance=None, verify=True) -> TriangulationComplex:
-    """Delaunay triangulation of >= 3 generic planar points.
+def delaunay_2d(points, *, provenance=None) -> TriangulationComplex:
+    """Delaunay triangulation of >= 3 generic planar points, certified by an
+    exact local-Delaunay test of every interior edge.
 
     Raises ``NonGenericError`` on cocircular 4-tuples encountered during
-    construction or verification, ``DegenerateSimplexError`` if all points
-    are collinear, and ``ValueError`` on duplicates.
+    construction or certification, ``InvalidComplexError`` if an edge of
+    the built complex is not locally Delaunay, ``DegenerateSimplexError`` if
+    all points are collinear, and ``ValueError`` on duplicates.
     """
     pts = np.asarray(points, dtype=float)
     n = len(pts)
@@ -222,13 +225,14 @@ def delaunay_2d(points, *, provenance=None, verify=True) -> TriangulationComplex
     used = cx.vertices_used()
     if len(used) != n:
         raise InvalidComplexError("a point ended up unused by the triangulation")
-    if verify:
-        verify_empty_circumspheres(cx)
+    facet = first_non_delaunay_facet(cx)
+    if facet is not None:
+        raise InvalidComplexError(f"facet {facet} is not locally Delaunay")
     return cx
 
 
 # ---------------------------------------------------------------------------
-# emptiness verification (the independent oracle for both builders)
+# emptiness verification of the 3D builder; the tests' independent oracle
 
 
 def verify_empty_circumspheres(
@@ -241,6 +245,7 @@ def verify_empty_circumspheres(
     ``samples`` seeded random (cell, vertex) draws and so is not a proof.
     The first bad pair (in cell then vertex order, or draw order) raises
     ``InvalidComplexError`` if inside, ``NonGenericError`` if cospherical.
+    ``delaunay_3d`` is its one caller.
     """
     n = len(cx.points)
     cells = cx.cells_array()
@@ -350,12 +355,12 @@ def delaunay_3d(points, *, provenance=None, verify=True) -> TriangulationComplex
     return cx
 
 
-def delaunay_of(points, *, provenance=None, verify=True) -> TriangulationComplex:
+def delaunay_of(points, *, provenance=None) -> TriangulationComplex:
     pts = np.asarray(points, dtype=float)
     if pts.shape[1] == 2:
-        return delaunay_2d(pts, provenance=provenance, verify=verify)
+        return delaunay_2d(pts, provenance=provenance)
     if pts.shape[1] == 3:
-        return delaunay_3d(pts, provenance=provenance, verify=verify)
+        return delaunay_3d(pts, provenance=provenance)
     raise ValueError("only dimensions 2 and 3 are supported")
 
 
@@ -409,7 +414,9 @@ def radon_two_triangulations(points):
     directed flip T -> D."""
     pts = np.asarray(points, dtype=float)
     lower, upper = radon_split(pts)
-    return build_complex(pts, lower), build_complex(pts, upper)
+    # radon_split's exact signs prove both lists triangulate the hull
+    return (build_complex(pts, lower, check_coverage=False),
+            build_complex(pts, upper, check_coverage=False))
 
 
 # ---------------------------------------------------------------------------

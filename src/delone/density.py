@@ -23,6 +23,10 @@ from .triangulation import (
 )
 
 
+GAP_FRACTION = 1.0 / 3.0  # strip g_i must lie within GAP_FRACTION * gap of its target
+CUBE_MARGIN = 2.0  # the distorted-cube report keeps cubes within norm W - CUBE_MARGIN
+
+
 def unit_ball_volume(d: int) -> float:
     if d == 2:
         return math.pi
@@ -385,16 +389,9 @@ def built_strip_counts(cfg: StripConfig, upto_block: int):
     return out, alphas
 
 
-def strip_gi_sequence(
-    cfg: StripConfig,
-    spec: FunctionalSpec,
-    k: int,
-    *,
-    method: str = "analytic",
-    gap_fraction: float = 1.0 / 3.0,
-) -> StripDensityReport:
+def strip_gi_sequence(cfg: StripConfig, spec: FunctionalSpec, k: int) -> StripDensityReport:
     """The density-ratio sequence g_i and raw densities f_i of the strip
-    construction at the inscribed radii alpha_i.
+    construction at the inscribed radii alpha_i, from the analytic counts.
 
     g_1 equals F(delta)/A(delta) exactly; with block sizes from
     ``choose_block_sizes`` the odd- and even-indexed values cluster near
@@ -411,12 +408,7 @@ def strip_gi_sequence(
     q_mix = (f_delta + f_top) / (a_delta + a_top)
     gap = abs(q_delta - q_mix)
 
-    if method == "analytic":
-        counts, alphas = analytic_strip_counts(cfg, k)
-    elif method == "built":
-        counts, alphas = built_strip_counts(cfg, k)
-    else:
-        raise ValueError("method must be 'analytic' or 'built'")
+    counts, alphas = analytic_strip_counts(cfg, k)
 
     g_values, f_values = [], []
     for (kc, lc), alpha in zip(counts, alphas):
@@ -432,7 +424,7 @@ def strip_gi_sequence(
         ok = True
         for i, g in enumerate(g_values, start=1):
             target = q_delta if i % 2 == 1 else q_mix
-            if abs(g - target) >= gap_fraction * gap:
+            if abs(g - target) >= GAP_FRACTION * gap:
                 ok = False
         odd = [g for i, g in enumerate(g_values, 1) if i % 2 == 1]
         even = [g for i, g in enumerate(g_values, 1) if i % 2 == 0]
@@ -452,29 +444,19 @@ def strip_gi_sequence(
         g_values=g_values,
         f_values=f_values,
         verdict=verdict,
-        details={"functional": str(spec), "method": method,
-                 "blocks": list(cfg.block_sizes[:k])},
+        details={"functional": str(spec), "blocks": list(cfg.block_sizes[:k])},
     )
 
 
-def choose_block_sizes(
-    delta,
-    top,
-    spec: FunctionalSpec,
-    k: int,
-    gap_fraction: float = 1.0 / 3.0,
-    *,
-    shared: float | None = None,
-    m1: int = 3,
-    max_m: int = 1 << 22,
-) -> list:
-    """Greedily grow odd block sizes until each g_i lands within
-    gap_fraction * |Q_delta - Q| of its alternating target (Q_delta for odd i,
-    Q for even i)."""
+def choose_block_sizes(delta, top, spec: FunctionalSpec, k: int, *,
+                       shared: float | None = None) -> list:
+    """Greedily grow odd block sizes, from m_1 = 3 up to 2^22, until each g_i
+    lands within GAP_FRACTION * |Q_delta - Q| of its alternating target
+    (Q_delta for odd i, Q for even i)."""
     if shared is None:
         shared = _common_edge(delta, top)
     probe = StripConfig(delta=tuple(delta), top=tuple(top), shared=shared,
-                        block_sizes=[m1], extent=2)
+                        block_sizes=[3], extent=2)
     f_delta = float(eval_batch(spec, probe.triangle_coords("W"))[0])
     f_top = float(eval_batch(spec, probe.triangle_coords("N"))[0])
     from .generators import _triangle_area_from_sides
@@ -487,7 +469,7 @@ def choose_block_sizes(
     if gap <= 1e-9 * (abs(q_delta) + abs(q_mix) + 1.0):
         raise ValueError("DEGENERATE: F(delta)/A(delta) equals the mixed ratio")
 
-    sizes = [m1]
+    sizes = [3]
     for i in range(2, k + 1):
         target = q_delta if i % 2 == 1 else q_mix
         m = 3
@@ -497,10 +479,10 @@ def choose_block_sizes(
             counts, _ = analytic_strip_counts(cfg, i)
             kc, lc = counts[-1]
             g = (kc * f_delta + lc * f_top) / (kc * a_delta + lc * a_top)
-            if abs(g - target) < gap_fraction * gap:
+            if abs(g - target) < GAP_FRACTION * gap:
                 break
             m = 2 * m + 1
-            if m > max_m:
+            if m > 1 << 22:
                 raise RuntimeError(f"block {i} did not converge to its target")
         sizes.append(m)
     return sizes
@@ -538,7 +520,7 @@ class CubeReport:
     rows: list  # (i, j, k, n_tets, vol_bottom, vol_top, want_bottom, want_top)
 
 
-def distorted_cube_report(W: float, *, interior_margin: float = 2.0) -> CubeReport:
+def distorted_cube_report(W: float) -> CubeReport:
     """Delaunay structure of the distorted cubic lattice window: every
     interior unit cube decomposes into exactly 7 tetrahedra whose flat tents
     have volumes (2/3) / (2 + |k|) at lattice level k."""
@@ -566,7 +548,7 @@ def distorted_cube_report(W: float, *, interior_margin: float = 2.0) -> CubeRepo
         ids = []  # corners in (di, dj, dk) order: even positions at level k
         for di, dj, dk in itertools.product((0, 1), repeat=3):
             p = displaced_lattice_point(i + di, j + dj, k + dk)
-            if p not in index or np.linalg.norm(p) > W - interior_margin:
+            if p not in index or np.linalg.norm(p) > W - CUBE_MARGIN:
                 break
             ids.append(index[p])
         if len(ids) < 8:
@@ -631,25 +613,24 @@ def perturb_by_reverse_flips(
     window_radius: float,
     q_bound: float,
     seed: int = 0,
-    circumradius_cap: float | None = None,
 ):
     """Undo ``n_flips`` locally-Delaunay edges chosen uniformly at random
     among those whose quadrilateral is strictly convex and far from the
     window boundary.  Returns (perturbed complex, flip records, quads).
 
-    Flips whose new cells would exceed ``circumradius_cap`` (default 2 *
-    q_bound) are skipped, so the perturbed triangulation stays uniformly
-    bounded at window scale instead of acquiring near-degenerate slivers.
+    Flips whose new cells would have a circumradius above 2 * q_bound are
+    skipped, so the perturbed triangulation stays uniformly bounded at
+    window scale instead of acquiring near-degenerate slivers.
     """
     from .geometry import circumsphere
 
     cx = dcx.copy()
     rng = stream_rng(seed, "reverse-flips")
-    cap = 2.0 * q_bound if circumradius_cap is None else float(circumradius_cap)
+    cap = 2.0 * q_bound
     records = []
     quads = []
     tries = 0
-    margin = window_radius - 2.0 * max(q_bound, cap)
+    margin = window_radius - 2.0 * cap
     facets = None
     while len(records) < n_flips:
         tries += 1
@@ -667,7 +648,7 @@ def perturb_by_reverse_flips(
             vertices = sorted(set(old_cells[0]) | set(old_cells[1]))
             if np.linalg.norm(cx.points[vertices], axis=1).max() > margin:
                 continue
-            a, b = _other_diagonal(vertices, facet)
+            a, b = (w for w in vertices if w not in facet)
             u, v = facet
             grown = max(
                 circumsphere(cx.points[[a, b, u]]).radius,
@@ -688,11 +669,6 @@ def perturb_by_reverse_flips(
              "t_cells": tuple(new_cells)}
         )
     return cx, records, quads
-
-
-def _other_diagonal(vertices, facet):
-    rest = [v for v in vertices if v not in facet]
-    return tuple(sorted(rest))
 
 
 def delaunay_minimality_comparison(

@@ -152,12 +152,10 @@ def eval_functional(spec: FunctionalSpec, simplex) -> float:
     return float(eval_batch(spec, coords)[0])
 
 
-def complex_sum(spec: FunctionalSpec, cx, cells=None) -> float:
-    cells = cx.cells if cells is None else list(cells)
-    if not cells:
+def complex_sum(spec: FunctionalSpec, cx) -> float:
+    if not cx.cells:
         return 0.0
-    coords = cx.points[np.array(cells, dtype=np.int64)]
-    return float(eval_batch(spec, coords).sum())
+    return float(eval_batch(spec, cx.points[cx.cells_array()]).sum())
 
 
 # ---------------------------------------------------------------------------
@@ -235,13 +233,13 @@ def check_g_inequality(spec: FunctionalSpec, t_prime, y_points) -> CheckResult:
     )
 
 
-def sample_admissible_simplex(rng, r: float, q: float, d: int, max_tries=4000):
+def sample_admissible_simplex(rng, r: float, q: float, d: int):
     """A random d-simplex with all edges >= 2r and circumradius <= q, sampled
-    by placing vertices on a circumscribed sphere and rejecting."""
+    by placing vertices on a circumscribed sphere and rejecting, 4000 tries."""
     rho_min = 2 * r / math.sqrt(3) if d == 2 else 2 * r * math.sqrt(3.0 / 8.0)
     if rho_min > q:
         raise SamplerError(f"no admissible simplex: need circumradius >= {rho_min} > q={q}")
-    for _ in range(max_tries):
+    for _ in range(4000):
         rho = rng.uniform(rho_min, q)
         dirs = rng.normal(size=(d + 1, d))
         dirs /= np.linalg.norm(dirs, axis=1)[:, None]

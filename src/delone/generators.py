@@ -14,9 +14,10 @@ import numpy as np
 
 from .errors import InvalidComplexError, SamplerError
 from .geometry import TAU_GEO
-from .triangulation import TriangulationComplex, build_complex, is_locally_delaunay
+from .triangulation import TriangulationComplex, build_complex, first_non_delaunay_facet
 
 JITTER_SCALE = 1e-6  # jitter magnitude as a fraction of r
+COMPATIBILITY_TOL = 1e-12  # relative slack of the edge match and the angle tests
 
 
 def stream_rng(seed: int, name: str) -> np.random.Generator:
@@ -274,12 +275,13 @@ def triangle_angles(sides) -> np.ndarray:
     return np.array([ang(a, b, c), ang(b, a, c), ang(c, a, b)])
 
 
-def triangles_compatible(sides1, sides2, shared: float, tol: float = 1e-12) -> bool:
+def triangles_compatible(sides1, sides2, shared: float) -> bool:
     """Compatibility of two triangles glued along an edge of length ``shared``:
     the two angles opposite the shared edge sum to less than pi and the four
     angles adjacent to it are acute.  This is exactly the condition for the
     glued strips to be locally Delaunay everywhere except between two strips
     of the second kind."""
+    tol = COMPATIBILITY_TOL
     out = []
     for sides in (sides1, sides2):
         sides = sorted(sides)
@@ -331,10 +333,6 @@ class StripConfig:
                 raise ValueError("shared edge is not an edge of both triangles")
         if self.extent < 2:
             raise ValueError("extent must be at least 2")
-
-    @property
-    def delaunay_compatible(self) -> bool:
-        return triangles_compatible(self.delta, self.top, self.shared)
 
     def strip_geometry(self, kind: str):
         """(base, height, apex offset) of a strip of the given kind."""
@@ -472,13 +470,11 @@ def strip_block_triangulation(cfg: StripConfig, k: int, *, require_delaunay=True
     if abs(got - want) > 1e-8 * want:
         raise InvalidComplexError("strip areas do not add up")
 
-    if require_delaunay:
-        for facet in cx.interior_facets():
-            if not is_locally_delaunay(cx, facet):
-                raise InvalidComplexError(
-                    "strip complex is not locally Delaunay; the triangle pair "
-                    "is not strip-compatible (an apex angle is obtuse)"
-                )
+    if require_delaunay and first_non_delaunay_facet(cx) is not None:
+        raise InvalidComplexError(
+            "strip complex is not locally Delaunay; the triangle pair "
+            "is not strip-compatible (an apex angle is obtuse)"
+        )
 
     from scipy.spatial import cKDTree
 

@@ -28,6 +28,14 @@ TAU_GEO = 1e-9
 # two orders of magnitude of safety.
 _FILTER_EPS = 1e-11
 
+# A product below 2^-1022 errs by up to 2^-1075 absolute, which the relative
+# bound misses.  Later factors scale it by at most the other rows' absolute
+# sums, so the <= 52 products of a lifted 4x4 expansion err by < 2^-1069 times
+# the product of (1 + each row's sum); the filter adds the smallest normal
+# float times that product, which vanishes in rounding for normal-range rows.
+_UNDERFLOW_EPS = 2.0 ** -1022
+_INF = math.inf
+
 
 class Side(IntEnum):
     OUTSIDE = -1
@@ -63,16 +71,18 @@ def _det4(m):
 _DETS = {2: _det2, 3: _det3, 4: _det4}
 
 
-def _row_bound(rows):
-    """Product of the rows' absolute sums: the filter's scale for det(rows).
-
-    Works on float rows and on rows of NumPy columns (one entry per matrix
-    of a stack), so the scalar and the batched predicates share one filter.
+def _filter_tol(rows):
+    """The filter's error bound for det(rows): _FILTER_EPS times the product
+    of the rows' absolute sums plus _UNDERFLOW_EPS times the product of
+    (1 + each sum).  Works on float rows and on rows of NumPy columns (one
+    entry per matrix of a stack), so scalar and batched predicates share it.
     """
-    bound = 1.0
+    bound = floor = 1.0
     for row in rows:
-        bound = bound * sum(map(abs, row))
-    return bound
+        s = sum(map(abs, row))
+        bound = bound * s
+        floor = floor * (1.0 + s)
+    return _FILTER_EPS * bound + _UNDERFLOW_EPS * floor
 
 
 def _exact_sign(rows) -> int:
@@ -104,7 +114,7 @@ def _filtered_det_sign(rows_float, rows_exact) -> int:
     determinant has the same sign.
     """
     det = _DETS[len(rows_float)](rows_float)
-    if abs(det) > _FILTER_EPS * _row_bound(rows_float):
+    if _filter_tol(rows_float) < abs(det) < _INF:  # overflow goes exact too
         return 1 if det > 0 else -1
     return _exact_sign(rows_exact())
 
@@ -114,7 +124,8 @@ def _filtered_det_signs(rows, exact_rows) -> np.ndarray:
     per matrix) and ``exact_rows(k)`` gives matrix k over exact ints."""
     det = _DETS[len(rows)](rows)
     signs = np.sign(det).astype(np.int64)
-    for k in np.flatnonzero(~(np.abs(det) > _FILTER_EPS * _row_bound(rows))):
+    size = np.abs(det)
+    for k in np.flatnonzero(~((_filter_tol(rows) < size) & (size < _INF))):
         signs[k] = _exact_sign(exact_rows(k))
     return signs
 
@@ -319,17 +330,20 @@ def inradius_2d(triangle) -> float:
 
 # 2D predicates on Python floats: the incremental builder calls them
 # directly, and ``orientation``/``in_sphere`` route d = 2 through them.  They
-# evaluate the same expansion with the same ``_row_bound`` filter and the
+# evaluate the same expansion with the same ``_filter_tol`` bound and the
 # same integer fallback, so their signs are identical.
 
 def orient2d(ax, ay, bx, by, cx, cy) -> int:
     ux, uy = bx - ax, by - ay
     vx, vy = cx - ax, cy - ay
     det = ux * vy - uy * vx
-    bound = (abs(ux) + abs(uy)) * (abs(vx) + abs(vy))
-    if det > _FILTER_EPS * bound:
+    # No factor follows the products, so the underflow term is a constant; an
+    # overflowed difference makes tol inf or nan, an overflowed product keeps
+    # the sign of det exact.
+    tol = _FILTER_EPS * ((abs(ux) + abs(uy)) * (abs(vx) + abs(vy))) + _UNDERFLOW_EPS
+    if det > tol:
         return 1
-    if det < -_FILTER_EPS * bound:
+    if det < -tol:
         return -1
     return _exact_sign(_exact_rows(((ax, ay), (bx, by), (cx, cy))))
 
@@ -348,14 +362,14 @@ def incircle2d(ax, ay, bx, by, cx, cy, qx, qy) -> int:
         - ady * (bdx * cd - bd * cdx)
         + ad * (bdx * cdy - bdy * cdx)
     )
-    bound = (
-        (abs(adx) + abs(ady) + ad)
-        * (abs(bdx) + abs(bdy) + bd)
-        * (abs(cdx) + abs(cdy) + cd)
-    )
-    if det > _FILTER_EPS * bound:
+    sa = abs(adx) + abs(ady) + ad
+    sb = abs(bdx) + abs(bdy) + bd
+    sc = abs(cdx) + abs(cdy) + cd
+    tol = (_FILTER_EPS * (sa * sb * sc)
+           + _UNDERFLOW_EPS * ((1.0 + sa) * (1.0 + sb) * (1.0 + sc)))
+    if tol < det < _INF:
         return 1
-    if det < -_FILTER_EPS * bound:
+    if -_INF < det < -tol:
         return -1
     return _exact_sign(_exact_lifted_rows(((ax, ay), (bx, by), (cx, cy)), (qx, qy)))
 

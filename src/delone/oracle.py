@@ -76,13 +76,13 @@ def _flip_neighbors(sign, cells: frozenset):
     return out
 
 
-def enumerate_triangulations_2d(points, limit: int = ENUMERATION_LIMIT):
+def enumerate_triangulations_2d(points):
     """All triangulations of <= 9 generic planar points (vertex set = all
     points), by breadth-first traversal of the flip graph from the Delaunay
     triangulation.  Returns a list of TriangulationComplex, Delaunay first."""
     pts = np.asarray(points, dtype=float)
-    if len(pts) > limit:
-        raise ValueError(f"enumeration is limited to {limit} points")
+    if len(pts) > ENUMERATION_LIMIT:
+        raise ValueError(f"enumeration is limited to {ENUMERATION_LIMIT} points")
     start = delaunay_2d(pts)
     sign = _orientation_table(pts)
     root = frozenset(start.cells)
@@ -105,15 +105,15 @@ def enumerate_triangulations_2d(points, limit: int = ENUMERATION_LIMIT):
 # independent enumerator: maximal non-crossing edge sets
 
 
-def noncrossing_triangulations(points, limit: int = NONCROSSING_LIMIT):
+def noncrossing_triangulations(points):
     """All triangulations of <= 7 generic points as maximal pairwise
     non-crossing edge sets; the independent oracle for the flip-graph route.
 
     Returns a list of frozensets of cells."""
     pts = np.asarray(points, dtype=float)
     n = len(pts)
-    if n > limit:
-        raise ValueError(f"non-crossing enumeration is limited to {limit} points")
+    if n > NONCROSSING_LIMIT:
+        raise ValueError(f"non-crossing enumeration is limited to {NONCROSSING_LIMIT} points")
     coords = [tuple(map(float, p)) for p in pts]
     segments = [
         (i, j) for i, j in itertools.combinations(range(n), 2)

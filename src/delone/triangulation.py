@@ -90,9 +90,6 @@ class TriangulationComplex:
     def facets(self) -> Iterable[Facet]:
         return self.facet_adjacency.keys()
 
-    def is_interior(self, facet: Facet) -> bool:
-        return len(self.facet_adjacency.get(tuple(sorted(facet)), ())) == 2
-
     def interior_facets(self) -> list:
         return [f for f, cs in self.facet_adjacency.items() if len(cs) == 2]
 
@@ -104,11 +101,7 @@ class TriangulationComplex:
 
     def opposite_vertices(self, facet: Facet) -> list:
         facet = tuple(sorted(facet))
-        out = []
-        for cell in self.facet_adjacency[facet]:
-            (v,) = set(cell) - set(facet)
-            out.append(v)
-        return out
+        return [sum(cell) - sum(facet) for cell in self.facet_adjacency[facet]]
 
     def copy(self) -> "TriangulationComplex":
         return TriangulationComplex(
@@ -290,12 +283,31 @@ def is_locally_delaunay(cx: TriangulationComplex, facet) -> bool:
     return side == Side.OUTSIDE
 
 
+def first_non_delaunay_facet(cx: TriangulationComplex):
+    """The first interior facet, in ``interior_facets()`` order, whose second
+    cell's opposite vertex lies inside the first cell's circumsphere, or None;
+    raises ``NonGenericError`` at the first cospherical (ON) one.  One exact
+    ``in_spheres`` call.  By Delaunay's lemma (Delaunay 1934; Lawson 1977), a
+    triangulation of the hull of its points that passes is their Delaunay
+    triangulation."""
+    pairs = [(f, cs) for f, cs in cx.facet_adjacency.items() if len(cs) == 2]
+    if not pairs:
+        return None
+    facets = [f for f, _ in pairs]
+    near = np.array([cs[0] for _, cs in pairs], dtype=np.int64)
+    far = [sum(cs[1]) - sum(f) for f, cs in pairs]
+    sides = in_spheres(cx.points[near], cx.points[far])
+    on = np.flatnonzero(sides == Side.ON)
+    if len(on):
+        raise NonGenericError(f"facet {facets[on[0]]}: cospherical opposite vertex")
+    inside = np.flatnonzero(sides == Side.INSIDE)
+    return facets[inside[0]] if len(inside) else None
+
+
 def _quad_of(cx: TriangulationComplex, facet) -> tuple:
     facet = tuple(sorted(facet))
     c0, c1 = cx.facet_cells(facet)
-    (a,) = set(c0) - set(facet)
-    (b,) = set(c1) - set(facet)
-    return facet, a, b
+    return facet, sum(c0) - sum(facet), sum(c1) - sum(facet)
 
 
 def _do_flip(cx: TriangulationComplex, facet, direction: str) -> FlipRecord:
@@ -381,16 +393,8 @@ def legalize_to_delaunay(cx: TriangulationComplex):
         steps += 1
         if steps > limit:
             raise RuntimeError("flip scheduling failed to terminate")
-    # postcondition: is_locally_delaunay on every interior facet, batched
-    facets = out.interior_facets()
-    near = np.array([out.facet_cells(f)[0] for f in facets], dtype=np.int64)
-    far = np.array([_quad_of(out, f)[2] for f in facets], dtype=np.int64)
-    sides = in_spheres(out.points[near.reshape(-1, 3)], out.points[far])
-    bad = np.flatnonzero(sides != Side.OUTSIDE)
-    if len(bad):
-        facet = facets[bad[0]]
-        if sides[bad[0]] == Side.ON:
-            raise NonGenericError(f"facet {facet}: cospherical opposite vertex")
+    facet = first_non_delaunay_facet(out)
+    if facet is not None:
         raise InvalidComplexError(f"legalization left facet {facet} non-Delaunay")
     return out, records
 

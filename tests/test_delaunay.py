@@ -1,9 +1,11 @@
 import itertools
+import re
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from delone import delaunay
 from delone.delaunay import (
     delaunay_2d,
     delaunay_3d,
@@ -19,9 +21,22 @@ from delone.errors import (
     NonGenericError,
 )
 from delone.generators import distorted_cubic_window, lattice_window, stream_rng
-from delone.geometry import Side, in_sphere, in_spheres, orientation, point_in_simplex
+from delone.geometry import (
+    Side,
+    in_sphere,
+    in_spheres,
+    orientation,
+    orientations,
+    point_in_simplex,
+)
 from delone.oracle import enumerate_triangulations_2d
-from delone.triangulation import build_complex, legalize_to_delaunay, reverse_flip
+from delone.triangulation import (
+    build_complex,
+    first_non_delaunay_facet,
+    is_locally_delaunay,
+    legalize_to_delaunay,
+    reverse_flip,
+)
 
 
 def jittered_grid_2d(n, seed, eta=1e-6):
@@ -51,7 +66,7 @@ def test_quadrilateral_takes_locally_delaunay_diagonal():
 
 def test_jittered_grid_empty_circumcircles():
     pts = jittered_grid_2d(10, seed=0)
-    cx = delaunay_2d(pts)  # verify=True runs the exhaustive scan (100 points)
+    cx = delaunay_2d(pts)  # certified: every interior edge locally Delaunay
     from scipy.spatial import ConvexHull
 
     hull_size = len(ConvexHull(pts).vertices)
@@ -89,7 +104,7 @@ def test_duplicates_rejected():
 def test_big_random_cloud_sampled_verification():
     rng = np.random.default_rng(42)
     pts = rng.uniform(size=(500, 2)) * 20
-    cx = delaunay_2d(pts)  # sampled emptiness verification path
+    cx = delaunay_2d(pts)  # every edge certified, above the 200-point cutoff
     assert cx.n_cells > 900
 
 
@@ -513,8 +528,8 @@ def test_delaunay_3d_jittered_lattice_every_interior_facet_locally_delaunay():
 @pytest.mark.parametrize("W, ties", [(4, 37), (6, 65)])
 def test_distorted_cube_ties_lie_outside_the_report_region(W, ties):
     """The cospherical interior facets of the distorted cube each have a
-    vertex beyond norm W - 2, where ``distorted_cube_report`` (default
-    margin 2) counts no cube, so its verdict does not depend on how Qhull
+    vertex beyond norm W - 2, where ``distorted_cube_report`` (margin
+    ``CUBE_MARGIN`` = 2) counts no cube, so its verdict does not depend on how Qhull
     breaks the ties."""
     cx = delaunay_3d(distorted_cubic_window(W).points)
     facets, incident, sides = interior_facet_sides(cx)
@@ -524,3 +539,90 @@ def test_distorted_cube_ties_lie_outside_the_report_region(W, ties):
     for k in on:
         five = sorted(set(incident[k][0]) | set(incident[k][1]))
         assert np.linalg.norm(cx.points[five], axis=1).max() > W - 2
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "delaunay_3d's distorted-cube output is not face-to-face: at W = 4 the "
+    "rectangle (198, 199, 234, 235) in the plane x + y = 4 is split along "
+    "198-235 by the cells with apex 238 and along 199-234 by those with apex "
+    "193, so single-cell facets lie strictly inside the hull (20, 24 and 16 "
+    "at W = 4, 5 and 6); the float coverage check passes; every such facet "
+    "lies beyond norm W - 2"))
+@pytest.mark.parametrize("W", [4, 5, 6])
+def test_delaunay_3d_distorted_cube_single_cell_facets_lie_on_the_hull(W):
+    pts = distorted_cubic_window(W).points
+    cx = delaunay_3d(pts)
+    facets = np.array(cx.boundary_facets())
+    n = len(pts)
+    # each single-cell facet against every point: all on one closed side
+    stack = np.concatenate([np.repeat(pts[facets][:, None], n, axis=1),
+                            np.broadcast_to(pts[None, :, None], (len(facets), n, 1, 3))],
+                           axis=2)
+    signs = orientations(stack.reshape(-1, 4, 3)).reshape(len(facets), n)
+    inside = (signs > 0).any(axis=1) & (signs < 0).any(axis=1)
+    assert not inside.any(), [tuple(f) for f in facets[inside].tolist()]
+
+
+# ---------------------------------------------------------------------------
+# the exact local-Delaunay certificate of the 2D builder
+
+
+def test_delaunay_2d_names_one_reversed_edge(monkeypatch):
+    """One interior edge of a 1.8k-point window reverse-flipped in the
+    builder's output: the certificate names it.  2,000 sampled (cell,
+    vertex) pairs almost never meet the one bad pair."""
+    pts = lattice_window(2, 24.0, jitter=True, seed=3).points
+    good = delaunay_2d(pts)
+    for facet in good.interior_facets():
+        bad_cx = good.copy()
+        try:
+            reverse_flip(bad_cx, facet)
+        except GeometryError:
+            continue
+        bad = [f for f in bad_cx.interior_facets() if not is_locally_delaunay(bad_cx, f)]
+        if len(bad) == 1:
+            break
+    assert len(pts) > 1000 and len(bad) == 1
+    monkeypatch.setattr(delaunay._Mesh2D, "real_cells", lambda mesh: bad_cx.cells)
+    with pytest.raises(InvalidComplexError, match=re.escape(f"facet {bad[0]} ")):
+        delaunay_2d(pts)
+
+
+def scrambles(cx, rng, flips):
+    """A copy of ``cx`` after each reverse flip that succeeds, out of
+    ``flips`` tries on random interior edges."""
+    cx = cx.copy()
+    for _ in range(flips):
+        facets = cx.interior_facets()
+        try:
+            reverse_flip(cx, facets[int(rng.integers(len(facets)))])
+        except GeometryError:
+            continue  # not locally Delaunay or not strictly convex
+        yield cx.copy()
+
+
+def error_type(check, cx):
+    try:
+        check(cx)
+    except GeometryError as exc:
+        return type(exc)
+    return None
+
+
+def local_pass(cx):
+    if first_non_delaunay_facet(cx) is not None:
+        raise InvalidComplexError("not locally Delaunay")
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_local_pass_agrees_with_exhaustive_emptiness(seed):
+    rng = np.random.default_rng(seed)
+    outcomes = []
+    for n in range(4, 61, 4):
+        cx = delaunay_2d(rng.uniform(size=(n, 2)) * 10)
+        for tcx in [cx, *scrambles(cx, rng, 6)]:
+            want = error_type(
+                lambda c: verify_empty_circumspheres(c, exhaustive_limit=10**6), tcx)
+            assert error_type(local_pass, tcx) is want
+            outcomes.append(want)
+    assert outcomes.count(None) and outcomes.count(InvalidComplexError)

@@ -19,7 +19,7 @@ from delone.density import (
     strip_gi_sequence,
     unit_ball_volume,
 )
-from delone.errors import WindowError
+from delone.errors import NonGenericError, WindowError
 from delone.functionals import FunctionalSpec
 from delone.generators import (
     StripConfig,
@@ -365,6 +365,15 @@ def test_distorted_cube_report_matches_full_scan(W):
     assert rep.rows == rows
     assert rep.all_seven == all_seven
     assert rep.min_interior_volume == min_vol
+
+
+@pytest.mark.xfail(strict=True, raises=NonGenericError, reason=(
+    "at W = 3 (n = 106) and W = 3.5 (n = 183) the emptiness verification of "
+    "delaunay_3d is exhaustive and meets a cospherical tie of the distorted "
+    "cube; above 200 points its 2,000 samples miss the ties"))
+@pytest.mark.parametrize("W", [3.0, 3.5])
+def test_distorted_cube_report_small_windows(W):
+    assert distorted_cube_report(W).window == W
 
 
 def test_distorted_cube_report_w4():

@@ -673,3 +673,57 @@ def test_predicates_exact_on_extreme_exponents_both_paths():
         assert [in_sphere(simplex, q) for q in queries] == want
         stack = np.array([simplex] * 9)
         assert in_spheres(stack, np.array(queries * 3)).tolist() == want * 3
+
+
+# ---------------------------------------------------------------------------
+# the filter outside the normal float range
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # NumPy overflow to inf
+@pytest.mark.parametrize("simplex, want", [
+    # a cofactor product overflows to -inf while the row bound stays finite
+    ([[1e-160, 0.0, 1e-300], [2.2250738585072014e-308, -TINY, 1e-300],
+      [1e300, 1e-160, 1e300], [1e150, 0.1, 1e-300]], 1),
+    # products below 2^-1022 lose the relative accuracy the filter assumes
+    ([[-3e-108, -7e-109, -3e-108], [TINY, 0.0, 0.0],
+      [-TINY, 3.0000000000000003e-108, 9e-108], [0.0, 0.0, -1.1e-154]], -1),
+])
+def test_filter_sends_overflow_and_underflow_to_the_exact_path(simplex, want):
+    assert fraction_orientation(simplex) == want
+    assert orientation(simplex) == want
+    assert orientations(np.array([simplex] * 8)).tolist() == [want] * 8
+
+
+def nudge_one_coordinate(rng, pts):
+    """``pts`` with one random coordinate of each stack entry moved by one
+    ulp up or down."""
+    m, n, d = pts.shape
+    rows, i, j = np.arange(m), rng.integers(n, size=m), rng.integers(d, size=m)
+    pts[rows, i, j] = np.nextafter(pts[rows, i, j], rng.choice([np.inf, -np.inf], size=m))
+    return pts
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_predicates_exact_on_tiny_coordinates_both_paths(d):
+    rng = np.random.default_rng(20 + d)
+    # integer points on the circle or sphere of radius 5
+    sphere = np.array([p for p in itertools.product(range(-5, 6), repeat=d)
+                       if sum(x * x for x in p) == 25], dtype=float)
+    m = 300
+    for scale in (1e-100, 1e-108, 1e-154):
+        # degenerate simplices: the last vertex an integer combination
+        simp = rng.integers(-3, 4, size=(m, d + 1, d)).astype(float)
+        w = rng.integers(-2, 3, size=(m, d - 1))
+        simp[:, d] = simp[:, 0] + np.einsum("mk,mkj->mj", w, simp[:, 1:d] - simp[:, :1])
+        simp = nudge_one_coordinate(rng, simp * scale)
+        want = [fraction_orientation(s) for s in simp.tolist()]
+        assert [orientation(s) for s in simp] == want
+        assert orientations(simp).tolist() == want
+        # d + 2 distinct cospherical points
+        pick = np.argsort(rng.random((m, len(sphere))), axis=1)[:, :d + 2]
+        pts = nudge_one_coordinate(rng, sphere[pick] * scale)
+        keep = [k for k in range(m) if fraction_orientation(pts[k, :d + 1].tolist())]
+        simp, q = pts[keep, :d + 1], pts[keep, d + 1]
+        sides = [fraction_side(s, p) for s, p in zip(simp.tolist(), q.tolist())]
+        assert [in_sphere(s, p) for s, p in zip(simp, q)] == sides
+        assert in_spheres(simp, q).tolist() == sides
