@@ -253,8 +253,8 @@ def verify_empty_circumspheres(
         ci, v = np.divmod(np.arange(len(cells) * n), n)
     else:
         rng = np.random.default_rng(seed)
-        draws = [(rng.integers(len(cells)), rng.integers(n)) for _ in range(samples)]
-        ci, v = np.array(draws, dtype=np.int64).reshape(-1, 2).T
+        # one call draws the same (cell, vertex) pairs as alternating scalar calls
+        ci, v = rng.integers(0, np.tile([len(cells), n], samples)).reshape(-1, 2).T
     keep = (cells[ci] != v[:, None]).all(axis=1)
     ci, v = ci[keep], v[keep]
     sides = in_spheres(cx.points[cells[ci]], cx.points[v])

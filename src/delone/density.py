@@ -14,7 +14,7 @@ from .delaunay import delaunay_2d
 from .errors import GeometryError, WindowError
 from .functionals import FunctionalSpec, eval_batch
 from .generators import PointSetWindow, StripConfig, strip_layout, stream_rng
-from .geometry import TAU_GEO, circumcenters, measures
+from .geometry import TAU_GEO, circumcenters, circumradii, measures
 from .triangulation import (
     TriangulationComplex,
     is_locally_delaunay,
@@ -622,8 +622,6 @@ def perturb_by_reverse_flips(
     skipped, so the perturbed triangulation stays uniformly bounded at
     window scale instead of acquiring near-degenerate slivers.
     """
-    from .geometry import circumsphere
-
     cx = dcx.copy()
     rng = stream_rng(seed, "reverse-flips")
     cap = 2.0 * q_bound
@@ -650,10 +648,7 @@ def perturb_by_reverse_flips(
                 continue
             a, b = (w for w in vertices if w not in facet)
             u, v = facet
-            grown = max(
-                circumsphere(cx.points[[a, b, u]]).radius,
-                circumsphere(cx.points[[a, b, v]]).radius,
-            )
+            grown = circumradii(cx.points[[[a, b, u], [a, b, v]]]).max()
             if grown > cap:
                 continue
             if not all(dcx.has_cell(c) for c in old_cells):

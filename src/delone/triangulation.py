@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -58,10 +58,11 @@ class TriangulationComplex:
     dim: int
     points: np.ndarray
     _cells: set = field(repr=False)
-    facet_adjacency: dict = field(repr=False)
+    _adjacency: dict | None = field(default=None, repr=False)
     provenance: dict = field(default_factory=dict)
     _bound_q: float | None = field(default=None, repr=False)
     _cells_sorted: list | None = field(default=None, repr=False)
+    _cells_array: np.ndarray | None = field(default=None, repr=False)
 
     # -- basic views --------------------------------------------------------
 
@@ -82,7 +83,23 @@ class TriangulationComplex:
         return self.points[list(cell)]
 
     def cells_array(self) -> np.ndarray:
-        return np.array(self.cells, dtype=np.int64).reshape(-1, self.dim + 1)
+        """The sorted cells as a read-only (m, d+1) int64 array (cached)."""
+        if self._cells_array is None:
+            arr = np.array(self.cells, dtype=np.int64).reshape(-1, self.dim + 1)
+            arr.flags.writeable = False
+            self._cells_array = arr
+        return self._cells_array
+
+    @property
+    def facet_adjacency(self) -> dict:
+        """Facet -> incident cells, filled on first use in ``_cells`` order."""
+        if self._adjacency is None:
+            adjacency: dict = {}
+            for cell in self._cells:
+                for facet in itertools.combinations(cell, self.dim):
+                    adjacency.setdefault(facet, []).append(cell)
+            self._adjacency = adjacency
+        return self._adjacency
 
     def vertices_used(self) -> np.ndarray:
         return np.unique(self.cells_array())
@@ -108,7 +125,7 @@ class TriangulationComplex:
             dim=self.dim,
             points=self.points,
             _cells=set(self._cells),
-            facet_adjacency={f: list(cs) for f, cs in self.facet_adjacency.items()},
+            _adjacency={f: list(cs) for f, cs in self.facet_adjacency.items()},
             provenance=dict(self.provenance),
         )
 
@@ -117,22 +134,25 @@ class TriangulationComplex:
     def _invalidate(self):
         self._bound_q = None
         self._cells_sorted = None
+        self._cells_array = None
 
     def _add_cell(self, cell: Cell):
+        adjacency = self.facet_adjacency  # filled before _cells changes
         cell = tuple(sorted(cell))
         self._cells.add(cell)
         for facet in itertools.combinations(cell, self.dim):
-            self.facet_adjacency.setdefault(facet, []).append(cell)
+            adjacency.setdefault(facet, []).append(cell)
         self._invalidate()
 
     def _remove_cell(self, cell: Cell):
+        adjacency = self.facet_adjacency  # filled before _cells changes
         cell = tuple(sorted(cell))
         self._cells.remove(cell)
         for facet in itertools.combinations(cell, self.dim):
-            entry = self.facet_adjacency[facet]
+            entry = adjacency[facet]
             entry.remove(cell)
             if not entry:
-                del self.facet_adjacency[facet]
+                del adjacency[facet]
         self._invalidate()
 
     # -- metric summaries ----------------------------------------------------
@@ -196,7 +216,7 @@ def build_complex(
 
     cell_set = set()
     for cell in cells:
-        cell = tuple(sorted(int(v) for v in cell))
+        cell = tuple(sorted(map(int, cell)))
         if len(cell) != dim + 1 or len(set(cell)) != dim + 1:
             raise InvalidComplexError(f"cell {cell} is not a {dim}-simplex")
         if cell[0] < 0 or cell[-1] >= n:
@@ -207,23 +227,20 @@ def build_complex(
 
     cell_list = list(cell_set)
     coords = points[np.array(cell_list, dtype=np.int64).reshape(-1, dim + 1)]
-    adjacency: dict = {}
-    for cell, sign in zip(cell_list, orientations(coords)):
-        if sign == 0:
-            raise DegenerateSimplexError(f"cell {cell} is degenerate")
-        for facet in itertools.combinations(cell, dim):
-            adjacency.setdefault(facet, []).append(cell)
-    for facet, incident in adjacency.items():
-        if len(incident) > 2:
-            raise InvalidComplexError(
-                f"facet {facet} is shared by {len(incident)} cells (non-manifold)"
-            )
+    signs = orientations(coords).tolist()
+    if 0 in signs:
+        raise DegenerateSimplexError(f"cell {cell_list[signs.index(0)]} is degenerate")
+    # a Counter keeps first-insertion order, as the adjacency dict does
+    shared = Counter(itertools.chain.from_iterable(
+        map(itertools.combinations, cell_list, itertools.repeat(dim))))
+    if max(shared.values(), default=0) > 2:
+        facet, count = next((f, k) for f, k in shared.items() if k > 2)
+        raise InvalidComplexError(f"facet {facet} is shared by {count} cells (non-manifold)")
 
     cx = TriangulationComplex(
         dim=dim,
         points=points,
         _cells=cell_set,
-        facet_adjacency=adjacency,
         provenance=provenance or {},
     )
 
@@ -417,7 +434,7 @@ class _PrefixBuilder:
     def __init__(self, points: np.ndarray):
         self.points = points
         self.cx = TriangulationComplex(dim=2, points=points, _cells=set(),
-                                       facet_adjacency={})
+                                       _adjacency={})
         self.hull: list = []  # CCW vertex cycle
         self.is_vertex = np.zeros(len(points), dtype=bool)
         self.long_edges: list = []

@@ -466,8 +466,8 @@ def first_bad_pair_scalar(cx, *, exhaustive_limit=200, samples=2000, seed=0):
     return None
 
 
-def _scrambled_grid():
-    cx = delaunay_2d(jittered_grid_2d(8, seed=3, eta=0.1))
+def _scrambled_grid(n=8):
+    cx = delaunay_2d(jittered_grid_2d(n, seed=3, eta=0.1))
     for facet in sorted(cx.interior_facets())[::7]:
         try:
             reverse_flip(cx, facet)
@@ -485,6 +485,7 @@ def _radon_other_3d():
 VERIFY_CASES = {
     "scrambled-2d": (_scrambled_grid, {}),
     "scrambled-2d-sampled": (_scrambled_grid, {"exhaustive_limit": 0, "samples": 3000}),
+    "scrambled-2d-over-200": (lambda: _scrambled_grid(16), {"seed": 4}),
     "square-2d": (lambda: build_complex(
         [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)], [(0, 1, 2), (0, 2, 3)]), {}),
     "radon-other-3d": (_radon_other_3d, {}),
@@ -503,6 +504,19 @@ def test_verification_names_the_scalar_loops_first_bad_pair(case):
     want = InvalidComplexError if side == Side.INSIDE else NonGenericError
     assert type(info.value) is want
     assert f"vertex {v} " in str(info.value) and f"cell {cell}" in str(info.value)
+
+
+@pytest.mark.parametrize("m, n, seed", [(9212, 1419, 0), (4618, 896, 1), (5, 3, 2),
+                                         (1, 7, 3), (300, 2**40, 4)])
+def test_one_draw_call_matches_alternating_scalar_draws(m, n, seed):
+    # the sampled pairs of verify_empty_circumspheres, drawn in one call
+    ref = np.random.default_rng(seed)
+    want = [(ref.integers(m), ref.integers(n)) for _ in range(2000)]
+    rng = np.random.default_rng(seed)
+    ci, v = rng.integers(0, np.tile([m, n], 2000)).reshape(-1, 2).T
+    assert ci.dtype == v.dtype == np.int64
+    assert list(zip(ci.tolist(), v.tolist())) == want
+    assert rng.bit_generator.state == ref.bit_generator.state
 
 
 def interior_facet_sides(cx):

@@ -1,20 +1,27 @@
+import itertools
+
 import numpy as np
 import pytest
 
-from delone.delaunay import delaunay_2d
+from delone.delaunay import delaunay_2d, delaunay_3d
 from delone import triangulation
+from delone.density import density_sequence
 from delone.errors import DegenerateSimplexError, InvalidComplexError, NonGenericError
+from delone.functionals import FunctionalSpec
+from delone.generators import distorted_cubic_window, lattice_window, poisson_delone_window
 from delone.geometry import (
     Side,
     circumradius,
     circumsphere,
     in_sphere,
     measure,
+    orientation,
     point_in_simplex,
 )
 from delone.triangulation import (
     FROM_DELAUNAY,
     TO_DELAUNAY,
+    TriangulationComplex,
     build_complex,
     build_unbounded_prefix,
     flip,
@@ -376,3 +383,158 @@ def test_build_unbounded_prefix_phase_edges_grow():
     cx = build_unbounded_prefix(window, phases=2)
     for k, (a, b) in enumerate(cx.provenance["long_edges"], start=1):
         assert np.linalg.norm(cx.points[a] - cx.points[b]) > k
+
+
+# ---------------------------------------------------------------------------
+# facet adjacency filled on first use, and build-time validation
+
+
+def eager_adjacency(cells, dim):
+    """The build-time loop that filled ``facet_adjacency`` on every build:
+    the cells deduplicated into a set, then each cell's facets appended in
+    set iteration order."""
+    cell_set = set()
+    for cell in cells:
+        cell_set.add(tuple(sorted(int(v) for v in cell)))
+    adjacency = {}
+    for cell in list(cell_set):
+        for facet in itertools.combinations(cell, dim):
+            adjacency.setdefault(facet, []).append(cell)
+    return adjacency
+
+
+def first_error_by_cell_loop(points, cells):
+    """The per-cell validation loop of ``build_complex`` before its checks
+    were batched: (exception type, message) of the first failure, or None."""
+    points = np.asarray(points, dtype=float)
+    n, dim = points.shape
+    cell_set = set()
+    for cell in cells:
+        cell = tuple(sorted(int(v) for v in cell))
+        if len(cell) != dim + 1 or len(set(cell)) != dim + 1:
+            return InvalidComplexError, f"cell {cell} is not a {dim}-simplex"
+        if cell[0] < 0 or cell[-1] >= n:
+            return InvalidComplexError, f"cell {cell} references missing points"
+        if cell in cell_set:
+            return InvalidComplexError, f"duplicate cell {cell}"
+        cell_set.add(cell)
+    adjacency = {}
+    for cell in list(cell_set):
+        if orientation(points[list(cell)]) == 0:
+            return DegenerateSimplexError, f"cell {cell} is degenerate"
+        for facet in itertools.combinations(cell, dim):
+            adjacency.setdefault(facet, []).append(cell)
+    for facet, incident in adjacency.items():
+        if len(incident) > 2:
+            return (InvalidComplexError,
+                    f"facet {facet} is shared by {len(incident)} cells (non-manifold)")
+    return None
+
+
+ADJACENCY_WINDOWS = {
+    "lattice-2d": lambda: delaunay_2d(lattice_window(2, 8, jitter=True, seed=1).points),
+    "poisson-2d": lambda: delaunay_2d(poisson_delone_window(0.5, 1.5, 8, seed=2).points),
+    "lattice-3d": lambda: delaunay_3d(lattice_window(3, 3, jitter=True, seed=3).points),
+    "distorted-cube-6": lambda: delaunay_3d(distorted_cubic_window(6).points),
+}
+
+
+def _feeds(cells, seed):
+    shuffled = list(cells)
+    np.random.default_rng(seed).shuffle(shuffled)
+    rotated = [c[k % len(c):] + c[:k % len(c)] for k, c in enumerate(reversed(cells))]
+    return {"as-is": list(cells), "shuffled": shuffled, "reversed-rotated": rotated}
+
+
+@pytest.mark.parametrize("window", sorted(ADJACENCY_WINDOWS))
+def test_facet_adjacency_filled_on_first_use_equals_eager_loop(window):
+    cx = ADJACENCY_WINDOWS[window]()
+    for feed in _feeds(cx.cells, seed=len(window)).values():
+        fresh = build_complex(cx.points, feed, check_coverage=False)
+        assert fresh._adjacency is None
+        want = eager_adjacency(feed, cx.dim)
+        assert list(fresh.facet_adjacency.items()) == list(want.items())
+        assert fresh.interior_facets() == [f for f, cs in want.items() if len(cs) == 2]
+
+
+CHEV = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (2.0, 2.0), (3.0, 0.5), (2.0, 0.0)]
+
+
+@pytest.mark.parametrize("cells", [
+    [(0, 1, 2), (0, 1)],  # ragged
+    [(0, 1, 2), (1, 2, 3, 4)],
+    [(0, 1, 9), (0, 1)],  # out of range before wrong length
+    [(0, 1, -1)],
+    [(0, 0, 1)],
+    [(0, 1, 2), (1, 3, 2), (2, 1, 0)],  # duplicate
+    [(0, 1, 2), (1, 2, 3), (0, 1, 5)],  # degenerate (0, 1, 5)
+    [(0, 1, 5), (1, 3, 5), (0, 1, 2), (1, 4, 5)],  # degenerate, and non-manifold
+    [(0, 1, 2), (1, 2, 3), (1, 3, 4), (1, 2, 4)],  # non-manifold (1, 2)
+    [(1, 3, 4), (1, 2, 4), (0, 1, 2), (1, 2, 3), (1, 4, 5), (3, 4, 5)],
+    [(0, 1, 2), (1, 2, 3), (2, 3, 4)],  # valid
+], ids=["ragged", "wrong-length", "range-before-length", "negative", "repeated-vertex",
+        "duplicate", "degenerate", "degenerate-and-non-manifold", "non-manifold",
+        "two-non-manifold", "valid"])
+def test_build_complex_raises_the_cell_loops_first_error(cells):
+    want = first_error_by_cell_loop(CHEV, cells)
+    if want is None:
+        build_complex(CHEV, cells, check_coverage=False)
+        return
+    with pytest.raises(want[0]) as info:
+        build_complex(CHEV, cells, check_coverage=False)
+    assert type(info.value) is want[0] and str(info.value) == want[1]
+
+
+def test_builds_that_read_no_facet_leave_the_adjacency_unfilled():
+    assert delaunay_3d(lattice_window(3, 3, jitter=True, seed=3).points)._adjacency is None
+    w = lattice_window(2, 8, jitter=True, seed=1)
+    cx = TriangulationComplex.from_json(delaunay_2d(w.points).to_json())
+    density_sequence(cx, FunctionalSpec("AREA"), (0, 0), [2.0, 4.0],
+                     window_radius=w.window_radius, q_bound=w.R)
+    assert cx._adjacency is None
+
+
+def _reverse_flips(cx, facet):
+    try:
+        reverse_flip(cx.copy(), facet)
+    except InvalidComplexError:
+        return False
+    return True
+
+
+def test_mutations_of_a_fresh_complex_match_an_eagerly_filled_one():
+    dcx = delaunay_2d(lattice_window(2, 8, jitter=True, seed=1).points)
+    facet = next(f for f in sorted(dcx.interior_facets()) if _reverse_flips(dcx, f))
+    new = next(c for c in itertools.combinations(range(5), 3) if not dcx.has_cell(c))
+
+    def pair():
+        fresh = build_complex(dcx.points, dcx.cells)
+        eager = build_complex(dcx.points, dcx.cells)
+        eager._adjacency = eager_adjacency(dcx.cells, 2)
+        assert fresh._adjacency is None
+        return fresh, eager
+
+    ops = {
+        "add": lambda cx: cx._add_cell(new),
+        "remove": lambda cx: cx._remove_cell(dcx.cells[3]),
+        "flip": lambda cx: reverse_flip(cx, facet),
+        "copy": lambda cx: cx.copy(),
+    }
+    for name, op in ops.items():
+        fresh, eager = pair()
+        out_fresh, out_eager = op(fresh), op(eager)
+        if name == "copy":
+            fresh, eager = out_fresh, out_eager
+        assert list(fresh.facet_adjacency.items()) == list(eager.facet_adjacency.items()), name
+
+
+def test_cells_array_is_read_only_and_refreshed_after_a_flip():
+    cx = quad_complex()
+    arr = cx.cells_array()
+    assert not arr.flags.writeable
+    with pytest.raises(ValueError):
+        arr[0, 0] = 1
+    assert cx.cells_array() is arr
+    flip(cx, (0, 2))
+    assert cx.cells_array().tolist() == [list(c) for c in cx.cells] == [[0, 1, 3], [1, 2, 3]]
+    assert arr.tolist() == [[0, 1, 2], [0, 2, 3]]
