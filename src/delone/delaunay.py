@@ -26,7 +26,6 @@ from .geometry import (
     in_sphere,
     in_spheres,
     incircle2d,
-    lift,
     on_open_segment,
     orient2d,
     orientation,
@@ -304,6 +303,14 @@ def _find_affine_basis_3d(pts) -> bool:
     )
 
 
+def _lifted(pts) -> np.ndarray:
+    """Every row of ``pts`` lifted as ``geometry.lift`` lifts it, bit for bit:
+    of the vectorised forms of the squared norms only the batched matmul
+    rounds as ``p @ p`` does (einsum and ``(p * p).sum(1)`` differ in the
+    last bit on some rows), and Qhull sees those bits."""
+    return np.column_stack([pts, (pts[:, None, :] @ pts[:, :, None])[:, 0, 0]])
+
+
 def delaunay_3d(points, *, provenance=None, verify=True) -> TriangulationComplex:
     """Delaunay triangulation of >= 5 generic points in R^3, computed as the
     vertical projection of the lower convex hull of the lifted points."""
@@ -318,7 +325,7 @@ def delaunay_3d(points, *, provenance=None, verify=True) -> TriangulationComplex
     if not _find_affine_basis_3d(pts):
         raise DegenerateSimplexError("all points are coplanar")
 
-    lifted = np.array([lift(p) for p in pts])
+    lifted = _lifted(pts)
     try:
         hull = ConvexHull(lifted, qhull_options="Qt")
     except QhullError as exc:
@@ -331,20 +338,15 @@ def delaunay_3d(points, *, provenance=None, verify=True) -> TriangulationComplex
     downs = orientations(np.concatenate([base, below[:, None]], axis=1))
     ins = orientations(np.concatenate(
         [base, np.broadcast_to(interior, below.shape)[:, None]], axis=1))
+    live = downs != 0  # a vertical facet (coplanar window-boundary points) is no cell
+    if (ins[live] == 0).any():
+        raise NonGenericError("lifted hull has a facet through its centroid")
     sorted_facets = np.sort(hull.simplices, axis=1)
     flats = orientations(pts[sorted_facets]) == 0
-    cells = set()
-    for facet, s_down, s_in, flat in zip(sorted_facets.tolist(), downs, ins, flats):
-        if s_down == 0:
-            continue  # vertical facet (coplanar window-boundary points)
-        if s_in == 0:
-            raise NonGenericError("lifted hull has a facet through its centroid")
-        if s_in == s_down or flat:
-            # an upper facet (the hull lies below it), or a coplanar 4-tuple
-            # on the window boundary that lifts to a lower facet whose
-            # projection is flat: not a 3-cell
-            continue
-        cells.add(tuple(facet))
+    # an upper facet (the hull lies below it), or a coplanar 4-tuple on the
+    # window boundary that lifts to a lower facet whose projection is flat,
+    # is no cell either; the set keeps the facets' order for build_complex
+    cells = set(map(tuple, sorted_facets[live & (ins != downs) & ~flats].tolist()))
 
     cx = build_complex(pts, cells, provenance=provenance or {})
     used = cx.vertices_used()

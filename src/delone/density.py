@@ -629,14 +629,15 @@ def perturb_by_reverse_flips(
     quads = []
     tries = 0
     margin = window_radius - 2.0 * cap
-    facets = None
+    # kept in step with cx.interior_facets(): a flip deletes the old diagonal's
+    # entry and appends the new one; a flip that raises leaves cx unchanged
+    facets = cx.interior_facets()
     while len(records) < n_flips:
         tries += 1
         if tries > 400 * (n_flips + 1):
             raise WindowError("no reverse flip available")
-        if facets is None:  # only reverse_flip mutates cx
-            facets = cx.interior_facets()
-        facet = facets[int(rng.integers(len(facets)))]
+        pick = int(rng.integers(len(facets)))
+        facet = facets[pick]
         if np.linalg.norm(cx.points[list(facet)], axis=1).max() > margin:
             continue
         try:
@@ -653,11 +654,12 @@ def perturb_by_reverse_flips(
                 continue
             if not all(dcx.has_cell(c) for c in old_cells):
                 continue  # a cell made by an earlier flip: keep quads disjoint
-            facets = None
             rec = reverse_flip(cx, facet)
         except GeometryError:
             continue
-        new_cells = cx.facet_cells((min(a, b), max(a, b)))
+        del facets[pick]
+        facets.append((min(a, b), max(a, b)))
+        new_cells = cx.facet_cells(facets[-1])
         records.append(rec)
         quads.append(
             {"old_facet": facet, "d_cells": tuple(old_cells),

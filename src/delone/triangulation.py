@@ -38,6 +38,10 @@ from .geometry import (
 Cell = tuple  # sorted vertex ids, length d+1
 Facet = tuple  # sorted vertex ids, length d
 
+# array validation breaks even with the per-cell loop at about 32 cells in
+# 2D and 3D (NumPy's fixed cost); 64 keeps every build of a complex on at
+# most 30 points (under 60 cells in 2D) on the loop
+ARRAY_MIN_CELLS = 64
 COVERAGE_CHECK_MAX_CELLS = 10_000
 COVERAGE_RTOL = 1e-8
 
@@ -69,7 +73,10 @@ class TriangulationComplex:
     @property
     def cells(self) -> list:
         if self._cells_sorted is None:
-            self._cells_sorted = sorted(self._cells)
+            if self._cells_array is None:
+                self._cells_sorted = sorted(self._cells)
+            else:  # seeded by build_complex's array path, already in order
+                self._cells_sorted = list(map(tuple, self._cells_array.tolist()))
         return self._cells_sorted
 
     @property
@@ -183,7 +190,7 @@ class TriangulationComplex:
         # serialized subcomplexes (restrictions, strip windows) are legal
         return build_complex(
             np.array(data["points"], dtype=float),
-            [tuple(c) for c in data["cells"]],
+            data["cells"],
             provenance=data.get("provenance", {}),
             check_coverage=False,
         )
@@ -204,16 +211,65 @@ def build_complex(
 ) -> TriangulationComplex:
     """Build a complex from points and d-cells, verifying its invariants.
 
-    Coverage (sum of cell measures equals the hull volume of the used
-    vertices) is only checked for complexes of at most
-    ``COVERAGE_CHECK_MAX_CELLS`` cells, and can be disabled for deliberate
-    subcomplexes whose union is not a convex hull.
+    Sized integer inputs of at least ``ARRAY_MIN_CELLS`` cells are validated
+    with array operations when n**(d+1) fits in int64 (up to 55,108 points
+    in 3D); any failure there, and every other input, goes through the
+    per-cell loop, which raises the first error.  Coverage (sum of cell
+    measures equals the hull volume of the used vertices) is only checked
+    for complexes of at most ``COVERAGE_CHECK_MAX_CELLS`` cells, and can be
+    disabled for deliberate subcomplexes whose union is not a convex hull.
     """
     points = np.asarray(points, dtype=float)
     if points.ndim != 2:
         raise InvalidComplexError("points must be an (n, d) array")
     n, dim = points.shape
 
+    checked = None
+    if hasattr(cells, "__len__") and len(cells) >= ARRAY_MIN_CELLS:
+        checked = _validated_rows(points, cells)
+    if checked is None:
+        cell_set, coords = _validated_by_loop(points, cells)
+        lex = None
+    else:
+        cell_set, coords, lex = checked
+
+    cx = TriangulationComplex(
+        dim=dim,
+        points=points,
+        _cells=cell_set,
+        provenance=provenance or {},
+        _cells_array=lex,
+    )
+
+    if check_coverage and cell_set and len(cell_set) <= COVERAGE_CHECK_MAX_CELLS:
+        used = cx.vertices_used()
+        total = cx.cell_measures().sum()
+        hull = _hull_volume(points[used])
+        if abs(total - hull) > COVERAGE_RTOL * max(hull, 1.0):
+            raise InvalidComplexError(
+                f"cell measures sum to {total}, convex hull volume is {hull}"
+            )
+        # Any unused point lying inside the underlying space would have to be
+        # a vertex; the coverage identity makes a cell scan sufficient.
+        unused = np.ones(n, dtype=bool)
+        unused[used] = False
+        unused = np.flatnonzero(unused)
+        chunk = max(1, (1 << 16) // len(cell_set))  # bounds the box mask
+        for start in range(0, len(unused), chunk):
+            ids = unused[start:start + chunk]
+            hits, _ = _containing_pairs(coords, points[ids])
+            if len(hits):
+                raise InvalidComplexError(
+                    f"point {ids[hits[0]]} lies in the underlying space but is not a vertex"
+                )
+    return cx
+
+
+def _validated_by_loop(points, cells):
+    """The cells as a set (in input order) and their (m, d+1, d) coordinates;
+    raises the first invalid cell, the first degenerate one in set order, or
+    the first non-manifold facet in adjacency order."""
+    n, dim = points.shape
     cell_set = set()
     for cell in cells:
         cell = tuple(sorted(map(int, cell)))
@@ -236,36 +292,43 @@ def build_complex(
     if max(shared.values(), default=0) > 2:
         facet, count = next((f, k) for f, k in shared.items() if k > 2)
         raise InvalidComplexError(f"facet {facet} is shared by {count} cells (non-manifold)")
+    return cell_set, coords
 
-    cx = TriangulationComplex(
-        dim=dim,
-        points=points,
-        _cells=cell_set,
-        provenance=provenance or {},
-    )
 
-    if check_coverage and cell_set and len(cell_set) <= COVERAGE_CHECK_MAX_CELLS:
-        used = cx.vertices_used()
-        total = cx.cell_measures().sum()
-        hull = _hull_volume(points[used])
-        if abs(total - hull) > COVERAGE_RTOL * max(hull, 1.0):
-            raise InvalidComplexError(
-                f"cell measures sum to {total}, convex hull volume is {hull}"
-            )
-        # Any unused point lying inside the underlying space would have to be
-        # a vertex; the coverage identity makes a cell scan sufficient.
-        unused = np.ones(n, dtype=bool)
-        unused[used] = False
-        unused = np.flatnonzero(unused)
-        chunk = max(1, (1 << 16) // len(cell_list))  # bounds the box mask
-        for start in range(0, len(unused), chunk):
-            ids = unused[start:start + chunk]
-            hits, _ = _containing_pairs(coords, points[ids])
-            if len(hits):
-                raise InvalidComplexError(
-                    f"point {ids[hits[0]]} lies in the underlying space but is not a vertex"
-                )
-    return cx
+def _validated_rows(points, cells):
+    """The cell set of ``_validated_by_loop`` (filled in the same order), the
+    cells' (m, d+1, d) coordinates in input order, and the cells as an
+    (m, d+1) int64 array of sorted rows in lexicographic order (read-only,
+    the ``cells_array()`` cache), if every check of that loop passes; else
+    None.  With the vertex ids as digits in base n, a cell's key orders it,
+    and non-manifold facets show as runs of three equal facet keys in one
+    sort."""
+    n, dim = points.shape
+    try:
+        rows = np.asarray(cells if isinstance(cells, np.ndarray) else list(cells))
+    except ValueError:  # ragged
+        return None
+    if rows.dtype.kind not in "iu" or rows.shape != (len(rows), dim + 1):
+        return None
+    if n ** (dim + 1) >= 2**63:  # the cell keys would overflow int64
+        return None
+    rows = np.sort(rows.astype(np.int64), axis=1)
+    if (rows[:, 0] < 0).any() or (rows[:, -1] >= n).any() or (rows[:, 1:] == rows[:, :-1]).any():
+        return None
+    cell_set = set(map(tuple, rows.tolist()))
+    if len(cell_set) != len(rows):
+        return None
+    coords = points[rows]
+    if not orientations(coords).all():
+        return None
+    digits = n ** np.arange(dim, -1, -1, dtype=np.int64)
+    keys = np.sort(np.concatenate(
+        [np.delete(rows, j, axis=1) @ digits[1:] for j in range(dim + 1)]))
+    if (keys[2:] == keys[:-2]).any():
+        return None
+    lex = rows[np.argsort(rows @ digits)]
+    lex.flags.writeable = False
+    return cell_set, coords, lex
 
 
 def _containing_pairs(coords, pts):

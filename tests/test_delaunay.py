@@ -25,6 +25,7 @@ from delone.geometry import (
     Side,
     in_sphere,
     in_spheres,
+    lift,
     orientation,
     orientations,
     point_in_simplex,
@@ -179,6 +180,13 @@ def test_delaunay_3d_batched_classification_matches_scalar_loop(window):
     ref = build_complex(pts, lower_facet_cells_by_scalar_loop(pts))
     # same cells, inserted in the same order
     assert list(cx.facet_adjacency.items()) == list(ref.facet_adjacency.items())
+
+
+def test_batched_lift_equals_lift_bit_for_bit():
+    pts = lattice_window(3, 16.0, jitter=True, seed=3).points
+    assert len(pts) == 17_077
+    want = np.array([lift(p) for p in pts])
+    assert delaunay._lifted(pts).tobytes() == want.tobytes()
 
 
 def test_delaunay_3d_coplanar_rejected():

@@ -19,7 +19,7 @@ from delone.density import (
     strip_gi_sequence,
     unit_ball_volume,
 )
-from delone.errors import NonGenericError, WindowError
+from delone.errors import GeometryError, NonGenericError, WindowError
 from delone.functionals import FunctionalSpec
 from delone.generators import (
     StripConfig,
@@ -28,9 +28,10 @@ from delone.generators import (
     distorted_cubic_window,
     lattice_window,
     poisson_delone_window,
+    stream_rng,
 )
-from delone.geometry import measure
-from delone.triangulation import build_complex
+from delone.geometry import circumradii, measure
+from delone.triangulation import build_complex, is_locally_delaunay, reverse_flip
 
 
 @pytest.fixture(scope="module")
@@ -384,3 +385,64 @@ def test_distorted_cube_report_w4():
     row = next(r for r in rep.rows if (r[0], r[1], r[2]) == (0, 0, 0))
     assert row[4] == pytest.approx(1.0 / 3.0, abs=1e-12)
     assert row[5] == pytest.approx(2.0 / 9.0, abs=1e-12)
+
+
+def perturb_rebuilding_the_facet_list(dcx, n_flips, *, window_radius, q_bound, seed):
+    """``perturb_by_reverse_flips`` as it was when the interior-facet list
+    was rebuilt after every flip."""
+    cx = dcx.copy()
+    rng = stream_rng(seed, "reverse-flips")
+    cap = 2.0 * q_bound
+    records, quads = [], []
+    tries = 0
+    margin = window_radius - 2.0 * cap
+    facets = None
+    while len(records) < n_flips:
+        tries += 1
+        if tries > 400 * (n_flips + 1):
+            raise WindowError("no reverse flip available")
+        if facets is None:
+            facets = cx.interior_facets()
+        facet = facets[int(rng.integers(len(facets)))]
+        if np.linalg.norm(cx.points[list(facet)], axis=1).max() > margin:
+            continue
+        try:
+            if not is_locally_delaunay(cx, facet):
+                continue
+            old_cells = cx.facet_cells(facet)
+            vertices = sorted(set(old_cells[0]) | set(old_cells[1]))
+            if np.linalg.norm(cx.points[vertices], axis=1).max() > margin:
+                continue
+            a, b = (w for w in vertices if w not in facet)
+            u, v = facet
+            grown = circumradii(cx.points[[[a, b, u], [a, b, v]]]).max()
+            if grown > cap:
+                continue
+            if not all(dcx.has_cell(c) for c in old_cells):
+                continue
+            facets = None
+            rec = reverse_flip(cx, facet)
+        except GeometryError:
+            continue
+        new_cells = cx.facet_cells((min(a, b), max(a, b)))
+        records.append(rec)
+        quads.append({"old_facet": facet, "d_cells": tuple(old_cells),
+                      "t_cells": tuple(new_cells)})
+    return cx, records, quads
+
+
+@pytest.mark.parametrize("window", [
+    ("lattice", 24, 0), ("lattice", 24, 5), ("poisson", 26, 1), ("poisson", 26, 4)])
+def test_reverse_flips_keep_the_facet_list_in_step_with_a_rebuild(window):
+    kind, W, seed = window
+    if kind == "lattice":
+        w = lattice_window(2, W, jitter=True, seed=seed)
+    else:
+        w = poisson_delone_window(0.5, 1.5, W, seed=seed)
+    dcx = delaunay_2d(w.points)
+    kw = dict(window_radius=w.window_radius, q_bound=w.R, seed=seed)
+    tcx, records, quads = perturb_by_reverse_flips(dcx, 50, **kw)
+    ref, ref_records, ref_quads = perturb_rebuilding_the_facet_list(dcx, 50, **kw)
+    assert records == ref_records and quads == ref_quads
+    assert list(tcx._cells) == list(ref._cells)
+    assert list(tcx.facet_adjacency.items()) == list(ref.facet_adjacency.items())

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from delone.delaunay import delaunay_2d, delaunay_3d
-from delone import triangulation
+from delone import delaunay, triangulation
 from delone.density import density_sequence
 from delone.errors import DegenerateSimplexError, InvalidComplexError, NonGenericError
 from delone.functionals import FunctionalSpec
@@ -538,3 +538,149 @@ def test_cells_array_is_read_only_and_refreshed_after_a_flip():
     flip(cx, (0, 2))
     assert cx.cells_array().tolist() == [list(c) for c in cx.cells] == [[0, 1, 3], [1, 2, 3]]
     assert arr.tolist() == [[0, 1, 2], [0, 2, 3]]
+
+
+# ---------------------------------------------------------------------------
+# array validation of builds at or above the crossover
+
+
+def builder_feed(build, points):
+    """The cells argument a Delaunay builder hands ``build_complex``."""
+    feeds = []
+
+    def spy(pts, cells, **kw):
+        feeds.append(cells)
+        return build_complex(pts, cells, **kw)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(delaunay, "build_complex", spy)
+        build(points)
+    return np.asarray(points, dtype=float), feeds[0]
+
+
+ARRAY_WINDOWS = {
+    "lattice-2d-24": lambda: builder_feed(
+        delaunay_2d, lattice_window(2, 24, jitter=True, seed=3).points),
+    "poisson-2d-26": lambda: builder_feed(
+        delaunay_2d, poisson_delone_window(0.5, 1.5, 26, seed=1).points),
+    "lattice-3d-7": lambda: builder_feed(
+        lambda p: delaunay_3d(p, verify=False), lattice_window(3, 7, jitter=True, seed=3).points),
+    "distorted-cube-6": lambda: builder_feed(
+        lambda p: delaunay_3d(p, verify=False), distorted_cubic_window(6).points),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(ARRAY_WINDOWS))
+def array_window(request):
+    return ARRAY_WINDOWS[request.param]()
+
+
+def loop_build(points, cells, **kw):
+    """``build_complex`` with every input on the per-cell loop."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(triangulation, "ARRAY_MIN_CELLS", float("inf"))
+        return build_complex(points, cells, **kw)
+
+
+def _input_forms(cells, seed):
+    tuples = [tuple(int(v) for v in c) for c in cells]
+    forms = _feeds(tuples, seed)
+    forms["lists"] = [list(c) for c in tuples]
+    forms["ndarray"] = np.array(tuples)
+    return forms
+
+
+def test_array_path_builds_what_the_loop_builds(array_window):
+    points, feed = array_window
+    forms = {"builder": feed, **_input_forms(feed, seed=len(feed))}
+    for name, cells in forms.items():
+        fast = build_complex(points, cells, check_coverage=False)
+        assert fast._cells_array is not None, name  # the array path ran
+        slow = loop_build(points, cells, check_coverage=False)
+        assert slow._cells_array is None, name
+        assert list(fast._cells) == list(slow._cells), name
+        assert fast.cells == slow.cells, name
+        assert np.array_equal(fast.cells_array(), slow.cells_array()), name
+        assert not fast.cells_array().flags.writeable
+        assert list(fast.facet_adjacency.items()) == list(slow.facet_adjacency.items()), name
+        assert list(fast.facet_adjacency.items()) == list(eager_adjacency(cells, fast.dim).items())
+
+
+def test_builds_below_the_crossover_take_the_loop():
+    points, feed = ARRAY_WINDOWS["poisson-2d-26"]()
+    for m, array_path in ((triangulation.ARRAY_MIN_CELLS - 1, False),
+                          (triangulation.ARRAY_MIN_CELLS, True)):
+        cells = list(feed)[:m]
+        cx = build_complex(points, cells, check_coverage=False)
+        assert (cx._cells_array is not None) == array_path
+        ref = loop_build(points, cells, check_coverage=False)
+        assert list(cx._cells) == list(ref._cells)
+        assert cx.cells == ref.cells
+        assert list(cx.facet_adjacency.items()) == list(ref.facet_adjacency.items())
+
+
+def test_builds_whose_cell_keys_overflow_int64_take_the_loop():
+    # cell keys are vertex ids as digits in base n: n**4 >= 2**63 in 3D
+    pts = lattice_window(3, 3, jitter=True, seed=3).points
+    cells = delaunay_3d(pts, verify=False).cells
+    assert len(cells) >= triangulation.ARRAY_MIN_CELLS
+    for n, array_path in ((55_108, True), (55_109, False)):
+        points = np.zeros((n, 3))
+        points[:len(pts)] = pts
+        cx = build_complex(points, cells, check_coverage=False)
+        assert (cx._cells_array is not None) == array_path
+        assert cx.cells == cells
+
+
+FAULTS = ["ragged", "wrong-length", "out-of-range", "negative", "repeated-vertex",
+          "duplicate", "duplicate-apart", "degenerate", "non-manifold",
+          "degenerate-and-non-manifold", "out-of-range-then-duplicate"]
+
+
+@pytest.fixture(scope="module")
+def faulty():
+    """Points, a valid complex of at least ARRAY_MIN_CELLS cells, and that
+    complex with each fault of FAULTS injected."""
+    w = lattice_window(2, 8, jitter=True, seed=1)
+    valid = delaunay_2d(w.points)
+    n = len(valid.points)
+    # three exactly collinear points for the degenerate cell, and a triangle
+    # apart from the window, whose facets no other cell shares
+    points = np.vstack([valid.points, [[20.0, 20.0], [21.0, 21.0], [22.0, 22.0]],
+                        [[30.0, 30.0], [31.0, 30.0], [30.0, 31.0]]])
+    cells = list(valid._cells)
+    k = len(cells) // 2
+    (u, v), _, _ = triangulation._quad_of(valid, sorted(valid.interior_facets())[k])
+    w3 = next(x for x in range(n) if x not in {u, v} and not valid.facet_cells((u, x))
+              and not valid.facet_cells((v, x)))
+    third = (u, v, w3)  # a third cell on the interior edge (u, v)
+    a, b, c = cells[k]
+    faults = {
+        "ragged": cells[:k] + [(a, b)] + cells[k:],
+        "wrong-length": cells[:k] + [(a, b, c, (c + 1) % n)] + cells[k + 1:],
+        "out-of-range": cells[:k] + [(a, b, len(points) + 3)] + cells[k + 1:],
+        "negative": cells[:k] + [(a, b, -1)] + cells[k + 1:],
+        "repeated-vertex": cells[:k] + [(a, b, b)] + cells[k + 1:],
+        "duplicate": cells[:k] + [(c, a, b)] + cells[k:],
+        "duplicate-apart": cells + [(n + 3, n + 4, n + 5), (n + 5, n + 4, n + 3)],
+        "degenerate": cells[:k] + [(n, n + 1, n + 2)] + cells[k:],
+        "non-manifold": cells[:k] + [third] + cells[k:],
+        "degenerate-and-non-manifold": [third] + cells + [(n + 2, n + 1, n)],
+        "out-of-range-then-duplicate":
+            cells[:3] + [(a, b, len(points))] + cells[3:] + [cells[0]],
+    }
+    assert sorted(faults) == sorted(FAULTS)
+    assert len(cells) >= triangulation.ARRAY_MIN_CELLS
+    return points, cells, faults
+
+
+@pytest.mark.parametrize("fault", FAULTS)
+def test_array_path_raises_the_loops_first_error(fault, faulty):
+    points, cells, faults = faulty
+    assert build_complex(points, cells, check_coverage=False)._cells_array is not None
+    want = first_error_by_cell_loop(points, faults[fault])
+    assert want is not None
+    for feed in (faults[fault], [list(c) for c in faults[fault]]):
+        with pytest.raises(want[0]) as info:
+            build_complex(points, feed, check_coverage=False)
+        assert type(info.value) is want[0] and str(info.value) == want[1]
