@@ -84,6 +84,7 @@ from .triangulation import (
     TriangulationComplex,
     build_complex,
     build_unbounded_prefix,
+    certify_tiling,
     flip,
     is_locally_delaunay,
     legalize_to_delaunay,

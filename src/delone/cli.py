@@ -104,9 +104,7 @@ def cmd_gen(args) -> dict:
         extent = max(args.extent, math.ceil(alphas[built - 1] / L) + 2)
         cfg = StripConfig(delta=delta, top=top, shared=L,
                           block_sizes=sizes, extent=extent)
-        window, cx, alphas = strip_block_triangulation(
-            cfg, built, require_delaunay=False
-        )
+        window, cx, alphas = strip_block_triangulation(cfg, built)
         with open(out + ".complex.json", "w") as fh:
             fh.write(cx.to_json())
     else:

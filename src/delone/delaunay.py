@@ -33,7 +33,12 @@ from .geometry import (
     points_in_simplices,
     segments_cross,
 )
-from .triangulation import TriangulationComplex, build_complex, first_non_delaunay_facet
+from .triangulation import (
+    TriangulationComplex,
+    build_complex,
+    certify_tiling,
+    first_non_delaunay_facet,
+)
 
 GHOST = -1
 
@@ -221,6 +226,7 @@ def delaunay_2d(points, *, provenance=None) -> TriangulationComplex:
         mesh.insert(idx)
 
     cx = build_complex(pts, mesh.real_cells(), provenance=provenance or {})
+    certify_tiling(cx)
     used = cx.vertices_used()
     if len(used) != n:
         raise InvalidComplexError("a point ended up unused by the triangulation")
@@ -311,9 +317,18 @@ def _lifted(pts) -> np.ndarray:
     return np.column_stack([pts, (pts[:, None, :] @ pts[:, :, None])[:, 0, 0]])
 
 
-def delaunay_3d(points, *, provenance=None, verify=True) -> TriangulationComplex:
+def delaunay_3d(points, *, provenance=None) -> TriangulationComplex:
     """Delaunay triangulation of >= 5 generic points in R^3, computed as the
-    vertical projection of the lower convex hull of the lifted points."""
+    vertical projection of the lower convex hull of the lifted points and
+    checked by ``verify_empty_circumspheres``."""
+    cx = _lower_hull_complex(points, provenance)
+    verify_empty_circumspheres(cx)
+    return cx
+
+
+def _lower_hull_complex(points, provenance=None) -> TriangulationComplex:
+    """The certified tiling that ``delaunay_3d`` checks for emptiness: the
+    projected lower facets of the lifted points' convex hull."""
     from scipy.spatial import ConvexHull, QhullError
 
     pts = np.asarray(points, dtype=float)
@@ -349,11 +364,10 @@ def delaunay_3d(points, *, provenance=None, verify=True) -> TriangulationComplex
     cells = set(map(tuple, sorted_facets[live & (ins != downs) & ~flats].tolist()))
 
     cx = build_complex(pts, cells, provenance=provenance or {})
+    certify_tiling(cx)
     used = cx.vertices_used()
     if len(used) != n:
         raise NonGenericError("a point is missing from the lower hull projection")
-    if verify:
-        verify_empty_circumspheres(cx)
     return cx
 
 
@@ -416,9 +430,7 @@ def radon_two_triangulations(points):
     directed flip T -> D."""
     pts = np.asarray(points, dtype=float)
     lower, upper = radon_split(pts)
-    # radon_split's exact signs prove both lists triangulate the hull
-    return (build_complex(pts, lower, check_coverage=False),
-            build_complex(pts, upper, check_coverage=False))
+    return build_complex(pts, lower), build_complex(pts, upper)
 
 
 # ---------------------------------------------------------------------------
@@ -476,5 +488,4 @@ def restrict_delaunay(
             walled.update(cells)
     kept = [c for c in dcx.cells
             if region.has_cell(c) or (c in crossed and c not in walled)]
-    return build_complex(pts, kept, check_coverage=False,
-                         provenance=dict(dcx.provenance))
+    return build_complex(pts, kept, provenance=dict(dcx.provenance))

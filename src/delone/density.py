@@ -10,10 +10,19 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .delaunay import delaunay_2d
+from .delaunay import delaunay_2d, delaunay_3d
 from .errors import GeometryError, WindowError
 from .functionals import FunctionalSpec, eval_batch
-from .generators import PointSetWindow, StripConfig, strip_layout, stream_rng
+from .generators import (
+    PointSetWindow,
+    StripConfig,
+    _triangle_area_from_sides,
+    displaced_lattice_point,
+    distorted_cubic_window,
+    stream_rng,
+    strip_block_triangulation,
+    strip_layout,
+)
 from .geometry import TAU_GEO, circumcenters, circumradii, measures
 from .triangulation import (
     TriangulationComplex,
@@ -236,9 +245,7 @@ def interior_cell_mask(cx: TriangulationComplex, window_radius: float, shrink: f
     return np.linalg.norm(centers, axis=1) + radii <= window_radius - shrink
 
 
-def count_certificate(
-    window: PointSetWindow, cx: TriangulationComplex, *, alphas=None
-) -> BoundsCertificate:
+def count_certificate(window: PointSetWindow, cx: TriangulationComplex) -> BoundsCertificate:
     """Empirical growth of point and cell counts against the concrete packing
     and covering bounds of an (r, R)-window, plus the per-triangle area floor
     in the plane."""
@@ -248,11 +255,9 @@ def count_certificate(
     interior = np.linalg.norm(centers, axis=1) + radii <= window.window_radius - 2 * R
     q_int = float(radii[interior].max()) if interior.any() else float(radii.max())
 
-    if alphas is None:
-        lo = max(4 * R, window.window_radius / 8.0)
-        hi = window.window_radius - 2 * q_int - 1.0
-        alphas = geometric_grid(lo, hi, 1.15)
-    alphas = np.asarray(alphas, dtype=float)
+    lo = max(4 * R, window.window_radius / 8.0)
+    hi = window.window_radius - 2 * q_int - 1.0
+    alphas = geometric_grid(lo, hi, 1.15)
 
     pts_dist = np.sort(np.linalg.norm(window.points, axis=1))
     vert_dist = np.sort(np.linalg.norm(coords, axis=2).max(axis=1))
@@ -367,10 +372,7 @@ def analytic_strip_counts(cfg: StripConfig, upto_block: int):
 def built_strip_counts(cfg: StripConfig, upto_block: int):
     """Counts of the two congruence classes measured on the built complex;
     the cross-check for the analytic counter."""
-    from .generators import strip_block_triangulation, _triangle_area_from_sides
-
-    window, cx, alphas = strip_block_triangulation(cfg, upto_block,
-                                                   require_delaunay=False)
+    window, cx, alphas = strip_block_triangulation(cfg, upto_block)
     cells, coords, _, _ = _cell_geometry(cx)
     vertex_dist = np.linalg.norm(coords, axis=2).max(axis=1)
     areas = measures(coords)
@@ -399,8 +401,6 @@ def strip_gi_sequence(cfg: StripConfig, spec: FunctionalSpec, k: int) -> StripDe
     does not exist unless F is proportional to the area."""
     f_delta = float(eval_batch(spec, cfg.triangle_coords("W"))[0])
     f_top = float(eval_batch(spec, cfg.triangle_coords("N"))[0])
-    from .generators import _triangle_area_from_sides
-
     a_delta = _triangle_area_from_sides(cfg.delta)
     a_top = _triangle_area_from_sides(cfg.top)
     q_delta = f_delta / a_delta
@@ -449,18 +449,15 @@ def strip_gi_sequence(cfg: StripConfig, spec: FunctionalSpec, k: int) -> StripDe
 
 
 def choose_block_sizes(delta, top, spec: FunctionalSpec, k: int, *,
-                       shared: float | None = None) -> list:
+                       shared: float) -> list:
     """Greedily grow odd block sizes, from m_1 = 3 up to 2^22, until each g_i
     lands within GAP_FRACTION * |Q_delta - Q| of its alternating target
-    (Q_delta for odd i, Q for even i)."""
-    if shared is None:
-        shared = _common_edge(delta, top)
+    (Q_delta for odd i, Q for even i); ``shared`` is the gluing edge's
+    length."""
     probe = StripConfig(delta=tuple(delta), top=tuple(top), shared=shared,
                         block_sizes=[3], extent=2)
     f_delta = float(eval_batch(spec, probe.triangle_coords("W"))[0])
     f_top = float(eval_batch(spec, probe.triangle_coords("N"))[0])
-    from .generators import _triangle_area_from_sides
-
     a_delta = _triangle_area_from_sides(tuple(delta))
     a_top = _triangle_area_from_sides(tuple(top))
     q_delta = f_delta / a_delta
@@ -488,24 +485,6 @@ def choose_block_sizes(delta, top, spec: FunctionalSpec, k: int, *,
     return sizes
 
 
-def _common_edge(delta, top, tol=1e-9) -> float:
-    """The gluing edge: the side length the two triangles share, preferring
-    one that appears twice in both (the isoceles leg)."""
-    best = None
-    for x in delta:
-        for y in top:
-            if abs(x - y) <= tol * max(1.0, abs(x)):
-                mult = (
-                    sum(abs(x - z) <= tol * max(1.0, x) for z in delta)
-                    + sum(abs(x - z) <= tol * max(1.0, x) for z in top)
-                )
-                if best is None or mult > best[0] or (mult == best[0] and x > best[1]):
-                    best = (mult, x)
-    if best is None:
-        raise ValueError("the triangles share no edge length")
-    return best[1]
-
-
 # ---------------------------------------------------------------------------
 # the distorted-cube experiment
 
@@ -524,9 +503,6 @@ def distorted_cube_report(W: float) -> CubeReport:
     """Delaunay structure of the distorted cubic lattice window: every
     interior unit cube decomposes into exactly 7 tetrahedra whose flat tents
     have volumes (2/3) / (2 + |k|) at lattice level k."""
-    from .delaunay import delaunay_3d
-    from .generators import displaced_lattice_point, distorted_cubic_window
-
     window = distorted_cubic_window(W)
     cx = delaunay_3d(window.points, provenance=dict(window.provenance))
     index = {tuple(p): idx for idx, p in enumerate(map(tuple, window.points))}

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import InvalidComplexError, SamplerError
 from .geometry import TAU_GEO
-from .triangulation import TriangulationComplex, build_complex, first_non_delaunay_facet
+from .triangulation import TriangulationComplex, build_complex
 
 JITTER_SCALE = 1e-6  # jitter magnitude as a fraction of r
 COMPATIBILITY_TOL = 1e-12  # relative slack of the edge match and the angle tests
@@ -69,22 +69,27 @@ class DeloneReport:
     hole_witness: np.ndarray | None = None
 
 
-def verify_delone_params(window: PointSetWindow, r=None, R=None) -> DeloneReport:
+def verify_delone_params(window: PointSetWindow) -> DeloneReport:
     """Check condition (I) (no two points within 2r) and condition (II)
     (no empty R-ball centered in the shrunken window), on a probe grid of
     spacing R/4."""
+    return _delone_check(window)[0]
+
+
+def _delone_check(window: PointSetWindow):
+    """The report of ``verify_delone_params``, its probe grid (the points of
+    the R/4 grid within W - R of the origin) and each probe's distance to the
+    nearest window point."""
     from scipy.spatial import cKDTree
 
-    r = window.r if r is None else r
-    R = window.R if R is None else R
-    pts = window.points
+    r, R, pts = window.r, window.R, window.points
     tree = cKDTree(pts)
     dmin, _ = tree.query(pts, k=2)
     min_pair = float(dmin[:, 1].min()) if len(pts) > 1 else math.inf
 
     probe_extent = window.window_radius - R
-    hole = 0.0
-    witness = None
+    probes, dist = np.empty((0, window.dim)), np.empty(0)
+    hole, witness = 0.0, None
     if probe_extent > 0:
         step = R / 4.0
         axis = np.arange(-probe_extent, probe_extent + step, step)
@@ -94,16 +99,16 @@ def verify_delone_params(window: PointSetWindow, r=None, R=None) -> DeloneReport
         if len(probes):
             dist, _ = tree.query(probes)
             i = int(np.argmax(dist))
-            hole = float(dist[i])
-            witness = probes[i]
+            hole, witness = float(dist[i]), probes[i]
     scale = max(1.0, abs(2 * r), abs(R))
     ok = min_pair >= 2 * r - TAU_GEO * scale and hole <= R + TAU_GEO * scale
-    return DeloneReport(
+    report = DeloneReport(
         min_pairwise_distance=min_pair,
         max_hole_radius=hole,
         ok=bool(ok),
         hole_witness=None if ok else witness,
     )
+    return report, probes, dist
 
 
 # ---------------------------------------------------------------------------
@@ -227,13 +232,11 @@ def poisson_delone_window(r: float, R: float, W: float, seed: int = 0) -> PointS
             active.pop()
 
     # hole-filling: insert centers of any empty R-balls, then re-scan
-    from scipy.spatial import cKDTree
-
     for _ in range(16):
         window = PointSetWindow(
             dim=2, points=np.array(points), r=r, R=R, window_radius=float(W)
         )
-        report = verify_delone_params(window)
+        report, probes, dist = _delone_check(window)
         if report.ok:
             window.provenance = {
                 "generator": "poisson", "r": r, "R": R, "W": W, "seed": seed,
@@ -242,14 +245,6 @@ def poisson_delone_window(r: float, R: float, W: float, seed: int = 0) -> PointS
             return window
         if report.min_pairwise_distance < 2 * r - TAU_GEO:
             raise SamplerError("dart throwing produced a spacing violation")
-        probe_extent = W - R
-        step = R / 4.0
-        axis = np.arange(-probe_extent, probe_extent + step, step)
-        gx, gy = np.meshgrid(axis, axis)
-        probes = np.c_[gx.ravel(), gy.ravel()]
-        probes = probes[np.linalg.norm(probes, axis=1) <= probe_extent]
-        tree = cKDTree(np.array(points))
-        dist, _ = tree.query(probes)
         added = []
         for p in probes[dist > R]:
             p = (float(p[0]), float(p[1]))
@@ -405,13 +400,15 @@ def strip_layout(cfg: StripConfig, k: int):
     return strips, alphas
 
 
-def strip_block_triangulation(cfg: StripConfig, k: int, *, require_delaunay=True):
+def strip_block_triangulation(cfg: StripConfig, k: int):
     """Build the first k blocks of the strip triangulation explicitly.
 
     Returns (PointSetWindow, TriangulationComplex, alphas).  Each row keeps
     the vertices within ``cfg.extent`` shared-edge lengths of the center
     line, so the window box stays centered even though the rows' apex
-    offsets drift sideways as the stack grows.
+    offsets drift sideways as the stack grows.  The complex is not checked
+    for local Delaunayhood (``first_non_delaunay_facet``): the counting
+    experiments build incompatible pairs too.
     """
     strips, alphas = strip_layout(cfg, k)
     L = cfg.shared
@@ -457,24 +454,19 @@ def strip_block_triangulation(cfg: StripConfig, k: int, *, require_delaunay=True
                 kinds_count[s["kind"]] += 1
 
     points = np.array(pts)
-    cx = build_complex(points, cells, check_coverage=False, provenance={
+    cx = build_complex(points, cells, provenance={
         "generator": "strips", "blocks": list(cfg.block_sizes[:k]),
         "delta": list(cfg.delta), "top": list(cfg.top), "shared": L,
         "extent": e, "alphas": [float(a) for a in alphas],
     })
-    # structural area identity replaces the convex-hull coverage check
+    # the strip window is no convex hull: an area identity stands in for
+    # certify_tiling
     area_delta = _triangle_area_from_sides(cfg.delta)
     area_top = _triangle_area_from_sides(cfg.top)
     want = kinds_count["W"] * area_delta + kinds_count["N"] * area_top
     got = cx.cell_measures().sum()
     if abs(got - want) > 1e-8 * want:
         raise InvalidComplexError("strip areas do not add up")
-
-    if require_delaunay and first_non_delaunay_facet(cx) is not None:
-        raise InvalidComplexError(
-            "strip complex is not locally Delaunay; the triangle pair "
-            "is not strip-compatible (an apex angle is obtuse)"
-        )
 
     from scipy.spatial import cKDTree
 

@@ -408,8 +408,9 @@ def points_in_simplices(simplices, points) -> np.ndarray:
     return (ref != 0) & (signs * ref[:, None] >= 0).all(axis=1)
 
 
-def point_in_simplex(simplex, point, closed: bool = True) -> bool:
-    """Exact point-in-simplex test via orientation signs."""
+def point_in_simplex(simplex, point) -> bool:
+    """Exact closed point-in-simplex test via orientation signs; a degenerate
+    simplex holds no point."""
     pts = np.asarray(simplex, dtype=float)
     n = len(pts)
     ref = orientation(pts)
@@ -420,7 +421,5 @@ def point_in_simplex(simplex, point, closed: bool = True) -> bool:
         face = np.vstack([pts[:i], pts[i + 1:], q[None, :]])
         s = orientation(face) * (1 if (n - 1 - i) % 2 == 0 else -1)
         if s * ref < 0:
-            return False
-        if s == 0 and not closed:
             return False
     return True

@@ -96,9 +96,7 @@ def enumerate_triangulations_2d(points):
                 seen.add(nxt)
                 order.append(nxt)
                 queue.append(nxt)
-    # delaunay_2d certified the root, and a flip of a strictly convex
-    # quadrilateral maps a triangulation of the points to another one
-    return [build_complex(pts, sorted(state), check_coverage=False) for state in order]
+    return [build_complex(pts, sorted(state)) for state in order]
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +204,7 @@ def run_g_trials(spec: FunctionalSpec, trials: int, *, n_range=(5, 8), seed: int
             subset = [c for c in cells if c not in dcells]
             if subset:
                 cells = subset
-        region = build_complex(pts, cells, check_coverage=False)
+        region = build_complex(pts, cells)
         res = check_g_inequality(spec, region, pts)
         worst = min(worst, res.margin)
         if not res.passed:

@@ -42,7 +42,6 @@ Facet = tuple  # sorted vertex ids, length d
 # 2D and 3D (NumPy's fixed cost); 64 keeps every build of a complex on at
 # most 30 points (under 60 cells in 2D) on the loop
 ARRAY_MIN_CELLS = 64
-COVERAGE_CHECK_MAX_CELLS = 10_000
 COVERAGE_RTOL = 1e-8
 
 TO_DELAUNAY = "TO_DELAUNAY"
@@ -177,8 +176,8 @@ class TriangulationComplex:
             {
                 "schema": 1,
                 "dimension": self.dim,
-                "points": [[float(x) for x in p] for p in self.points],
-                "cells": [list(c) for c in self.cells],
+                "points": self.points.tolist(),
+                "cells": self.cells_array().tolist(),
                 "provenance": self.provenance,
             }
         )
@@ -186,20 +185,11 @@ class TriangulationComplex:
     @classmethod
     def from_json(cls, text: str) -> "TriangulationComplex":
         data = json.loads(text)
-        # hull coverage is a build-time property of full triangulations;
-        # serialized subcomplexes (restrictions, strip windows) are legal
         return build_complex(
             np.array(data["points"], dtype=float),
             data["cells"],
             provenance=data.get("provenance", {}),
-            check_coverage=False,
         )
-
-
-def _hull_volume(points: np.ndarray) -> float:
-    from scipy.spatial import ConvexHull
-
-    return float(ConvexHull(points).volume)
 
 
 def build_complex(
@@ -207,33 +197,30 @@ def build_complex(
     cells: Sequence[Sequence[int]],
     *,
     provenance: dict | None = None,
-    check_coverage: bool = True,
 ) -> TriangulationComplex:
-    """Build a complex from points and d-cells, verifying its invariants.
+    """Build a complex from points and d-cells, verifying its invariants:
+    every cell is a non-degenerate d-simplex on existing points, no cell
+    repeats, and no facet is shared by more than two cells.
 
     Sized integer inputs of at least ``ARRAY_MIN_CELLS`` cells are validated
     with array operations when n**(d+1) fits in int64 (up to 55,108 points
     in 3D); any failure there, and every other input, goes through the
-    per-cell loop, which raises the first error.  Coverage (sum of cell
-    measures equals the hull volume of the used vertices) is only checked
-    for complexes of at most ``COVERAGE_CHECK_MAX_CELLS`` cells, and can be
-    disabled for deliberate subcomplexes whose union is not a convex hull.
+    per-cell loop, which raises the first error.  Whether the cells tile a
+    convex hull is ``certify_tiling``'s question.
     """
     points = np.asarray(points, dtype=float)
     if points.ndim != 2:
         raise InvalidComplexError("points must be an (n, d) array")
-    n, dim = points.shape
+    dim = points.shape[1]
 
     checked = None
     if hasattr(cells, "__len__") and len(cells) >= ARRAY_MIN_CELLS:
         checked = _validated_rows(points, cells)
     if checked is None:
-        cell_set, coords = _validated_by_loop(points, cells)
-        lex = None
+        cell_set, lex = _validated_by_loop(points, cells), None
     else:
-        cell_set, coords, lex = checked
-
-    cx = TriangulationComplex(
+        cell_set, lex = checked
+    return TriangulationComplex(
         dim=dim,
         points=points,
         _cells=cell_set,
@@ -241,34 +228,46 @@ def build_complex(
         _cells_array=lex,
     )
 
-    if check_coverage and cell_set and len(cell_set) <= COVERAGE_CHECK_MAX_CELLS:
-        used = cx.vertices_used()
-        total = cx.cell_measures().sum()
-        hull = _hull_volume(points[used])
-        if abs(total - hull) > COVERAGE_RTOL * max(hull, 1.0):
+
+def certify_tiling(cx: TriangulationComplex) -> None:
+    """Check that a complex is a triangulation of its points: its cells tile
+    the convex hull of its vertices, and no other point lies in that hull.
+
+    The cell measures must sum to the hull volume (within ``COVERAGE_RTOL``),
+    and an exact scan must find no unused point in a closed cell; any unused
+    point inside a tiled hull lies in some cell, so the scan is complete.
+    Raises ``InvalidComplexError`` at the first failure.  This is the premise
+    of Delaunay's lemma; the builders of full triangulations call it, and
+    deliberate subcomplexes (restrictions, strip windows, Radon pairs) are
+    not triangulations of their points.
+    """
+    from scipy.spatial import ConvexHull
+
+    used = cx.vertices_used()
+    coords = cx.points[cx.cells_array()]
+    total = measures(coords).sum()
+    hull = float(ConvexHull(cx.points[used]).volume)
+    if abs(total - hull) > COVERAGE_RTOL * max(hull, 1.0):
+        raise InvalidComplexError(
+            f"cell measures sum to {total}, convex hull volume is {hull}"
+        )
+    unused = np.ones(len(cx.points), dtype=bool)
+    unused[used] = False
+    unused = np.flatnonzero(unused)
+    chunk = max(1, (1 << 16) // len(coords))  # bounds the box mask
+    for start in range(0, len(unused), chunk):
+        ids = unused[start:start + chunk]
+        hits, _ = _containing_pairs(coords, cx.points[ids])
+        if len(hits):
             raise InvalidComplexError(
-                f"cell measures sum to {total}, convex hull volume is {hull}"
+                f"point {ids[hits[0]]} lies in the underlying space but is not a vertex"
             )
-        # Any unused point lying inside the underlying space would have to be
-        # a vertex; the coverage identity makes a cell scan sufficient.
-        unused = np.ones(n, dtype=bool)
-        unused[used] = False
-        unused = np.flatnonzero(unused)
-        chunk = max(1, (1 << 16) // len(cell_set))  # bounds the box mask
-        for start in range(0, len(unused), chunk):
-            ids = unused[start:start + chunk]
-            hits, _ = _containing_pairs(coords, points[ids])
-            if len(hits):
-                raise InvalidComplexError(
-                    f"point {ids[hits[0]]} lies in the underlying space but is not a vertex"
-                )
-    return cx
 
 
 def _validated_by_loop(points, cells):
-    """The cells as a set (in input order) and their (m, d+1, d) coordinates;
-    raises the first invalid cell, the first degenerate one in set order, or
-    the first non-manifold facet in adjacency order."""
+    """The cells as a set, in input order; raises the first invalid cell,
+    the first degenerate one in set order, or the first non-manifold facet
+    in adjacency order."""
     n, dim = points.shape
     cell_set = set()
     for cell in cells:
@@ -292,17 +291,16 @@ def _validated_by_loop(points, cells):
     if max(shared.values(), default=0) > 2:
         facet, count = next((f, k) for f, k in shared.items() if k > 2)
         raise InvalidComplexError(f"facet {facet} is shared by {count} cells (non-manifold)")
-    return cell_set, coords
+    return cell_set
 
 
 def _validated_rows(points, cells):
-    """The cell set of ``_validated_by_loop`` (filled in the same order), the
-    cells' (m, d+1, d) coordinates in input order, and the cells as an
-    (m, d+1) int64 array of sorted rows in lexicographic order (read-only,
-    the ``cells_array()`` cache), if every check of that loop passes; else
-    None.  With the vertex ids as digits in base n, a cell's key orders it,
-    and non-manifold facets show as runs of three equal facet keys in one
-    sort."""
+    """The cell set of ``_validated_by_loop`` (filled in the same order) and
+    the cells as an (m, d+1) int64 array of sorted rows in lexicographic
+    order (read-only, the ``cells_array()`` cache), if every check of that
+    loop passes; else None.  With the vertex ids as digits in base n, a
+    cell's key orders it, and non-manifold facets show as runs of three
+    equal facet keys in one sort."""
     n, dim = points.shape
     try:
         rows = np.asarray(cells if isinstance(cells, np.ndarray) else list(cells))
@@ -318,8 +316,7 @@ def _validated_rows(points, cells):
     cell_set = set(map(tuple, rows.tolist()))
     if len(cell_set) != len(rows):
         return None
-    coords = points[rows]
-    if not orientations(coords).all():
+    if not orientations(points[rows]).all():
         return None
     digits = n ** np.arange(dim, -1, -1, dtype=np.int64)
     keys = np.sort(np.concatenate(
@@ -328,7 +325,7 @@ def _validated_rows(points, cells):
         return None
     lex = rows[np.argsort(rows @ digits)]
     lex.flags.writeable = False
-    return cell_set, coords, lex
+    return cell_set, lex
 
 
 def _containing_pairs(coords, pts):
@@ -667,6 +664,7 @@ def build_unbounded_prefix(window, phases: int) -> TriangulationComplex:
             "long_edges": [list(e) for e in builder.long_edges],
         },
     )
+    certify_tiling(cx)
     edge_set = set()
     for cell in cx.cells:
         edge_set.update(itertools.combinations(cell, 2))

@@ -176,7 +176,7 @@ def test_delaunay_3d_batched_classification_matches_scalar_loop(window):
         pts = distorted_cubic_window(4.0).points
     else:
         pts = lattice_window(3, 4.0, jitter=True, seed=3).points
-    cx = delaunay_3d(pts, verify=False)
+    cx = delaunay._lower_hull_complex(pts)
     ref = build_complex(pts, lower_facet_cells_by_scalar_loop(pts))
     # same cells, inserted in the same order
     assert list(cx.facet_adjacency.items()) == list(ref.facet_adjacency.items())
@@ -318,7 +318,7 @@ def test_restrict_delaunay_full_and_single():
     pts = rng.uniform(size=(12, 2)) * 5
     D = delaunay_2d(pts)
     assert sorted(restrict_delaunay(D, D).cells) == sorted(D.cells)
-    single = build_complex(D.points, [D.cells[0]], check_coverage=False)
+    single = build_complex(D.points, [D.cells[0]])
     assert restrict_delaunay(D, single).cells == [D.cells[0]]
 
 
@@ -336,7 +336,7 @@ def test_restrict_delaunay_nonconvex_region_not_overcounted():
     ])
     D = delaunay_2d(pts)
     region_cells = [c for c in D.cells if 4 not in c]
-    region = build_complex(pts, region_cells, check_coverage=False)
+    region = build_complex(pts, region_cells)
     restricted = restrict_delaunay(D, region)
     assert sorted(restricted.cells) == sorted(region_cells)
 
@@ -408,7 +408,7 @@ def test_restrict_delaunay_matches_exact_area_reference():
             [c for c in cells if c not in set(tris[0].cells)] or cells,
             [c for c in cells if rng.random() < 0.5] or cells,
         ):
-            region = build_complex(pts, region_cells, check_coverage=False)
+            region = build_complex(pts, region_cells)
             assert restrict_delaunay(tris[0], region).cells == \
                 exact_restriction(tris[0], region), done
             done += 1
@@ -422,8 +422,7 @@ def test_restrict_delaunay_drops_cell_with_sliver_outside_region():
     assert (0, 1, 2) in D.cells
     T = next(t for t in enumerate_triangulations_2d(pts)
              if any({3, 4} <= set(c) for c in t.cells))
-    region = build_complex(pts, [c for c in T.cells if 0 not in c],
-                           check_coverage=False)
+    region = build_complex(pts, [c for c in T.cells if 0 not in c])
     assert restrict_delaunay(D, region).cells == exact_restriction(D, region) == []
 
 
@@ -436,7 +435,7 @@ def test_restrict_delaunay_rejects_3d():
 def test_restrict_delaunay_rejects_other_points():
     pts = np.random.default_rng(3).uniform(size=(8, 2))
     D = delaunay_2d(pts)
-    moved = build_complex(pts + 1.0, D.cells, check_coverage=False)
+    moved = build_complex(pts + 1.0, D.cells)
     with pytest.raises(ValueError, match="not a complex on the Delaunay points"):
         restrict_delaunay(D, moved)
 
@@ -444,7 +443,7 @@ def test_restrict_delaunay_rejects_other_points():
 def test_restrict_delaunay_rejects_region_cell_holding_a_point():
     pts = np.array([(0.0, 0.0), (4.0, 0.0), (2.0, 3.0), (2.0, 1.0)])
     D = delaunay_2d(pts)
-    region = build_complex(pts, [(0, 1, 2)], check_coverage=False)
+    region = build_complex(pts, [(0, 1, 2)])
     with pytest.raises(ValueError, match=r"point 3 lies in region cell \(0, 1, 2\)"):
         restrict_delaunay(D, region)
 
@@ -498,7 +497,7 @@ VERIFY_CASES = {
         [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)], [(0, 1, 2), (0, 2, 3)]), {}),
     "radon-other-3d": (_radon_other_3d, {}),
     "distorted-cube-3d": (
-        lambda: delaunay_3d(distorted_cubic_window(3).points, verify=False), {}),
+        lambda: delaunay._lower_hull_complex(distorted_cubic_window(3).points), {}),
 }
 
 

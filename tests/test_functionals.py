@@ -197,7 +197,7 @@ def test_g_inequality_non_delaunay_subset():
         subset = [c for c in other.cells if c not in dcells]
         if not subset:
             continue
-        region = build_complex(pts, subset, check_coverage=False)
+        region = build_complex(pts, subset)
         res = check_g_inequality(FunctionalSpec("FE"), region, pts)
         assert res.passed, trial
         hits += 1

@@ -283,7 +283,6 @@ def test_point_in_simplex():
     assert point_in_simplex(TRI_345, (1.0, 1.0))
     assert not point_in_simplex(TRI_345, (4.0, 3.0))
     assert point_in_simplex(TRI_345, (0.0, 0.0))  # vertex, closed
-    assert not point_in_simplex(TRI_345, (0.0, 0.0), closed=False)
     assert point_in_simplex(UNIT_TET, (0.1, 0.1, 0.1))
     assert not point_in_simplex(UNIT_TET, (1.0, 1.0, 1.0))
 

@@ -1,4 +1,5 @@
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from delone.triangulation import (
     TriangulationComplex,
     build_complex,
     build_unbounded_prefix,
+    certify_tiling,
     flip,
     is_locally_delaunay,
     legalize_to_delaunay,
@@ -88,13 +90,13 @@ def test_build_complex_coverage_mismatch():
     # two cells that leave a hole in the hull of the used vertices
     pts = [(0, 0), (4, 0), (4, 4), (0, 4), (2, 2)]
     with pytest.raises(InvalidComplexError):
-        build_complex(pts, [(0, 1, 4), (2, 3, 4)])
+        certify_tiling(build_complex(pts, [(0, 1, 4), (2, 3, 4)]))
 
 
 def test_build_complex_interior_point_not_vertex():
     pts = [(0, 0), (4, 0), (0, 4), (1, 1)]
     with pytest.raises(InvalidComplexError):
-        build_complex(pts, [(0, 1, 2)])
+        certify_tiling(build_complex(pts, [(0, 1, 2)]))
 
 
 SQUARE = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
@@ -106,8 +108,8 @@ SQUARE_CELLS = [(0, 1, 3), (1, 2, 3)]  # interior edge 1-3
 def test_coverage_scan_names_covered_non_vertex(point):
     pts = SQUARE + [(2.0, 2.0), point, (0.75, 0.5)]
     with pytest.raises(InvalidComplexError, match="^point 5 lies in the underlying"):
-        build_complex(pts, SQUARE_CELLS)
-    build_complex(SQUARE + [(2.0, 2.0), (1.0 + 2**-52, 0.5)], SQUARE_CELLS)
+        certify_tiling(build_complex(pts, SQUARE_CELLS))
+    certify_tiling(build_complex(SQUARE + [(2.0, 2.0), (1.0 + 2**-52, 0.5)], SQUARE_CELLS))
 
 
 def test_coverage_scan_reaches_every_chunk():
@@ -120,15 +122,37 @@ def test_coverage_scan_reaches_every_chunk():
     outer = 1.8 * np.c_[np.cos(ring), np.sin(ring)] + 0.5
     pts = np.vstack([inner, outer, [cx.cell_coords(cx.cells[-1]).mean(axis=0)]])
     assert len(outer) > (1 << 16) // cx.n_cells
-    build_complex(pts[:-1], cx.cells)
+    certify_tiling(build_complex(pts[:-1], cx.cells))
     with pytest.raises(InvalidComplexError, match=f"^point {len(pts) - 1} lies"):
-        build_complex(pts, cx.cells)
+        certify_tiling(build_complex(pts, cx.cells))
+
+
+def test_certify_tiling_has_no_size_cap():
+    from scipy.spatial import Delaunay
+
+    pts = lattice_window(2, 45, jitter=True, seed=4).points
+    tri = Delaunay(pts)
+    cells = tri.simplices.tolist()
+    assert len(cells) > 10_000
+    certify_tiling(build_complex(pts, cells))
+
+    # a hull cell whose vertices all stay in use without it
+    hull = [k for k in np.flatnonzero((tri.neighbors == -1).any(axis=1))
+            if np.isin(tri.simplices[k], np.delete(tri.simplices, k, axis=0)).all()]
+    holed = build_complex(pts, cells[:hull[0]] + cells[hull[0] + 1:])
+    with pytest.raises(InvalidComplexError, match="^cell measures sum to "):
+        certify_tiling(holed)
+
+    inside = pts[tri.simplices[len(cells) // 2]].mean(axis=0)
+    with pytest.raises(InvalidComplexError,
+                       match=f"^point {len(pts)} lies in the underlying space"):
+        certify_tiling(build_complex(np.vstack([pts, inside]), cells))
 
 
 def test_build_complex_reports_degenerate_cell():
     pts = SQUARE + [(0.5, 0.5)]
     with pytest.raises(DegenerateSimplexError, match=r"cell \(0, 2, 4\) is degenerate"):
-        build_complex(pts, [(0, 1, 3), (0, 2, 4)], check_coverage=False)
+        build_complex(pts, [(0, 1, 3), (0, 2, 4)])
 
 
 def test_prefix_builder_containing_cell_is_first_in_iteration_order():
@@ -324,6 +348,37 @@ def test_json_roundtrip_bit_exact():
     assert back.cells == cx.cells
 
 
+def per_float_json(cx):
+    """``to_json`` with one ``float`` per coordinate and one list per cell
+    tuple: the reference for its bytes."""
+    return json.dumps(
+        {
+            "schema": 1,
+            "dimension": cx.dim,
+            "points": [[float(x) for x in p] for p in cx.points],
+            "cells": [list(c) for c in cx.cells],
+            "provenance": cx.provenance,
+        }
+    )
+
+
+JSON_COMPLEXES = {
+    "lattice-2d-24": lambda: delaunay_2d(lattice_window(2, 24, jitter=True, seed=3).points),
+    "lattice-3d-7": lambda: delaunay._lower_hull_complex(
+        lattice_window(3, 7, jitter=True, seed=3).points, {"generator": "lattice"}),
+    "reverse-flipped": lambda: scrambled(
+        lattice_window(2, 8, jitter=True, seed=1).points, seed=2, flips=30),
+}
+
+
+@pytest.mark.parametrize("case", sorted(JSON_COMPLEXES))
+def test_to_json_writes_the_per_float_bytes(case):
+    cx = JSON_COMPLEXES[case]()
+    # array-built complexes come with their cell array; flipped ones do not
+    assert (cx._cells_array is None) == (case == "reverse-flipped")
+    assert cx.to_json() == per_float_json(cx)
+
+
 class _MiniWindow:
     def __init__(self, points, radius):
         self.points = points
@@ -450,7 +505,7 @@ def _feeds(cells, seed):
 def test_facet_adjacency_filled_on_first_use_equals_eager_loop(window):
     cx = ADJACENCY_WINDOWS[window]()
     for feed in _feeds(cx.cells, seed=len(window)).values():
-        fresh = build_complex(cx.points, feed, check_coverage=False)
+        fresh = build_complex(cx.points, feed)
         assert fresh._adjacency is None
         want = eager_adjacency(feed, cx.dim)
         assert list(fresh.facet_adjacency.items()) == list(want.items())
@@ -478,10 +533,10 @@ CHEV = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (2.0, 2.0), (3.0, 0.5), (2.0, 0.0)]
 def test_build_complex_raises_the_cell_loops_first_error(cells):
     want = first_error_by_cell_loop(CHEV, cells)
     if want is None:
-        build_complex(CHEV, cells, check_coverage=False)
+        build_complex(CHEV, cells)
         return
     with pytest.raises(want[0]) as info:
-        build_complex(CHEV, cells, check_coverage=False)
+        build_complex(CHEV, cells)
     assert type(info.value) is want[0] and str(info.value) == want[1]
 
 
@@ -564,9 +619,9 @@ ARRAY_WINDOWS = {
     "poisson-2d-26": lambda: builder_feed(
         delaunay_2d, poisson_delone_window(0.5, 1.5, 26, seed=1).points),
     "lattice-3d-7": lambda: builder_feed(
-        lambda p: delaunay_3d(p, verify=False), lattice_window(3, 7, jitter=True, seed=3).points),
+        lambda p: delaunay._lower_hull_complex(p), lattice_window(3, 7, jitter=True, seed=3).points),
     "distorted-cube-6": lambda: builder_feed(
-        lambda p: delaunay_3d(p, verify=False), distorted_cubic_window(6).points),
+        lambda p: delaunay._lower_hull_complex(p), distorted_cubic_window(6).points),
 }
 
 
@@ -594,9 +649,9 @@ def test_array_path_builds_what_the_loop_builds(array_window):
     points, feed = array_window
     forms = {"builder": feed, **_input_forms(feed, seed=len(feed))}
     for name, cells in forms.items():
-        fast = build_complex(points, cells, check_coverage=False)
+        fast = build_complex(points, cells)
         assert fast._cells_array is not None, name  # the array path ran
-        slow = loop_build(points, cells, check_coverage=False)
+        slow = loop_build(points, cells)
         assert slow._cells_array is None, name
         assert list(fast._cells) == list(slow._cells), name
         assert fast.cells == slow.cells, name
@@ -611,9 +666,9 @@ def test_builds_below_the_crossover_take_the_loop():
     for m, array_path in ((triangulation.ARRAY_MIN_CELLS - 1, False),
                           (triangulation.ARRAY_MIN_CELLS, True)):
         cells = list(feed)[:m]
-        cx = build_complex(points, cells, check_coverage=False)
+        cx = build_complex(points, cells)
         assert (cx._cells_array is not None) == array_path
-        ref = loop_build(points, cells, check_coverage=False)
+        ref = loop_build(points, cells)
         assert list(cx._cells) == list(ref._cells)
         assert cx.cells == ref.cells
         assert list(cx.facet_adjacency.items()) == list(ref.facet_adjacency.items())
@@ -622,12 +677,12 @@ def test_builds_below_the_crossover_take_the_loop():
 def test_builds_whose_cell_keys_overflow_int64_take_the_loop():
     # cell keys are vertex ids as digits in base n: n**4 >= 2**63 in 3D
     pts = lattice_window(3, 3, jitter=True, seed=3).points
-    cells = delaunay_3d(pts, verify=False).cells
+    cells = delaunay._lower_hull_complex(pts).cells
     assert len(cells) >= triangulation.ARRAY_MIN_CELLS
     for n, array_path in ((55_108, True), (55_109, False)):
         points = np.zeros((n, 3))
         points[:len(pts)] = pts
-        cx = build_complex(points, cells, check_coverage=False)
+        cx = build_complex(points, cells)
         assert (cx._cells_array is not None) == array_path
         assert cx.cells == cells
 
@@ -677,10 +732,10 @@ def faulty():
 @pytest.mark.parametrize("fault", FAULTS)
 def test_array_path_raises_the_loops_first_error(fault, faulty):
     points, cells, faults = faulty
-    assert build_complex(points, cells, check_coverage=False)._cells_array is not None
+    assert build_complex(points, cells)._cells_array is not None
     want = first_error_by_cell_loop(points, faults[fault])
     assert want is not None
     for feed in (faults[fault], [list(c) for c in faults[fault]]):
         with pytest.raises(want[0]) as info:
-            build_complex(points, feed, check_coverage=False)
+            build_complex(points, feed)
         assert type(info.value) is want[0] and str(info.value) == want[1]
