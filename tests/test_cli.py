@@ -234,3 +234,15 @@ def test_oracle_cli(tmp_path, capsys):
     assert last_json(stdout)["argmin_is_delaunay"] is True
     report = json.loads(open(out).read())
     assert report["n_triangulations"] >= 1
+
+
+def test_tri_rejects_a_nan_point_as_bad_input(tmp_path, capsys):
+    pts = tmp_path / "nan.pts"
+    pts.write_text("2 0.5 1.5 3.0\n0 0\n1 0\nnan 1\n0 1\n")
+    code, stdout, err = run(capsys, "tri", str(pts))
+    assert code == 1 and stdout == ""
+    assert json.loads(err) == {
+        "error": "ValueError",
+        "message": "point 2 has a non-finite coordinate: [nan, 1.0]",
+    }
+    assert not (tmp_path / "nan.pts.delaunay.json").exists()

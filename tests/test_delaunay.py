@@ -20,12 +20,20 @@ from delone.errors import (
     InvalidComplexError,
     NonGenericError,
 )
-from delone.generators import distorted_cubic_window, lattice_window, stream_rng
+from delone.generators import (
+    distorted_cubic_window,
+    lattice_window,
+    poisson_delone_window,
+    stream_rng,
+)
 from delone.geometry import (
     Side,
     in_sphere,
     in_spheres,
+    incircle2d,
     lift,
+    on_open_segment,
+    orient2d,
     orientation,
     orientations,
     point_in_simplex,
@@ -100,6 +108,46 @@ def test_duplicates_rejected():
     assert first == (2, 5)
     with pytest.raises(ValueError, match=r"^duplicate points 2 and 5$"):
         delaunay_2d(pts)
+
+
+NAN, INF = float("nan"), float("inf")
+SQUARE = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0)]
+CUBE = [(0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0),
+        (1.0, 1.0, 1.2)]
+
+
+@pytest.mark.parametrize("build, points, error, message", [
+    (delaunay_2d, [0.0, 1.0, 2.0, 3.0], ValueError,
+     "points must form an (n, 2) array, not one of shape (4,)"),
+    (delaunay_2d, np.zeros((4, 3)), ValueError,
+     "points must form an (n, 2) array, not one of shape (4, 3)"),
+    (delaunay_2d, SQUARE[:3] + [(0.5, NAN)], ValueError,
+     "point 3 has a non-finite coordinate: [0.5, nan]"),
+    (delaunay_2d, [(INF, 0.0)] + SQUARE + [(-INF, NAN)], ValueError,
+     "point 0 has a non-finite coordinate: [inf, 0.0]"),
+    (delaunay_2d, [], DegenerateSimplexError, "delaunay_2d needs at least 3 planar points"),
+    (delaunay_2d, SQUARE[:2], DegenerateSimplexError,
+     "delaunay_2d needs at least 3 planar points"),
+    (delaunay_2d, [(0, 0), (1, 1), (2, 2), (3, 3)], DegenerateSimplexError,
+     "all points are collinear"),
+    (delaunay_2d, SQUARE + [(1.0, 0.0)], ValueError, "duplicate points 1 and 4"),
+    (delaunay_3d, np.zeros(15), ValueError,
+     "points must form an (n, 3) array, not one of shape (15,)"),
+    (delaunay_3d, np.zeros((5, 3, 1)), ValueError,
+     "points must form an (n, 3) array, not one of shape (5, 3, 1)"),
+    (delaunay_3d, CUBE[:4] + [(0.2, -INF, 0.2)], ValueError,
+     "point 4 has a non-finite coordinate: [0.2, -inf, 0.2]"),
+    (delaunay_3d, CUBE[:4], DegenerateSimplexError,
+     "delaunay_3d needs at least 5 points in R^3"),
+    (delaunay_3d, CUBE + [CUBE[1]], ValueError, "duplicate points"),
+    (delaunay_3d, [(x, x * x, 0.0) for x in range(6)], DegenerateSimplexError,
+     "all points are coplanar"),
+    (delaunay.delaunay_of, [0.0, 1.0, 2.0], ValueError,
+     "only dimensions 2 and 3 are supported, not points of shape (3,)"),
+])
+def test_bad_point_arrays_raise_typed_errors(build, points, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        build(points)
 
 
 def test_big_random_cloud_sampled_verification():
@@ -647,3 +695,262 @@ def test_local_pass_agrees_with_exhaustive_emptiness(seed):
             assert error_type(local_pass, tcx) is want
             outcomes.append(want)
     assert outcomes.count(None) and outcomes.count(InvalidComplexError)
+
+
+# ---------------------------------------------------------------------------
+# the flat 2D mesh against the tuple-keyed mesh it replaced
+
+GHOST = -1
+
+
+class TupleMesh2D:
+    """The former ``delaunay._Mesh2D``, verbatim but for its name: (u, v)
+    tuple edge keys, ghost vertex -1 and one coordinate tuple per point.  The
+    flat mesh must make its predicate calls and create its triangles in the
+    same order."""
+
+    def __init__(self, coords):
+        self.coords = coords
+        self.tri = {}
+        self.edge2tri = {}
+        self.next_id = 0
+        self.last_real = None
+
+    def _add(self, a, b, c):
+        tid = self.next_id
+        self.next_id += 1
+        t = (a, b, c)
+        self.tri[tid] = t
+        for u, v in ((a, b), (b, c), (c, a)):
+            self.edge2tri[(u, v)] = tid
+        if GHOST not in t:
+            self.last_real = tid
+        return tid
+
+    def _drop(self, tid):
+        a, b, c = self.tri.pop(tid)
+        for u, v in ((a, b), (b, c), (c, a)):
+            del self.edge2tri[(u, v)]
+
+    def seed(self, i, j, k):
+        pi, pj, pk = self.coords[i], self.coords[j], self.coords[k]
+        if orient2d(*pi, *pj, *pk) < 0:
+            i, j = j, i
+        self._add(i, j, k)
+        self._add(j, i, GHOST)
+        self._add(k, j, GHOST)
+        self._add(i, k, GHOST)
+
+    def _in_cavity(self, tid, qx, qy, qid) -> bool:
+        t = self.tri[tid]
+        if GHOST in t:
+            a, b = t[0], t[1]  # ghost (a, b, GHOST): hull edge runs b -> a
+            pa, pb = self.coords[a], self.coords[b]
+            s = orient2d(*pa, *pb, qx, qy)
+            if s > 0:
+                return True
+            if s == 0:
+                return on_open_segment(pa, pb, (qx, qy))
+            return False
+        a, b, c = t
+        s = incircle2d(*self.coords[a], *self.coords[b], *self.coords[c], qx, qy)
+        if s == 0:
+            raise NonGenericError(
+                f"point {qid} is cocircular with triangle {t}"
+            )
+        return s > 0
+
+    def _locate(self, qx, qy, qid) -> int:
+        tid = self.last_real
+        hops = 0
+        limit = 4 * len(self.tri) + 64
+        while True:
+            hops += 1
+            if hops > limit:
+                raise RuntimeError("point location walk failed to terminate")
+            t = self.tri[tid]
+            if GHOST in t:
+                break
+            a, b, c = t
+            pa, pb, pc = self.coords[a], self.coords[b], self.coords[c]
+            if orient2d(*pa, *pb, qx, qy) < 0:
+                tid = self.edge2tri[(b, a)]
+            elif orient2d(*pb, *pc, qx, qy) < 0:
+                tid = self.edge2tri[(c, b)]
+            elif orient2d(*pc, *pa, qx, qy) < 0:
+                tid = self.edge2tri[(a, c)]
+            else:
+                return tid  # q in the closed triangle
+        # q escaped the hull: walk the ghost ring to the edge it falls in
+        start = tid
+        seen = 0
+        while not self._in_cavity(tid, qx, qy, qid):
+            a, b, _ = self.tri[tid]
+            tid = self.edge2tri[(GHOST, b)]  # next ghost along the hull
+            seen += 1
+            if tid == start or seen > len(self.tri):
+                raise RuntimeError("hull walk failed to locate an exterior point")
+        return tid
+
+    def insert(self, qid):
+        qx, qy = self.coords[qid]
+        t0 = self._locate(qx, qy, qid)
+        if not self._in_cavity(t0, qx, qy, qid):
+            raise RuntimeError("located triangle fails the cavity test")
+        cavity = {t0}
+        stack = [t0]
+        boundary = []
+        while stack:
+            tid = stack.pop()
+            a, b, c = self.tri[tid]
+            for u, v in ((a, b), (b, c), (c, a)):
+                nb = self.edge2tri[(v, u)]
+                if nb in cavity:
+                    continue
+                if self._in_cavity(nb, qx, qy, qid):
+                    cavity.add(nb)
+                    stack.append(nb)
+                else:
+                    boundary.append((u, v))
+        for tid in cavity:
+            self._drop(tid)
+        for u, v in boundary:
+            if u == GHOST:
+                self._add(v, qid, GHOST)
+            elif v == GHOST:
+                self._add(qid, u, GHOST)
+            else:
+                self._add(u, v, qid)
+
+    def real_cells(self):
+        return [t for t in self.tri.values() if GHOST not in t]
+
+
+def tuple_mesh_cells(points):
+    """``TupleMesh2D.real_cells()`` after ``delaunay_2d``'s seed search and
+    insertion loop as they were when it drove that mesh."""
+    pts = np.asarray(points, dtype=float)
+    n = len(pts)
+    order = delaunay._serpentine_order(pts, np.lexsort((pts[:, 1], pts[:, 0])))
+    coords = [tuple(map(float, p)) for p in pts]
+    i0, i1 = int(order[0]), int(order[1])
+    k = next(
+        (
+            int(order[m])
+            for m in range(2, n)
+            if orient2d(*coords[i0], *coords[i1], *coords[int(order[m])]) != 0
+        ),
+        None,
+    )
+    if k is None:
+        raise DegenerateSimplexError("all points are collinear")
+    mesh = TupleMesh2D(coords)
+    mesh.seed(i0, i1, k)
+    for idx in order[2:]:
+        idx = int(idx)
+        if idx == k:
+            continue
+        mesh.insert(idx)
+    return mesh.real_cells()
+
+
+def flat_mesh_build(points, monkeypatch):
+    """``delaunay_2d(points)`` and the ``real_cells()`` list it built from."""
+    real_cells, seen = delaunay._Mesh2D.real_cells, []
+
+    def recorded(mesh):
+        seen.append(real_cells(mesh))
+        return seen[-1]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(delaunay._Mesh2D, "real_cells", recorded)
+        cx = delaunay_2d(points)
+    return seen[0], cx
+
+
+def hull_edge_points():
+    """20 points whose insertion order puts point 19, (1.1, 0), on the open
+    hull edge from point 17 to point 18: the three share the x bin and the
+    y key, so the index breaks their tie."""
+    rng = np.random.default_rng(11)
+    pts = np.c_[rng.uniform(0.0, 4.0, 17), rng.uniform(0.5, 3.0, 17)]
+    pts[0], pts[1] = (0.0, 1.0), (4.0, 1.0)
+    return np.vstack([pts, [(1.0, 0.0), (1.2, 0.0), (1.1, 0.0)]])
+
+
+REFERENCE_INPUTS = {
+    **{f"lattice-{W:g}-{s}": (lambda W=W, s=s: lattice_window(2, W, jitter=True, seed=s).points)
+       for W in (12.0, 24.0) for s in (1, 2, 3)},
+    **{f"poisson-{W:g}-{s}": (lambda W=W, s=s: poisson_delone_window(0.5, 1.5, W, seed=s).points)
+       for W in (13.0, 26.0) for s in (1, 2, 3)},
+    "hull-edge": hull_edge_points,
+}
+
+
+@pytest.mark.parametrize("name", REFERENCE_INPUTS)
+def test_flat_mesh_matches_tuple_mesh_on_windows(name, monkeypatch):
+    pts = REFERENCE_INPUTS[name]()
+    want = tuple_mesh_cells(pts)
+    got, cx = flat_mesh_build(pts, monkeypatch)
+    assert got == want
+    assert cx.interior_facets() == build_complex(pts, want).interior_facets()
+
+
+def test_flat_mesh_matches_tuple_mesh_on_battery_sizes(monkeypatch):
+    rng = np.random.default_rng(12)
+    for _ in range(40):
+        pts = rng.uniform(size=(int(rng.integers(5, 31)), 2))
+        want = tuple_mesh_cells(pts)
+        got, cx = flat_mesh_build(pts, monkeypatch)
+        assert got == want
+        assert cx.interior_facets() == build_complex(pts, want).interior_facets()
+
+
+def test_hull_edge_points_take_the_open_segment_branch(monkeypatch):
+    hits = []
+
+    def recorded(a, b, q):
+        hits.append(on_open_segment(a, b, q))
+        return hits[-1]
+
+    monkeypatch.setattr(delaunay, "on_open_segment", recorded)
+    cx = delaunay_2d(hull_edge_points())
+    assert True in hits
+    assert {(17, 19), (18, 19)} <= {tuple(sorted(f)) for f in cx.boundary_facets()}
+
+
+@pytest.mark.parametrize("points", [
+    [(float(x), float(y)) for y in range(3) for x in range(3)],
+    SQUARE,
+], ids=["grid-3x3", "square"])
+def test_flat_mesh_raises_as_tuple_mesh_on_cocircular_points(points):
+    with pytest.raises(NonGenericError) as want:
+        tuple_mesh_cells(points)
+    with pytest.raises(NonGenericError) as got:
+        delaunay_2d(points)
+    assert type(got.value) is type(want.value)
+    assert str(got.value) == str(want.value)
+    assert "cocircular with triangle" in str(got.value)
+
+
+def test_flat_mesh_stays_closed_after_every_insertion(monkeypatch):
+    """After each insertion into 200 random points: three edge keys per
+    triangle, each naming the triangle that holds that directed edge, every
+    reverse edge present, and the ghost vertex stored third."""
+    insert, inserted = delaunay._Mesh2D.insert, []
+
+    def checked(mesh, q):
+        insert(mesh, q)
+        tri, e2t, g = mesh.tri, mesh.edge2tri, mesh.ghost
+        assert len(e2t) == 3 * len(tri)
+        for key, tid in e2t.items():
+            u, v = divmod(key, g + 1)
+            a, b, c = tri[tid]
+            assert (u, v) in ((a, b), (b, c), (c, a))
+            assert v * (g + 1) + u in e2t
+        assert all(g not in t[:2] for t in tri.values())
+        inserted.append(q)
+
+    monkeypatch.setattr(delaunay._Mesh2D, "insert", checked)
+    delaunay_2d(np.random.default_rng(13).uniform(size=(200, 2)))
+    assert len(inserted) == 197
