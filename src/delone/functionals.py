@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .delaunay import delaunay_of, radon_split, radon_two_triangulations, restrict_delaunay
+from .delaunay import radon_split, radon_two_triangulations, restrict_delaunay
 from .errors import DegenerateSimplexError, SamplerError
 from .generators import stream_rng
 from .geometry import circumcenters, measures, orientation
@@ -216,11 +216,11 @@ def check_flip_inequality(spec: FunctionalSpec, points) -> CheckResult:
     )
 
 
-def check_g_inequality(spec: FunctionalSpec, t_prime, y_points) -> CheckResult:
-    """The subcomplex inequality: sum over the restriction of the Delaunay
-    triangulation of Y to the underlying space of T' must not exceed the sum
-    over T'."""
-    dcx = delaunay_of(y_points)
+def check_g_inequality(spec: FunctionalSpec, t_prime, dcx) -> CheckResult:
+    """The subcomplex inequality: sum over the restriction of ``dcx``, the
+    Delaunay triangulation of Y, to the underlying space of T' must not
+    exceed the sum over T'.  Raises ``ValueError`` when T' is not a complex
+    on the points of ``dcx``."""
     dprime = restrict_delaunay(dcx, t_prime)
     sum_d = complex_sum(spec, dprime)
     sum_t = complex_sum(spec, t_prime)

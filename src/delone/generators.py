@@ -49,15 +49,24 @@ class PointSetWindow:
 
     @classmethod
     def load(cls, path) -> "PointSetWindow":
-        with open(path) as fh:
+        with open(path) as fh:  # one pass; errors name the path and the line
             head = fh.readline().split()
-            d, r, R, W = int(head[0]), float(head[1]), float(head[2]), float(head[3])
-            pts = np.array(
-                [[float(t) for t in line.split()] for line in fh if line.strip()]
-            )
-        if pts.shape[1] != d:
-            raise ValueError("point file dimension mismatch")
-        return cls(dim=d, points=pts, r=r, R=R, window_radius=W,
+            try:
+                d, r, R, W = (f(t) for f, t in zip((int, float, float, float), head, strict=True))
+            except ValueError:
+                raise ValueError(f'{path} line 1: expected the header "d r R W"') from None
+            rows = []
+            for num, line in enumerate(fh, 2):
+                try:
+                    row = list(map(float, line.split()))
+                    if len(row) not in (0, d):
+                        raise ValueError(f"expected {d} coordinates, got {len(row)}")
+                except ValueError as exc:
+                    raise ValueError(f"{path} line {num}: {exc}") from None
+                rows += [row] if row else []
+        if not rows:
+            raise ValueError(f"{path}: no points after the header")
+        return cls(dim=d, points=np.array(rows), r=r, R=R, window_radius=W,
                    provenance={"generator": "file", "path": str(path)})
 
 

@@ -13,8 +13,9 @@ import math
 import numpy as np
 
 from .delaunay import delaunay_2d
-from .errors import DegenerateSimplexError, NonGenericError
-from .functionals import FunctionalSpec, complex_sum
+from .errors import DegenerateSimplexError, InvalidComplexError, NonGenericError
+from .functionals import ClassReport, FunctionalSpec, check_g_inequality, complex_sum
+from .generators import stream_rng
 from .geometry import (
     measures,
     on_open_segment,
@@ -23,7 +24,7 @@ from .geometry import (
     orientations,
     segments_cross,
 )
-from .triangulation import build_complex
+from .triangulation import TriangulationComplex, build_complex
 
 ENUMERATION_LIMIT = 9
 NONCROSSING_LIMIT = 7
@@ -54,9 +55,10 @@ def _orientation_table(pts):
 
 def _flip_neighbors(sign, cells: frozenset):
     """All triangulations reachable from this one by a single diagonal swap;
-    ``sign`` is the ``_orientation_table`` of the points."""
+    ``sign`` is the ``_orientation_table`` of the points.  A swap inside a
+    strictly convex quadrilateral onto a new edge keeps a triangulation valid."""
     out = []
-    for facet, incident in _facet_map(cells).items():
+    for facet, incident in (edges := _facet_map(cells)).items():
         if len(incident) != 2:
             continue
         c0, c1 = incident
@@ -68,6 +70,8 @@ def _flip_neighbors(sign, cells: frozenset):
             continue
         if sign[u][v][a] * sign[u][v][b] >= 0:
             continue
+        if (min(a, b), max(a, b)) in edges:
+            raise InvalidComplexError(f"flip of {facet}: edge {(a, b)} exists already")
         swapped = (cells - {c0, c1}) | {
             tuple(sorted((a, b, u))),
             tuple(sorted((a, b, v))),
@@ -78,8 +82,10 @@ def _flip_neighbors(sign, cells: frozenset):
 
 def enumerate_triangulations_2d(points):
     """All triangulations of <= 9 generic planar points (vertex set = all
-    points), by breadth-first traversal of the flip graph from the Delaunay
-    triangulation.  Returns a list of TriangulationComplex, Delaunay first."""
+    points), by a traversal of the flip graph from the certified Delaunay
+    triangulation; each flip is checked, so no state is validated again (Lawson
+    1977).  Returns a list of TriangulationComplex, Delaunay first, each with
+    its cell set filled in sorted order, as ``build_complex`` fills it."""
     pts = np.asarray(points, dtype=float)
     if len(pts) > ENUMERATION_LIMIT:
         raise ValueError(f"enumeration is limited to {ENUMERATION_LIMIT} points")
@@ -96,7 +102,7 @@ def enumerate_triangulations_2d(points):
                 seen.add(nxt)
                 order.append(nxt)
                 queue.append(nxt)
-    return [build_complex(pts, sorted(state)) for state in order]
+    return [TriangulationComplex(2, pts, set(sorted(state))) for state in order]
 
 
 # ---------------------------------------------------------------------------
@@ -131,20 +137,19 @@ def noncrossing_triangulations(points):
 
     results = []
 
-    def grow(idx, chosen, banned, pending):
+    def grow(t, chosen, banned, pending):
         # pending: voluntarily excluded segments that still await a crosser
-        if idx == m:
+        if t == m:
             if not pending:
                 results.append(frozenset(chosen))
             return
-        t = idx
         if t in banned:  # already crossed by a chosen segment
-            grow(idx + 1, chosen, banned, pending)
+            grow(t + 1, chosen, banned, pending)
             return
-        grow(idx + 1, chosen | {t}, banned | crossing[t], pending - crossing[t])
+        grow(t + 1, chosen | {t}, banned | crossing[t], pending - crossing[t])
         # excluding t is only maximal if a later usable segment crosses it
         if any(u > t and u not in banned for u in crossing[t]):
-            grow(idx + 1, chosen, banned, pending | {t})
+            grow(t + 1, chosen, banned, pending | {t})
 
     grow(0, set(), set(), set())
 
@@ -159,11 +164,7 @@ def noncrossing_triangulations(points):
             simplex = pts[list(tri)]
             if orientation(simplex) == 0:
                 continue
-            if any(
-                _strictly_inside(simplex, coords[q])
-                for q in range(n)
-                if q not in tri
-            ):
+            if any(_strictly_inside(simplex, coords[q]) for q in range(n) if q not in tri):
                 continue
             cells.add(tri)
         out.add(frozenset(cells))
@@ -171,10 +172,8 @@ def noncrossing_triangulations(points):
 
 
 def _strictly_inside(simplex, q) -> bool:
-    s0 = orient2d(*simplex[0], *simplex[1], *q)
-    s1 = orient2d(*simplex[1], *simplex[2], *q)
-    s2 = orient2d(*simplex[2], *simplex[0], *q)
-    return s0 == s1 == s2 and s0 != 0
+    signs = {orient2d(*simplex[i - 1], *simplex[i], *q) for i in range(3)}
+    return signs in ({1}, {-1})
 
 
 def run_g_trials(spec: FunctionalSpec, trials: int, *, n_range=(5, 8), seed: int = 0):
@@ -182,9 +181,6 @@ def run_g_trials(spec: FunctionalSpec, trials: int, *, n_range=(5, 8), seed: int
     of a random small generic set, or the subcomplex of its cells that are
     not Delaunay cells; the restricted Delaunay sum must never exceed the T'
     sum."""
-    from .functionals import ClassReport, check_g_inequality
-    from .generators import stream_rng
-
     rng = stream_rng(seed, "g-trials")
     violations = 0
     witness = None
@@ -200,12 +196,11 @@ def run_g_trials(spec: FunctionalSpec, trials: int, *, n_range=(5, 8), seed: int
         pick = tris[int(rng.integers(len(tris)))]
         cells = list(pick.cells)
         if rng.random() < 0.5:
-            dcells = set(tris[0].cells)
-            subset = [c for c in cells if c not in dcells]
+            subset = [c for c in cells if not tris[0].has_cell(c)]
             if subset:
                 cells = subset
         region = build_complex(pts, cells)
-        res = check_g_inequality(spec, region, pts)
+        res = check_g_inequality(spec, region, tris[0])
         worst = min(worst, res.margin)
         if not res.passed:
             violations += 1

@@ -28,6 +28,7 @@ from .geometry import (
     circumradii,
     in_sphere,
     in_spheres,
+    incircle2d,
     measures,
     on_open_segment,
     orient2d,
@@ -354,7 +355,13 @@ def is_locally_delaunay(cx: TriangulationComplex, facet) -> bool:
         raise InvalidComplexError(f"facet {facet} is not interior")
     c0, c1 = incident
     (v1,) = set(c1) - set(facet)
-    side = in_sphere(cx.cell_coords(c0), cx.points[v1])
+    if cx.dim == 2:  # in_sphere's decision, on Python floats
+        (ax, ay), (bx, by), (px, py), (qx, qy) = cx.points[[*c0, v1]].tolist()
+        if not (orient := orient2d(ax, ay, bx, by, px, py)):
+            raise DegenerateSimplexError("in_sphere: degenerate simplex")
+        side = incircle2d(ax, ay, bx, by, px, py, qx, qy) * orient
+    else:
+        side = in_sphere(cx.cell_coords(c0), cx.points[v1])
     if side == Side.ON:
         raise NonGenericError(f"facet {facet}: cospherical opposite vertex")
     return side == Side.OUTSIDE
@@ -389,8 +396,7 @@ def _quad_of(cx: TriangulationComplex, facet) -> tuple:
 
 def _do_flip(cx: TriangulationComplex, facet, direction: str) -> FlipRecord:
     (u, v), a, b = _quad_of(cx, facet)
-    pa, pb = cx.points[a], cx.points[b]
-    pu, pv = cx.points[u], cx.points[v]
+    pa, pb, pu, pv = cx.points[[a, b, u, v]].tolist()
     # strict convexity of the quadrilateral a-u-b-v
     if orient2d(*pa, *pb, *pu) * orient2d(*pa, *pb, *pv) >= 0:
         raise InvalidComplexError(

@@ -246,3 +246,19 @@ def test_tri_rejects_a_nan_point_as_bad_input(tmp_path, capsys):
         "message": "point 2 has a non-finite coordinate: [nan, 1.0]",
     }
     assert not (tmp_path / "nan.pts.delaunay.json").exists()
+
+
+@pytest.mark.parametrize("text, message", [
+    ("2 0.5 1.5 3.0\n", "{path}: no points after the header"),
+    ("2 0.5 1.5 3.0\n0 0\n1\n0 1\n", "{path} line 3: expected 2 coordinates, got 1"),
+    ("2 0.5 1.5 3.0\n0 0\n\n1 0\n0 x\n", "{path} line 5: could not convert string to float: 'x'"),
+    ("2 0.5 1.5\n0 0\n1 0\n0 1\n", '{path} line 1: expected the header "d r R W"'),
+    ("2.0 0.5 1.5 3.0\n0 0\n1 0\n0 1\n", '{path} line 1: expected the header "d r R W"'),
+    ("", '{path} line 1: expected the header "d r R W"'),
+])
+def test_tri_names_the_bad_line_of_a_point_file(tmp_path, capsys, text, message):
+    pts = tmp_path / "bad.pts"
+    pts.write_text(text)
+    code, stdout, err = run(capsys, "tri", str(pts))
+    assert code == 1 and stdout == ""
+    assert json.loads(err) == {"error": "ValueError", "message": message.format(path=pts)}

@@ -162,7 +162,7 @@ def test_g_inequality_delaunay_region_margin_zero():
     pts = rng.uniform(size=(7, 2))
     dcx = delaunay_2d(pts)
     for spec in (FunctionalSpec("FE"), FunctionalSpec("FR"), FunctionalSpec("F5")):
-        res = check_g_inequality(spec, dcx, pts)
+        res = check_g_inequality(spec, dcx, delaunay_2d(pts))
         assert res.passed
         assert res.margin == pytest.approx(0.0, abs=1e-9)
 
@@ -174,9 +174,10 @@ def test_g_inequality_fe_on_other_triangulations():
     for trial in range(10):
         pts = rng.uniform(size=(6, 2)) * 3
         tris = enumerate_triangulations_2d(pts)
+        dcx = delaunay_2d(pts)
         for cx in tris[1:3]:
             for spec in (FunctionalSpec("FE"), FunctionalSpec("FR")):
-                res = check_g_inequality(spec, cx, pts)
+                res = check_g_inequality(spec, cx, dcx)
                 assert res.passed, (trial, res)
 
 
@@ -198,10 +199,19 @@ def test_g_inequality_non_delaunay_subset():
         if not subset:
             continue
         region = build_complex(pts, subset)
-        res = check_g_inequality(FunctionalSpec("FE"), region, pts)
+        res = check_g_inequality(FunctionalSpec("FE"), region, delaunay_2d(pts))
         assert res.passed, trial
         hits += 1
     assert hits >= 5
+
+
+def test_g_inequality_rejects_delaunay_of_other_points():
+    rng = np.random.default_rng(21)
+    pts = rng.uniform(size=(7, 2))
+    with pytest.raises(ValueError, match="not a complex on the Delaunay points"):
+        check_g_inequality(FunctionalSpec("FE"), delaunay_2d(pts), delaunay_2d(pts[:6]))
+    with pytest.raises(ValueError, match="not a complex on the Delaunay points"):
+        check_g_inequality(FunctionalSpec("FE"), delaunay_2d(pts), delaunay_2d(pts + 1.0))
 
 
 def test_complex_sum_matches_loop():

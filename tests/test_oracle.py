@@ -4,13 +4,15 @@ import numpy as np
 import pytest
 
 from delone.delaunay import delaunay_2d
-from delone.errors import NonGenericError
+from delone import oracle
+from delone.errors import InvalidComplexError, NonGenericError
 from delone.functionals import FunctionalSpec, complex_sum, fe_lifted_volume
 from delone.oracle import (
     enumerate_triangulations_2d,
     fe_quadrature,
     min_sum_triangulation,
     noncrossing_triangulations,
+    run_g_trials,
 )
 from delone.geometry import orient2d
 from delone.oracle import _facet_map
@@ -97,27 +99,89 @@ def enumeration_outcome(enumerate_cells, pts):
         return str(exc)
 
 
-def test_enumeration_matches_scalar_traversal():
+def traversal_inputs():
+    """Seeded uniform and dyadic point sets of 4..9 points, the dyadic ones
+    with the last point the exact midpoint of two others."""
     rng = np.random.default_rng(43)
-    generic = collinear = 0
     for n in range(4, 10):
         for _ in range(6):
             uniform = rng.uniform(size=(n, 2)) * 3
-            # dyadic points, the last the exact midpoint of two others
             dyadic = rng.integers(0, 64, size=(n, 2)) / 8
             i, j = rng.choice(n - 1, size=2, replace=False)
             dyadic[-1] = (dyadic[i] + dyadic[j]) / 2
-            for pts in (uniform, dyadic):
-                if len(np.unique(pts, axis=0)) < n:
-                    continue
-                want = enumeration_outcome(scalar_enumeration, pts)
-                got = enumeration_outcome(
-                    lambda p: [cx.cells for cx in enumerate_triangulations_2d(p)], pts)
-                assert got == want
-                if isinstance(want, list):
-                    generic += pts is uniform
-                    collinear += pts is dyadic
+            for pts, kind in ((uniform, "uniform"), (dyadic, "dyadic")):
+                if len(np.unique(pts, axis=0)) == n:
+                    yield pts, kind
+
+
+def test_enumeration_matches_scalar_traversal():
+    generic = collinear = 0
+    for pts, kind in traversal_inputs():
+        want = enumeration_outcome(scalar_enumeration, pts)
+        got = enumeration_outcome(
+            lambda p: [cx.cells for cx in enumerate_triangulations_2d(p)], pts)
+        assert got == want
+        if isinstance(want, list):
+            generic += kind == "uniform"
+            collinear += kind == "dyadic"
     assert generic > 30 and collinear > 10
+
+
+def test_enumerated_states_equal_built_complexes():
+    # no state goes through build_complex any more: each must still be the
+    # complex that build_complex makes of its sorted cells, down to the
+    # iteration order of its cell set and of its facet adjacency
+    inputs = [pts for pts, _ in traversal_inputs()] + [convex_ngon(9, seed=5, wobble=1e-3)]
+    checked = 0
+    for pts in inputs:
+        try:
+            tris = enumerate_triangulations_2d(pts)
+        except NonGenericError:
+            continue
+        for cx in tris:
+            ref = build_complex(pts, sorted(cx.cells))
+            assert list(cx._cells) == list(ref._cells)
+            assert cx.cells == ref.cells
+            assert list(cx.facet_adjacency.items()) == list(ref.facet_adjacency.items())
+            assert cx.provenance == ref.provenance == {}
+        checked += len(tris)
+    assert len(tris) == 429  # the convex 9-gon: Catalan number C_7
+    assert checked > 2000
+
+
+def test_flip_onto_an_existing_edge_raises(monkeypatch):
+    # a triangle around an interior point has no flip; a forged sign table
+    # that calls every quadrilateral convex proposes flips onto hull edges
+    pts = [(0.0, 0.0), (4.0, 0.0), (2.0, 3.0), (2.0, 1.0)]
+    assert len(enumerate_triangulations_2d(pts)) == 1
+    monkeypatch.setattr(oracle, "_orientation_table",
+                        lambda p: [[[(-1) ** k for k in range(4)]] * 4] * 4)
+    with pytest.raises(InvalidComplexError, match=r"edge \(\d, \d\) exists already"):
+        enumerate_triangulations_2d(pts)
+
+
+# (spec, seed, n_range) -> (violations, min_margin) of three g-trials, recorded
+# when each trial still triangulated its points twice
+G_TRIALS = {
+    ("FE", 3, (5, 8)): (0, 0.7960189872748539),
+    ("FE", 4, (5, 8)): (0, 0.029672893478825943),
+    ("FE", 5, (4, 6)): (0, 0.0),
+    ("FE", 8, (7, 9)): (0, 0.31237115761588363),
+    ("FR", 3, (5, 8)): (0, 9.552227847298248),
+    ("FR", 4, (5, 8)): (0, 0.35607472174591104),
+    ("FR", 5, (4, 6)): (0, 0.0),
+    ("FR", 8, (7, 9)): (0, 3.748453891390593),
+    ("F5", 3, (5, 8)): (0, 9.552227847298248),
+    ("F5", 4, (5, 8)): (0, 0.35607472174591104),
+    ("F5", 5, (4, 6)): (0, 0.0),
+    ("F5", 8, (7, 9)): (0, 3.748453891390593),
+}
+
+
+@pytest.mark.parametrize("spec, seed, n_range", list(G_TRIALS))
+def test_g_trials_are_unchanged(spec, seed, n_range):
+    report = run_g_trials(FunctionalSpec(spec), 3, n_range=n_range, seed=seed)
+    assert (report.violations, report.notes["min_margin"]) == G_TRIALS[spec, seed, n_range]
 
 
 def test_delaunay_appears_exactly_once():

@@ -1,5 +1,6 @@
 import itertools
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -201,6 +202,61 @@ def test_is_locally_delaunay_boundary_raises():
     cx = quad_complex()
     with pytest.raises(InvalidComplexError):
         is_locally_delaunay(cx, cx.boundary_facets()[0])
+
+
+def reference_is_locally_delaunay(cx, facet):
+    """``is_locally_delaunay`` as it was in 2D: the opposite vertex against
+    ``in_sphere`` of the first cell's coordinates."""
+    facet = tuple(sorted(facet))
+    incident = cx.facet_cells(facet)
+    if len(incident) != 2:
+        raise InvalidComplexError(f"facet {facet} is not interior")
+    c0, c1 = incident
+    (v1,) = set(c1) - set(facet)
+    side = in_sphere(cx.cell_coords(c0), cx.points[v1])
+    if side == Side.ON:
+        raise NonGenericError(f"facet {facet}: cospherical opposite vertex")
+    return side == Side.OUTSIDE
+
+
+def outcome(test, cx, facet):
+    try:
+        return test(cx, facet)
+    except (InvalidComplexError, DegenerateSimplexError, NonGenericError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def nudged_quads():
+    """Seeded random quadrilaterals (convex or not), a collinear one, and two
+    exactly cocircular ones with each coordinate moved by one ulp each way."""
+    rng = np.random.default_rng(61)
+    yield from rng.uniform(-1.0, 1.0, size=(300, 4, 2))
+    yield np.array([(0.0, 0.0), (1.0, 1.0), (2.0, 2.0), (0.0, 1.0)])
+    circles = (
+        np.array([(5.0, 0.0), (3.0, 4.0), (-4.0, 3.0), (0.0, -5.0)]),
+        np.array([(1.25, 0.5), (0.25, 1.5), (-0.75, 0.5), (0.25, -0.5)]),
+    )
+    for quad in circles:
+        yield quad
+        for k, c, toward in itertools.product(range(4), range(2), (-np.inf, np.inf)):
+            nudged = quad.copy()
+            nudged[k, c] = np.nextafter(nudged[k, c], toward)
+            yield nudged
+
+
+def test_is_locally_delaunay_2d_matches_in_sphere_reference():
+    seen = Counter()
+    for quad in nudged_quads():
+        for cells in ([(0, 1, 2), (0, 2, 3)], [(0, 1, 3), (1, 2, 3)]):
+            # unvalidated, so that degenerate and overlapping cells get in
+            cx = TriangulationComplex(2, quad, set(cells))
+            for facet in cx.facets():
+                want = outcome(reference_is_locally_delaunay, cx, facet)
+                assert outcome(is_locally_delaunay, cx, facet) == want, (quad, cells, facet)
+                seen[want if isinstance(want, bool) else want[0]] += 1
+    assert seen[True] > 100 and seen[False] > 100
+    assert seen["NonGenericError"] >= 4 and seen["DegenerateSimplexError"] >= 1
+    assert seen["InvalidComplexError"] > 1000
 
 
 def test_flip_bad_diagonal():
