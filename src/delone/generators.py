@@ -189,6 +189,11 @@ def poisson_delone_window(r: float, R: float, W: float, seed: int = 0) -> PointS
     that the next ``integers`` call reads.  The distance tests stay in Python
     floats: NumPy's ``x * x`` and Python's ``x ** 2`` differ in the last bit
     on some inputs.
+
+    The grid keys cell (cx, cy) by the int ``cx * span + cy``.  Darts lie in
+    the disk of radius W, so 0 <= cy <= int(2 W / cell) + 1 (one cell of slack
+    for rounding): every scanned ``cy + dy`` lies in [-2, span - 3], ``span``
+    consecutive ints, and the key is injective.
     """
     if R < 2 * r:
         raise ValueError("need R >= 2r for the sampler to make progress")
@@ -199,14 +204,17 @@ def poisson_delone_window(r: float, R: float, W: float, seed: int = 0) -> PointS
     spacing = 2.0 * r
     min_sq = spacing**2
     cell = spacing / math.sqrt(2)
+    span = int(2 * W / cell) + 6
     grid = {}
+    get, cos, sin, two_pi = grid.get, math.cos, math.sin, 2 * math.pi
     # the 25 cells that can hold a conflict, nearest first; any conflict
     # rejects, so the order decides only how soon the scan stops
-    near = sorted(((dx, dy) for dx in range(-2, 3) for dy in range(-2, 3)),
-                  key=lambda o: o[0] * o[0] + o[1] * o[1])
+    near = [dx * span + dy for dx, dy in sorted(
+        ((dx, dy) for dx in range(-2, 3) for dy in range(-2, 3)),
+        key=lambda o: o[0] * o[0] + o[1] * o[1])]
 
     def accept(p):
-        grid[(int((p[0] + W) / cell), int((p[1] + W) / cell))] = p
+        grid[int((p[0] + W) / cell) * span + int((p[1] + W) / cell)] = p
         points.append(p)
         active.append(p)
 
@@ -222,13 +230,13 @@ def poisson_delone_window(r: float, R: float, W: float, seed: int = 0) -> PointS
         u = rng.random(2 * k_attempts).tolist()
         for k in range(k_attempts):
             rad = spacing * (1 + u[2 * k])
-            ang = 0.0 + 2 * math.pi * u[2 * k + 1]  # what rng.uniform(0, 2 pi) computes
-            px, py = bx + rad * math.cos(ang), by + rad * math.sin(ang)
+            ang = 0.0 + two_pi * u[2 * k + 1]  # what rng.uniform(0, 2 pi) computes
+            px, py = bx + rad * cos(ang), by + rad * sin(ang)
             if px**2 + py**2 > W * W:
                 continue
-            cx, cy = int((px + W) / cell), int((py + W) / cell)
-            for dx, dy in near:
-                q = grid.get((cx + dx, cy + dy))
+            key = int((px + W) / cell) * span + int((py + W) / cell)
+            for o in near:
+                q = get(key + o)
                 if q is not None and (px - q[0]) ** 2 + (py - q[1]) ** 2 < min_sq:
                     break
             else:

@@ -331,7 +331,10 @@ def inradius_2d(triangle) -> float:
 # 2D predicates on Python floats: the incremental builder calls them
 # directly, and ``orientation``/``in_sphere`` route d = 2 through them.  They
 # evaluate the same expansion with the same ``_filter_tol`` bound and the
-# same integer fallback, so their signs are identical.
+# same integer fallback, so their signs are identical.  Callers pass Python
+# floats (rows read with ``.tolist()``): on np.float64 scalars a call takes
+# 5-6x longer (orient2d 5.3 against 0.9 us, incircle2d 8.0 against 1.5 us;
+# CPython 3.11, NumPy 2.4, one core of a 2-vCPU VM).
 
 def orient2d(ax, ay, bx, by, cx, cy) -> int:
     ux, uy = bx - ax, by - ay

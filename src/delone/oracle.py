@@ -164,15 +164,16 @@ def noncrossing_triangulations(points):
             simplex = pts[list(tri)]
             if orientation(simplex) == 0:
                 continue
-            if any(_strictly_inside(simplex, coords[q]) for q in range(n) if q not in tri):
+            corners = simplex.tolist()
+            if any(_strictly_inside(corners, coords[q]) for q in range(n) if q not in tri):
                 continue
             cells.add(tri)
         out.add(frozenset(cells))
     return sorted(out, key=sorted)
 
 
-def _strictly_inside(simplex, q) -> bool:
-    signs = {orient2d(*simplex[i - 1], *simplex[i], *q) for i in range(3)}
+def _strictly_inside(corners, q) -> bool:
+    signs = {orient2d(*corners[i - 1], *corners[i], *q) for i in range(3)}
     return signs in ({1}, {-1})
 
 

@@ -498,7 +498,8 @@ class _PrefixBuilder:
     exceeds the phase number, by starring far-away points onto the hull."""
 
     def __init__(self, points: np.ndarray):
-        self.points = points
+        self.points = points  # arrays for _containing_cell
+        self.xy = points.tolist()  # Python floats for the scalar predicates
         self.cx = TriangulationComplex(dim=2, points=points, _cells=set(),
                                        _adjacency={})
         self.hull: list = []  # CCW vertex cycle
@@ -506,8 +507,8 @@ class _PrefixBuilder:
         self.long_edges: list = []
 
     def seed(self, i, j, k):
-        pi, pj, pk = self.points[i], self.points[j], self.points[k]
-        if orient2d(*pi, *pj, *pk) > 0:
+        xy = self.xy
+        if orient2d(*xy[i], *xy[j], *xy[k]) > 0:
             self.hull = [i, j, k]
         else:
             self.hull = [j, i, k]
@@ -516,12 +517,12 @@ class _PrefixBuilder:
 
     def star_exterior(self, w: int):
         """Attach exterior point w to every strictly visible hull edge."""
-        pw = self.points[w]
-        m = len(self.hull)
+        xy, hull = self.xy, self.hull
+        wx, wy = xy[w]
+        m = len(hull)
         visible = []
         for t in range(m):
-            u, v = self.hull[t], self.hull[(t + 1) % m]
-            if orient2d(*self.points[u], *self.points[v], *pw) < 0:
+            if orient2d(*xy[hull[t]], *xy[hull[(t + 1) % m]], wx, wy) < 0:
                 visible.append(t)
         if not visible:
             raise InvalidComplexError(f"point {w} sees no hull edge")
@@ -543,11 +544,11 @@ class _PrefixBuilder:
         self.is_vertex[w] = True
 
     def point_in_space(self, idx: int) -> bool:
-        p = self.points[idx]
-        m = len(self.hull)
+        xy, hull = self.xy, self.hull
+        px, py = xy[idx]
+        m = len(hull)
         for t in range(m):
-            u, v = self.hull[t], self.hull[(t + 1) % m]
-            if orient2d(*self.points[u], *self.points[v], *p) < 0:
+            if orient2d(*xy[hull[t]], *xy[hull[(t + 1) % m]], px, py) < 0:
                 return False
         return True
 
@@ -561,20 +562,21 @@ class _PrefixBuilder:
     def split_interior_points(self, candidates):
         """Star every covered non-vertex point into its lowest-dimensional
         containing simplex until all covered points are vertices."""
+        xy = self.xy
         pending = deque(candidates)
         while pending:
             w = pending.popleft()
             if self.is_vertex[w] or not self.point_in_space(w):
                 continue
-            pw = self.points[w]
-            host = self._containing_cell(pw)
+            host = self._containing_cell(self.points[w])
             if host is None:
                 continue
             a, b, c = host
             # lowest-dimensional containing simplex: check the edges first
+            wx, wy = xy[w]
             on_edge = None
             for u, v in ((a, b), (b, c), (a, c)):
-                if orient2d(*self.points[u], *self.points[v], *pw) == 0:
+                if orient2d(*xy[u], *xy[v], wx, wy) == 0:
                     on_edge = (u, v)
                     break
             if on_edge is None:
@@ -604,11 +606,11 @@ class _PrefixBuilder:
 def _segment_clear(points, i, j, candidate_ids) -> bool:
     """No point of ``candidate_ids`` lies on the open segment (i, j)."""
     pi, pj = points[i], points[j]
-    cand = np.asarray(candidate_ids)
-    sub = points[cand]
+    sub = points[np.asarray(candidate_ids)]
     # exact closed box: the cheap filter before the exact predicate
     box = ((sub >= np.minimum(pi, pj)) & (sub <= np.maximum(pi, pj))).all(axis=1)
-    return not any(on_open_segment(pi, pj, points[k]) for k in cand[box])
+    a, b = pi.tolist(), pj.tolist()
+    return not any(on_open_segment(a, b, q) for q in sub[box].tolist())
 
 
 def build_unbounded_prefix(window, phases: int) -> TriangulationComplex:
@@ -683,8 +685,8 @@ def build_unbounded_prefix(window, phases: int) -> TriangulationComplex:
 def _find_long_edge_target(points, builder, x, length, hull_prev, hull_next, i0, i1):
     """Pick y with |xy| > length whose open segment misses the complex and all
     other points, searching 64 uniformly sampled direction cones."""
-    px = points[x]
-    diffs = points - px
+    xy = builder.xy
+    diffs = points - points[x]
     dists = np.linalg.norm(diffs, axis=1)
     angles = np.arctan2(diffs[:, 1], diffs[:, 0])
     half = math.pi / 64.0
@@ -702,14 +704,13 @@ def _find_long_edge_target(points, builder, x, length, hull_prev, hull_next, i0,
                 continue
             if builder.cx.n_cells:
                 # direction must leave the convex hull immediately at x
-                py = points[y]
-                s1 = orient2d(*px, *points[hull_next], *py)
-                s2 = orient2d(*points[hull_prev], *px, *py)
+                s1 = orient2d(*xy[x], *xy[hull_next], *xy[y])
+                s2 = orient2d(*xy[hull_prev], *xy[x], *xy[y])
                 if s1 >= 0 and s2 >= 0:
                     continue  # stays inside the closed tangent wedge
                 if builder.point_in_space(y):
                     continue
-            elif orient2d(*points[i0], *points[i1], *points[y]) == 0:
+            elif orient2d(*xy[i0], *xy[i1], *xy[y]) == 0:
                 continue  # keep the seed triangle non-degenerate
             near = np.nonzero(dists <= dists[y])[0]
             if not _segment_clear(points, x, y, near):

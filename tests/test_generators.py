@@ -8,6 +8,7 @@ import pytest
 from delone.errors import InvalidComplexError
 from delone.triangulation import first_non_delaunay_facet
 from delone.generators import (
+    _delone_check,
     PointSetWindow,
     StripConfig,
     compatible_isoceles,
@@ -152,6 +153,48 @@ def test_poisson_dart_throwing_matches_one_draw_reference():
         # hole filling only appends points after the dart-throwing ones
         assert np.array_equal(got[: len(want)], np.array(want)), (r, R, W, seed)
     assert last_attempt_accepts >= 1
+
+
+def _reference_window(r, R, W, seed):
+    """``_reference_dart_throwing`` followed by the hole filling of
+    ``poisson_delone_window``: the window's points and how many of them the
+    hole filling added."""
+    points, _ = _reference_dart_throwing(r, R, W, seed)
+    n_darts = len(points)
+    spacing = 2.0 * r
+    for _ in range(16):
+        window = PointSetWindow(dim=2, points=np.array(points), r=r, R=R, window_radius=float(W))
+        report, probes, dist = _delone_check(window)
+        if report.ok:
+            return window.points, len(points) - n_darts
+        added = []
+        for p in map(tuple, probes[dist > R].tolist()):
+            if all((p[0] - q[0]) ** 2 + (p[1] - q[1]) ** 2 >= spacing**2 for q in added):
+                added.append(p)
+                points.append(p)
+    raise AssertionError("hole filling did not converge")
+
+
+@pytest.mark.parametrize(
+    "r, R, W, seed, n_filled",
+    [
+        (0.5, 1.0, 4.1, 1, 2),
+        (0.5, 1.0, 4.1, 3, 1),
+        (0.4, 0.8, 10, 0, 10),
+        (0.4, 0.8, 10, 2, 3),
+        (0.4, 1.5, 10, 0, 0),
+        (0.4, 1.5, 10, 3, 0),
+        (0.5, 1.5, 26, 0, 0),
+        (0.3, 0.6, 26, 0, 69),
+        (0.5, 1.5, 60, 9, 0),
+    ],
+)
+def test_poisson_window_matches_tuple_keyed_reference(r, R, W, seed, n_filled):
+    """The int-keyed grid, nearest-first scan and batched draws give the
+    bytes of the tuple-keyed one-draw loop, hole filling included."""
+    want, filled = _reference_window(r, R, W, seed)
+    assert filled == n_filled
+    assert poisson_delone_window(r, R, W, seed=seed).points.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize(

@@ -8,6 +8,7 @@ from delone import oracle
 from delone.errors import InvalidComplexError, NonGenericError
 from delone.functionals import FunctionalSpec, complex_sum, fe_lifted_volume
 from delone.oracle import (
+    ENUMERATION_LIMIT,
     enumerate_triangulations_2d,
     fe_quadrature,
     min_sum_triangulation,
@@ -22,10 +23,20 @@ TRI_345 = [(0.0, 0.0), (4.0, 0.0), (0.0, 3.0)]
 
 
 def convex_ngon(n, seed=0, wobble=1e-2):
+    """A strictly convex n-gon, counterclockwise, near the unit circle.
+    Each angle stays within a quarter step of its slot 2 pi k / n, so
+    neighbours are at least pi / n apart, and a vertex sinks below the chord
+    of its neighbours only by a radius change of about (pi / n)^2 / 2, far
+    above ``wobble`` for n <= ENUMERATION_LIMIT.  Random angles had let two
+    neighbours crowd together, and the wobble then pushed the point between
+    them inside the hull."""
     rng = np.random.default_rng(seed)
-    ang = np.sort(rng.uniform(0, 2 * math.pi, n))
+    ang = 2 * math.pi * (np.arange(n) + rng.uniform(-0.25, 0.25, n)) / n
     radius = 1.0 + rng.uniform(-wobble, wobble, n)
-    return np.c_[radius * np.cos(ang), radius * np.sin(ang)]
+    pts = np.c_[radius * np.cos(ang), radius * np.sin(ang)]
+    xy = pts.tolist()
+    assert all(orient2d(*xy[k - 2], *xy[k - 1], *xy[k]) == 1 for k in range(n)), (n, seed)
+    return pts
 
 
 def test_convex_quad_two_triangulations():
@@ -39,6 +50,15 @@ def test_convex_pentagon_catalan():
 
 def test_convex_hexagon_catalan():
     assert len(enumerate_triangulations_2d(convex_ngon(6, seed=4))) == 14
+
+
+@pytest.mark.parametrize("n", range(4, ENUMERATION_LIMIT + 1))
+def test_convex_ngon_catalan(n):
+    # every convex n-gon has Catalan(n - 2) triangulations; seeds 1 and 5
+    # gave a non-convex 9-gon under random angles
+    catalan = math.comb(2 * (n - 2), n - 2) // (n - 1)
+    for seed in (0, 1, 5):
+        assert len(enumerate_triangulations_2d(convex_ngon(n, seed=seed))) == catalan
 
 
 def test_interior_point_configuration():
@@ -131,7 +151,7 @@ def test_enumerated_states_equal_built_complexes():
     # no state goes through build_complex any more: each must still be the
     # complex that build_complex makes of its sorted cells, down to the
     # iteration order of its cell set and of its facet adjacency
-    inputs = [pts for pts, _ in traversal_inputs()] + [convex_ngon(9, seed=5, wobble=1e-3)]
+    inputs = [pts for pts, _ in traversal_inputs()] + [convex_ngon(9, seed=5)]
     checked = 0
     for pts in inputs:
         try:

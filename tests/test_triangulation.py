@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 from collections import Counter
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 
 from delone.delaunay import delaunay_2d, delaunay_3d
-from delone import delaunay, triangulation
+from delone import delaunay, geometry, oracle, triangulation
 from delone.density import density_sequence
 from delone.errors import DegenerateSimplexError, InvalidComplexError, NonGenericError
 from delone.functionals import FunctionalSpec
@@ -441,16 +442,18 @@ class _MiniWindow:
         self.window_radius = radius
 
 
-def test_build_unbounded_prefix_small():
+def _jittered_grid_window():
     rng = np.random.default_rng(4)
     # a blue-noise-ish cloud: grid plus jitter keeps spacing positive
     g = np.arange(-12, 13, dtype=float)
     xs, ys = np.meshgrid(g, g)
     pts = np.c_[xs.ravel(), ys.ravel()] + rng.uniform(-0.35, 0.35, (len(g) ** 2, 2))
     keep = np.linalg.norm(pts, axis=1) <= 12
-    window = _MiniWindow(pts[keep], 12.0)
+    return _MiniWindow(pts[keep], 12.0)
 
-    cx = build_unbounded_prefix(window, phases=3)
+
+def test_build_unbounded_prefix_small():
+    cx = build_unbounded_prefix(_jittered_grid_window(), phases=3)
     edges = {
         e
         for cell in cx.cells
@@ -484,6 +487,64 @@ def test_prefix_builder_splits_point_on_boundary_edge():
     assert 3 in b.hull and len(b.hull) == 4
     # every cell uses the on-edge point or the interior point correctly
     assert cx.cell_measures().sum() == pytest.approx(6.0, rel=1e-12)
+
+
+# Recorded when the prefix builder still passed NumPy rows to its exact
+# predicates: (number of cells, sha256 of repr(list(cx._cells)) to 16 hex
+# digits, provenance["long_edges"]).  The predicates are exact on the same
+# doubles, so any change of input type must leave the cells and their order.
+PREFIX_PINS = {
+    0: (68, "e5f4e611f9f9d9ae", [[89, 105], [89, 111], [78, 61]]),
+    1: (68, "db4c819d5d851210", [[42, 17], [17, 149], [27, 108]]),
+    2: (60, "a4c6c1b12ba54515", [[41, 126], [41, 113], [19, 102]]),
+    "grid": (103, "f561c2c4fd243501", [[224, 218], [218, 214], [178, 150]]),
+}
+
+
+@pytest.mark.parametrize("case", list(PREFIX_PINS))
+def test_build_unbounded_prefix_pinned(case):
+    if case == "grid":
+        window = _jittered_grid_window()
+    else:
+        window = poisson_delone_window(0.4, 1.5, 10, seed=case)
+    cx = build_unbounded_prefix(window, phases=3)
+    n_cells, digest, long_edges = PREFIX_PINS[case]
+    cells = repr(list(cx._cells))
+    assert (len(cx._cells), hashlib.sha256(cells.encode()).hexdigest()[:16]) == (n_cells, digest)
+    assert cx.provenance["long_edges"] == long_edges
+
+
+def test_scalar_predicates_receive_python_floats(monkeypatch):
+    # orient2d/incircle2d take about 7x longer on np.float64 scalars than on
+    # Python floats; np.float64 subclasses float, so test the exact type
+    calls = Counter()
+
+    def checked(module, name):
+        pred = getattr(geometry, name)
+
+        def wrapper(*args):
+            coords = [c for a in args for c in (a if name == "on_open_segment" else [a])]
+            assert all(type(c) is float for c in coords), (module.__name__, name, args)
+            calls[module.__name__, name] += 1
+            return pred(*args)
+        return wrapper
+
+    for module in (triangulation, oracle, delaunay):
+        for name in ("orient2d", "incircle2d", "on_open_segment"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, checked(module, name))
+    window = poisson_delone_window(0.4, 1.5, 10, seed=0)
+    build_unbounded_prefix(window, phases=2)
+    oracle.noncrossing_triangulations(np.random.default_rng(3).uniform(size=(6, 2)))
+    delaunay_2d(window.points)
+    assert {key for key, n in calls.items() if n} == {
+        ("delone.triangulation", "orient2d"),
+        ("delone.triangulation", "on_open_segment"),
+        ("delone.oracle", "orient2d"),
+        ("delone.oracle", "on_open_segment"),
+        ("delone.delaunay", "orient2d"),
+        ("delone.delaunay", "incircle2d"),
+    }
 
 
 def test_build_unbounded_prefix_phase_edges_grow():
