@@ -23,7 +23,8 @@ from .errors import (
 from .geometry import (
     Side,
     _exact_rows,
-    in_sphere,
+    _in_sphere_rows,
+    _orient_rows,
     in_spheres,
     incircle2d,
     on_open_segment,
@@ -364,12 +365,11 @@ def _lower_hull_complex(points, provenance=None) -> TriangulationComplex:
     live = downs != 0  # a vertical facet (coplanar window-boundary points) is no cell
     if (ins[live] == 0).any():
         raise NonGenericError("lifted hull has a facet through its centroid")
-    sorted_facets = np.sort(hull.simplices, axis=1)
-    flats = orientations(pts[sorted_facets]) == 0
     # an upper facet (the hull lies below it), or a coplanar 4-tuple on the
     # window boundary that lifts to a lower facet whose projection is flat,
     # is no cell either; the set keeps the facets' order for build_complex
-    cells = set(map(tuple, sorted_facets[live & (ins != downs) & ~flats].tolist()))
+    lower = np.sort(hull.simplices[live & (ins != downs)], axis=1)
+    cells = set(map(tuple, lower[orientations(pts[lower]) != 0].tolist()))
 
     cx = build_complex(pts, cells, provenance=provenance or {})
     certify_tiling(cx)
@@ -408,10 +408,11 @@ def radon_split(points):
     """
     pts = np.asarray(points, dtype=float)
     n, d = pts.shape
-    if n != d + 2:
-        raise ValueError("radon_two_triangulations needs exactly d+2 points")
+    if n != d + 2 or d not in (2, 3):
+        raise ValueError("radon_two_triangulations needs exactly d+2 points in R^2 or R^3")
+    p = pts.tolist()
     rests = [[j for j in range(n) if j != i] for i in range(n)]
-    lam = [(-1) ** i * orientation(pts[rest]) for i, rest in enumerate(rests)]
+    lam = [(-1) ** i * _orient_rows(p[:i] + p[i + 1:]) for i in range(n)]
     lower, upper = [], []
     for i, rest in enumerate(rests):
         if lam[i] == 0:
@@ -421,7 +422,7 @@ def radon_split(points):
                 f"point {i} lies inside the convex hull of the others"
             )
         if i == 0:
-            side0 = in_sphere(pts[rest], pts[0])
+            side0 = _in_sphere_rows(p[1:], p[0])
             if side0 == Side.ON:
                 raise NonGenericError(f"all {n} points are cospherical")
         cell = tuple(rest)

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .delaunay import radon_split, radon_two_triangulations, restrict_delaunay
+from .delaunay import radon_two_triangulations, restrict_delaunay
 from .errors import DegenerateSimplexError, SamplerError
 from .generators import stream_rng
 from .geometry import circumcenters, measures, orientation
@@ -201,10 +201,9 @@ def inequality_tolerance(left: float, right: float) -> float:
     return (abs(left) + abs(right) + 1.0) * 1e-9
 
 
-def check_flip_inequality(spec: FunctionalSpec, points) -> CheckResult:
-    """The flip inequality on d+2 points: sum over the Delaunay triangulation
-    must not exceed the sum over the other one."""
-    dcx, tcx = radon_two_triangulations(points)
+def check_flip_inequality(spec: FunctionalSpec, dcx, tcx) -> CheckResult:
+    """The flip inequality on a pair from ``radon_two_triangulations``: the sum
+    over the Delaunay triangulation ``dcx`` must not exceed that over ``tcx``."""
     sum_d = complex_sum(spec, dcx)
     sum_t = complex_sum(spec, tcx)
     tol = inequality_tolerance(sum_d, sum_t)
@@ -278,15 +277,17 @@ def check_ecal_bounds(
 # randomized trial batteries
 
 
-def random_radon_points(rng, d: int) -> np.ndarray:
-    """d+2 generic points, none inside the hull of the others."""
+def random_radon_pair(rng, d: int):
+    """d+2 generic points, none inside the hull of the others, drawn until
+    ``radon_two_triangulations`` accepts them: (points, (Delaunay, other))."""
+    if d not in (2, 3):
+        raise ValueError(f"Radon pairs are drawn in R^2 or R^3, not R^{d}")
     while True:
         pts = rng.uniform(size=(d + 2, d))
         try:
-            radon_split(pts)
+            return pts, radon_two_triangulations(pts)
         except ValueError:
             continue
-        return pts
 
 
 def run_flip_trials(
@@ -300,8 +301,8 @@ def run_flip_trials(
     worst = math.inf
     for i in range(start, start + trials):
         rng = stream_rng(seed, f"flip-trial-{i}")
-        pts = random_radon_points(rng, d)
-        res = check_flip_inequality(spec, pts)
+        pts, (dcx, tcx) = random_radon_pair(rng, d)
+        res = check_flip_inequality(spec, dcx, tcx)
         worst = min(worst, res.margin)
         if not res.passed:
             violations += 1

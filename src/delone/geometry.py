@@ -59,13 +59,14 @@ def _det3(m):
 
 
 def _det4(m):
-    out = 0
-    sign = 1
-    for col in range(4):
-        minor = [[m[r][c] for c in range(4) if c != col] for r in (1, 2, 3)]
-        out = out + sign * m[0][col] * _det3(minor)
-        sign = -sign
-    return out
+    """Row-0 expansion, each cofactor written out in ``_det3``'s order."""
+    (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3), (d0, d1, d2, d3) = m
+    s01, s02, s03 = c0 * d1 - c1 * d0, c0 * d2 - c2 * d0, c0 * d3 - c3 * d0
+    s12, s13, s23 = c1 * d2 - c2 * d1, c1 * d3 - c3 * d1, c2 * d3 - c3 * d2
+    return (a0 * (b1 * s23 - b2 * s13 + b3 * s12)
+            - a1 * (b0 * s23 - b2 * s03 + b3 * s02)
+            + a2 * (b0 * s13 - b1 * s03 + b3 * s01)
+            - a3 * (b0 * s12 - b1 * s02 + b2 * s01))
 
 
 _DETS = {2: _det2, 3: _det3, 4: _det4}
@@ -130,21 +131,25 @@ def _filtered_det_signs(rows, exact_rows) -> np.ndarray:
     return signs
 
 
+def _orient_rows(p) -> int:
+    """``orientation`` on d+1 rows of Python floats, the one scalar path."""
+    if len(p) == 3:
+        (ax, ay), (bx, by), (cx, cy) = p
+        return orient2d(ax, ay, bx, by, cx, cy)
+    rows = [[x - b for x, b in zip(row, p[0])] for row in p[1:]]
+    return _filtered_det_sign(rows, lambda: _exact_rows(p))
+
+
 def orientation(simplex) -> int:
-    """Orientation sign of d+1 points in R^d: +1, -1, or 0 (degenerate).
+    """Orientation sign of d+1 points in R^d, d = 2..4: +1, -1, or 0 (degenerate).
 
     (0,0),(1,0),(0,1) is positively oriented, as is the standard 3-simplex.
     """
     pts = np.asarray(simplex, dtype=float)
     n, d = pts.shape
-    if n != d + 1:
-        raise ValueError(f"orientation needs d+1 points of dimension d, got {n}x{d}")
-    if d == 2:  # the same filter and fallback on Python floats
-        (ax, ay), (bx, by), (cx, cy) = pts.tolist()
-        return orient2d(ax, ay, bx, by, cx, cy)
-    base = pts[0]
-    rows = [[float(pts[i][j] - base[j]) for j in range(d)] for i in range(1, n)]
-    return _filtered_det_sign(rows, lambda: _exact_rows(pts))
+    if n != d + 1 or not 2 <= d <= 4:
+        raise ValueError(f"orientation needs d+1 points in R^d, d = 2..4, got {n}x{d}")
+    return _orient_rows(pts.tolist())
 
 
 def orientations(stack) -> np.ndarray:
@@ -153,15 +158,15 @@ def orientations(stack) -> np.ndarray:
     The batched form of ``orientation``: every determinant is evaluated in
     NumPy with the same cofactor expansion and filter, and only the rows the
     filter cannot certify are re-evaluated in integer arithmetic.  Stacks
-    of fewer than 8 rows go through ``orientation`` row by row, which costs
-    less than the fixed cost of the NumPy pass.
+    of fewer than 8 rows go row by row through the scalar kernel on Python
+    floats, which costs less than the fixed cost of the NumPy pass.
     """
     pts = np.asarray(stack, dtype=float)
     m, n, d = pts.shape
-    if n != d + 1:
-        raise ValueError(f"orientations needs an (m, d+1, d) stack, got {pts.shape}")
+    if n != d + 1 or not 2 <= d <= 4:
+        raise ValueError(f"orientations needs an (m, d+1, d) stack, d = 2..4, got {pts.shape}")
     if m < 8:
-        return np.array([orientation(s) for s in pts], dtype=np.int64)
+        return np.array([_orient_rows(s) for s in pts.tolist()], dtype=np.int64)
     rows = [list(row) for row in (pts[:, 1:] - pts[:, :1]).transpose(1, 2, 0)]
     return _filtered_det_signs(rows, lambda k: _exact_rows(pts[k]))
 
@@ -181,38 +186,42 @@ def _exact_lifted_rows(pts, q):
     return _lifted_rows(simplex, q)
 
 
+def _in_sphere_rows(p, q) -> Side:
+    """``in_sphere`` on d+1 rows and a point of Python floats."""
+    orient = _orient_rows(p)
+    if orient == 0:
+        raise DegenerateSimplexError("in_sphere: degenerate simplex")
+    if len(q) == 2:
+        (ax, ay), (bx, by), (cx, cy) = p
+        s = incircle2d(ax, ay, bx, by, cx, cy, *q)
+    else:
+        s = _filtered_det_sign(_lifted_rows(p, q), lambda: _exact_lifted_rows(p, q))
+    # The translated lifted determinant is positive-inside in even dimension
+    # and negative-inside in odd dimension; index -1 picks OUTSIDE.
+    return (Side.ON, Side.INSIDE, Side.OUTSIDE)[s * orient * (-1) ** len(q)]
+
+
 def in_sphere(simplex, point) -> Side:
     """Classify ``point`` against the circumsphere of a non-degenerate simplex."""
     pts = np.asarray(simplex, dtype=float)
     q = np.asarray(point, dtype=float)
     n, d = pts.shape
-    if n != d + 1 or q.shape != (d,):
-        raise ValueError("in_sphere needs a d-simplex and a d-point")
-    orient = orientation(pts)
-    if orient == 0:
-        raise DegenerateSimplexError("in_sphere: degenerate simplex")
-    if d == 2:  # the same lifted rows, filter and fallback on Python floats
-        (ax, ay), (bx, by), (cx, cy) = pts.tolist()
-        s = incircle2d(ax, ay, bx, by, cx, cy, *q.tolist())
-    else:
-        rows = _lifted_rows(pts.tolist(), q.tolist())
-        s = _filtered_det_sign(rows, lambda: _exact_lifted_rows(pts, q))
-    # The translated lifted determinant is positive-inside in even dimension
-    # and negative-inside in odd dimension; index -1 picks OUTSIDE.
-    return (Side.ON, Side.INSIDE, Side.OUTSIDE)[s * orient * (-1) ** d]
+    if n != d + 1 or q.shape != (d,) or d not in (2, 3):
+        raise ValueError(f"in_sphere needs a d-simplex and a d-point, d = 2 or 3, got {n}x{d}")
+    return _in_sphere_rows(pts.tolist(), q.tolist())
 
 
 def in_spheres(simplices, points) -> np.ndarray:
-    """Batched ``in_sphere``: the ``Side`` value of points[k] against the
-    circumsphere of simplices[k], for an (m, d+1, d) stack and m points.
+    """Batched ``in_sphere`` (d = 2 or 3): the ``Side`` of points[k] against
+    the circumsphere of simplices[k], for an (m, d+1, d) stack and m points.
     Built like ``orientations``; raises if any simplex is degenerate."""
     simp = np.asarray(simplices, dtype=float)
     q = np.asarray(points, dtype=float)
     m, n, d = simp.shape
-    if n != d + 1 or q.shape != (m, d):
-        raise ValueError(f"in_spheres got shapes {simp.shape} and {q.shape}")
+    if n != d + 1 or q.shape != (m, d) or d not in (2, 3):
+        raise ValueError(f"in_spheres needs d = 2 or 3, got shapes {simp.shape} and {q.shape}")
     if m < 8:
-        return np.array([in_sphere(s, p) for s, p in zip(simp, q)], dtype=np.int64)
+        return np.array(list(map(_in_sphere_rows, simp.tolist(), q.tolist())), dtype=np.int64)
     orient = orientations(simp)
     if not orient.all():
         raise DegenerateSimplexError("in_spheres: degenerate simplex")
@@ -328,13 +337,13 @@ def inradius_2d(triangle) -> float:
     return float(2.0 * area / (a + b + c))
 
 
-# 2D predicates on Python floats: the incremental builder calls them
-# directly, and ``orientation``/``in_sphere`` route d = 2 through them.  They
-# evaluate the same expansion with the same ``_filter_tol`` bound and the
-# same integer fallback, so their signs are identical.  Callers pass Python
-# floats (rows read with ``.tolist()``): on np.float64 scalars a call takes
-# 5-6x longer (orient2d 5.3 against 0.9 us, incircle2d 8.0 against 1.5 us;
-# CPython 3.11, NumPy 2.4, one core of a 2-vCPU VM).
+# 2D predicates on Python floats: the incremental builder calls them directly,
+# and the one scalar path (``_orient_rows``/``_in_sphere_rows``) routes d = 2
+# through them and d = 3, 4 through ``_filtered_det_sign`` on the same floats.
+# All evaluate the batched pass's expansion, ``_filter_tol`` bound and integer
+# fallback, so the signs agree.  On np.float64 scalars instead of Python floats
+# a call takes 5-6x longer (orient2d 5.3 against 0.9 us, incircle2d 8.0 against
+# 1.5 us; CPython 3.11, NumPy 2.4, one core of a 2-vCPU VM).
 
 def orient2d(ax, ay, bx, by, cx, cy) -> int:
     ux, uy = bx - ax, by - ay

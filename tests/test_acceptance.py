@@ -25,7 +25,7 @@ from delone.functionals import (
     complex_sum,
     eval_batch,
     fe_lifted_volume,
-    random_radon_points,
+    random_radon_pair,
 )
 from delone.generators import (
     StripConfig,
@@ -107,10 +107,10 @@ def test_criterion_4_flip_class_suite():
         FunctionalSpec("F6"),
     ]
     rng = stream_rng(4, "acceptance-flip")
-    configs = [random_radon_points(rng, 2) for _ in range(1000)]
+    pairs = [random_radon_pair(rng, 2)[1] for _ in range(1000)]
     for spec in specs:
         violations = sum(
-            0 if check_flip_inequality(spec, pts).passed else 1 for pts in configs
+            0 if check_flip_inequality(spec, *pair).passed else 1 for pair in pairs
         )
         assert violations == 0, f"{spec}: {violations} violations"
     report(4, "0 violations in 1000 four-point flip trials for F1, F2, F3, "

@@ -357,8 +357,9 @@ def test_radon_split_matches_scalar_split(d):
         assert split_outcome(radon_split, pts) == want
         kinds[want[0] if isinstance(want[0], type) else "ok"] += 1
     assert min(kinds.values()) > 50  # every outcome is exercised
-    with pytest.raises(ValueError, match="exactly d\\+2"):
-        radon_split(np.zeros((3, 2)))
+    for shape in ((3, 2), (3, 1), (6, 4)):  # wrong count, R^1, R^4
+        with pytest.raises(ValueError, match="exactly d\\+2 points in R\\^2 or R\\^3"):
+            radon_split(np.zeros(shape))
 
 
 def test_restrict_delaunay_full_and_single():

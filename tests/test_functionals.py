@@ -1,9 +1,10 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
-from delone.delaunay import delaunay_2d
+from delone.delaunay import delaunay_2d, radon_split
 from delone.errors import DegenerateSimplexError, SamplerError
 from delone.functionals import (
     ClassReport,
@@ -15,8 +16,10 @@ from delone.functionals import (
     eval_batch,
     eval_functional,
     fe_lifted_volume,
+    random_radon_pair,
     run_flip_trials,
 )
+from delone.generators import stream_rng
 from delone.triangulation import build_complex
 
 TRI_345 = [(0.0, 0.0), (4.0, 0.0), (0.0, 3.0)]
@@ -144,17 +147,104 @@ def test_flip_inequality_f5_small_battery():
 
 def test_flip_inequality_area_margin_zero():
     rng = np.random.default_rng(9)
-    from delone.functionals import random_radon_points
-
     for _ in range(20):
-        pts = random_radon_points(rng, 2)
-        res = check_flip_inequality(FunctionalSpec("AREA"), pts)
+        _, (dcx, tcx) = random_radon_pair(rng, 2)
+        res = check_flip_inequality(FunctionalSpec("AREA"), dcx, tcx)
         assert res.margin == pytest.approx(0.0, abs=1e-12)
 
 
 def test_flip_inequality_3d_fr():
     report = run_flip_trials(FunctionalSpec("FR"), trials=50, seed=5, d=3)
     assert report.passed, report.witness
+
+
+# (d, spec, seed, start) -> (violations, min_margin, witness) of
+# run_flip_trials(spec, 12, seed=seed, d=d, start=start): a change to the
+# draws, the Radon split or the predicates that moves any trial shows here.
+FLIP_TRIAL_PINS = {
+    (2, "F5", 0, 0): (0, 0.0026977907532904077, None),
+    (2, "F5", 3, 17): (0, 0.0006335567171260291, None),
+    (2, "F5", 11, 40): (0, 0.0008630412913963602, None),
+    (2, "F5", 29, 123): (0, 0.0028571184880984146, None),
+    (2, "F1:c1=1.5", 0, 0): (0, 0.07213735312080602, None),
+    (2, "F1:c1=1.5", 3, 17): (0, 0.028406977095427832, None),
+    (2, "F1:c1=1.5", 11, 40): (0, 0.06846132067975441, None),
+    (2, "F1:c1=1.5", 29, 123): (0, 0.0292254669403732, None),
+    (2, "AREA", 0, 0): (0, -5.551115123125783e-17, None),
+    (2, "AREA", 3, 17): (0, -2.7755575615628914e-17, None),
+    (2, "AREA", 11, 40): (0, -5.551115123125783e-17, None),
+    (2, "AREA", 29, 123): (0, -5.551115123125783e-17, None),
+    (3, "FR", 0, 0): (0, 0.00015832289920794662, None),
+    (3, "FR", 3, 17): (0, 0.0014475493775331777, None),
+    (3, "FR", 11, 40): (0, 0.00033766033581293653, None),
+    (3, "FR", 29, 123): (0, 0.0008887105170857779, None),
+    (3, "FE", 0, 0): (0, 7.916144960397591e-06, None),
+    (3, "FE", 3, 17): (0, 7.237746887666079e-05, None),
+    (3, "FE", 11, 40): (0, 1.688301679064969e-05, None),
+    (3, "FE", 29, 123): (0, 4.44355258542891e-05, None),
+    (3, "F1", 0, 0): (7, -1.2683286387920827, [
+        [0.8995977959166565, 0.5619468620985577, 0.7168373475395349],
+        [0.35828139355655364, 0.017023727657043297, 0.45555621869369856],
+        [0.6279429097388475, 0.6974528275500885, 0.8596431639089931],
+        [0.17545374402505554, 0.6699361422488682, 0.2777580620494967],
+        [0.3293490532010417, 0.9659364001012728, 0.8888953016777466],
+    ]),
+    (3, "F1", 3, 17): (6, -2.9717412761802686, [
+        [0.973505722915009, 0.7807048825838473, 0.10121583473560813],
+        [0.8781483590145921, 0.6681452475092576, 0.791601817603969],
+        [0.2903956286267092, 0.4867234892953983, 0.2668611493641889],
+        [0.8430254290848457, 0.43028304074483803, 0.17515812644138773],
+        [0.6784559306565524, 0.6734655771108636, 0.6805902977327933],
+    ]),
+    (3, "F1", 11, 40): (8, -12.111937818509794, [
+        [0.7717365217985097, 0.4610259299802012, 0.7311203484777068],
+        [0.37636938667270603, 0.5812314102383609, 0.22159640450617524],
+        [0.7575129855553632, 0.22185019702866438, 0.26109622231562557],
+        [0.18917153171970413, 0.9583914697825751, 0.04843931561744841],
+        [0.9426047787133356, 0.8959441046021237, 0.955281622938691],
+    ]),
+    (3, "F1", 29, 123): (8, -6.028324834960907, [
+        [0.1518282233539966, 0.613110236902001, 0.3374490787030755],
+        [0.3632922509626526, 0.376162134633512, 0.2784918220315675],
+        [0.8755260773644926, 0.35360818030672025, 0.026660999181252643],
+        [0.47663182874536203, 0.9079166409884288, 0.6901191293998569],
+        [0.7127806789655127, 0.3505722567505657, 0.9672788068795056],
+    ]),
+}
+
+
+@pytest.mark.parametrize("key", FLIP_TRIAL_PINS, ids=lambda k: "-".join(map(str, k)))
+def test_flip_trials_pinned(key):
+    d, text, seed, start = key
+    violations, margin, witness = FLIP_TRIAL_PINS[key]
+    spec = FunctionalSpec.parse(text)
+    assert run_flip_trials(spec, 12, seed=seed, d=d, start=start).to_dict() == {
+        "functional": str(spec), "trials": 12, "violations": violations,
+        "passed": violations == 0, "witness": witness, "e_hat": None, "E_hat": None,
+        "notes": {"min_margin": margin, "d": d},
+    }
+
+
+def test_random_radon_pair_keeps_the_draw_sequence():
+    """200 draws in a row and the generator state after them, pinned as the
+    sha256 of the points' bytes and the next uniform: a draw is kept exactly
+    when ``radon_split`` accepts it, and the pair is that split."""
+    want = {
+        2: ("0d52c73ad94c3cb185b0310782c5ff0f5ab09546be9f4fd903c219ac341c1298",
+            0.14898467385622804),
+        3: ("459940916800f4e187f6d1c1ac8f0593a69e25a3575fc9415fc95b44c1af1553",
+            0.3065222649360526),
+    }
+    for d, (digest, after) in want.items():
+        rng = stream_rng(7, f"radon-draws-{d}")
+        h = hashlib.sha256()
+        for _ in range(200):
+            pts, (dcx, tcx) = random_radon_pair(rng, d)
+            assert [dcx.cells, tcx.cells] == [sorted(cells) for cells in radon_split(pts)]
+            h.update(pts.tobytes())
+        assert (h.hexdigest(), rng.random()) == (digest, after)
+    with pytest.raises(ValueError, match="R\\^2 or R\\^3"):
+        random_radon_pair(rng, 4)  # raises instead of drawing forever
 
 
 def test_g_inequality_delaunay_region_margin_zero():

@@ -12,6 +12,8 @@ from delone.errors import DegenerateSimplexError
 from delone.generators import lattice_window
 from delone.geometry import (
     Side,
+    _det3,
+    _det4,
     _exact_lifted_rows,
     _exact_rows,
     _exact_sign,
@@ -726,3 +728,53 @@ def test_predicates_exact_on_tiny_coordinates_both_paths(d):
         sides = [fraction_side(s, p) for s, p in zip(simp.tolist(), q.tolist())]
         assert [in_sphere(s, p) for s, p in zip(simp, q)] == sides
         assert in_spheres(simp, q).tolist() == sides
+
+
+# ---------------------------------------------------------------------------
+# the written-out 4x4 determinant and the supported dimensions
+
+
+def det4_by_minors(m):
+    """Reference for ``_det4``: expansion along row 0 by a loop over the
+    minors, each evaluated by ``_det3``."""
+    out, sign = 0, 1
+    for col in range(4):
+        minor = [[m[r][c] for c in range(4) if c != col] for r in (1, 2, 3)]
+        out = out + sign * m[0][col] * _det3(minor)
+        sign = -sign
+    return out
+
+
+def test_det4_equals_loop_over_minors_on_floats_ints_and_columns():
+    rng = np.random.default_rng(31)
+    for _ in range(2000):  # floats of mixed exponents: any reordering shows
+        rows = (rng.normal(size=(4, 4)) * 10.0 ** rng.integers(-8, 9, size=(4, 4))).tolist()
+        assert _det4(rows) == det4_by_minors(rows)
+        lifted = _lifted_rows(rows, rows[0][:3])  # with an exact zero row
+        assert _det4(lifted) == det4_by_minors(lifted) == 0.0
+    for _ in range(200):  # big ints, as the exact fallback passes them
+        rows = [[int(x) << 90 for x in row] for row in rng.integers(-2**62, 2**62, size=(4, 4))]
+        assert _det4(rows) == det4_by_minors(rows)
+    rank3 = [[1, 2, 3, 4], [2, 4, 6, 8], [0, 1, 0, 1], [5, 6, 7, 8]]
+    assert _det4(rank3) == det4_by_minors(rank3) == 0
+    cols = [list(row) for row in rng.normal(size=(4, 4, 1000))]  # the batched pass
+    assert np.array_equal(_det4(cols), det4_by_minors(cols))
+
+
+@pytest.mark.parametrize("predicate, args", [
+    (orientation, ([[0.0], [1.0]],)),
+    (orientation, (np.eye(6)[:, :5],)),  # six points in R^5
+    (orientations, (np.zeros((3, 2, 1)),)),
+    (orientations, (np.zeros((9, 2, 1)),)),  # the NumPy pass
+    (orientations, (np.zeros((3, 6, 5)),)),
+    (orientations, (np.zeros((9, 6, 5)),)),
+    (in_sphere, ([[0.0], [1.0]], [0.5])),
+    (in_sphere, (np.eye(5)[:, :4], np.zeros(4))),  # a 4D in-sphere test
+    (in_spheres, (np.zeros((3, 2, 1)), np.zeros((3, 1)))),
+    (in_spheres, (np.zeros((9, 2, 1)), np.zeros((9, 1)))),
+    (in_spheres, (np.zeros((3, 5, 4)), np.zeros((3, 4)))),
+    (in_spheres, (np.zeros((9, 5, 4)), np.zeros((9, 4)))),
+], ids=lambda v: getattr(v, "__name__", ""))
+def test_predicates_name_their_supported_dimensions(predicate, args):
+    with pytest.raises(ValueError, match=r"d = 2\.\.4|d = 2 or 3"):
+        predicate(*args)
