@@ -35,12 +35,22 @@ from .triangulation import TriangulationComplex, legalize_to_delaunay
 SCHEMA = 1
 
 
-def worker_count() -> int:
+def worker_count(tasks: int) -> int:
+    """``DELONE_THREADS`` (default 1) capped at the CPU count and at ``tasks``;
+    raises ``ValueError`` unless the variable is a positive integer."""
     value = os.environ.get("DELONE_THREADS", "1")
-    try:
-        return max(1, int(value))
-    except ValueError:
-        return 1
+    wanted = int(value) if value.strip().isdecimal() else 0
+    if wanted < 1:
+        raise ValueError(f"DELONE_THREADS must be a positive integer, not {value!r}")
+    return max(1, min(wanted, os.cpu_count() or 1, tasks))
+
+
+def _trial_chunks(trials: int, workers: int) -> list:
+    """(start, count) of each worker's consecutive share of ``trials``."""
+    if trials < 1:
+        raise ValueError("trials must be positive")
+    chunk = math.ceil(trials / workers)
+    return [(start, min(chunk, trials - start)) for start in range(0, trials, chunk)]
 
 
 def _write_manifest(path: str, command: str, params: dict):
@@ -181,21 +191,14 @@ def _flip_chunk(payload):
 
 def cmd_flipcheck(args) -> dict:
     spec = fun.FunctionalSpec.parse(args.F)
-    workers = worker_count()
-    chunk = math.ceil(args.trials / workers)
-    payloads = []
-    done = 0
-    for w in range(workers):
-        n = min(chunk, args.trials - done)
-        if n <= 0:
-            break
-        # per-trial streams make the result independent of the partitioning
-        payloads.append((str(spec), n, args.seed, args.d, done))
-        done += n
+    workers = worker_count(args.trials)
+    # per-trial streams make the result independent of the partitioning
+    payloads = [(str(spec), n, args.seed, args.d, start)
+                for start, n in _trial_chunks(args.trials, workers)]
     if len(payloads) == 1:
         results = [_flip_chunk(payloads[0])]
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=len(payloads)) as pool:
             results = list(pool.map(_flip_chunk, payloads))
     violations = sum(r[0] for r in results)
     witness = next((r[1] for r in results if r[1]), None)

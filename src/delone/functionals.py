@@ -158,6 +158,15 @@ def complex_sum(spec: FunctionalSpec, cx) -> float:
     return float(eval_batch(spec, cx.points[cx.cells_array()]).sum())
 
 
+def _paired_sums(spec: FunctionalSpec, a, b) -> tuple:
+    """``(complex_sum(spec, a), complex_sum(spec, b))`` from one ``eval_batch``
+    call over both complexes' cells; each row's value and each side's
+    summation order are those of two ``complex_sum`` calls."""
+    vals = eval_batch(spec, np.concatenate([a.points[a.cells_array()],
+                                            b.points[b.cells_array()]]))
+    return float(vals[:a.n_cells].sum()), float(vals[a.n_cells:].sum())
+
+
 # ---------------------------------------------------------------------------
 # class-membership checkers
 
@@ -204,8 +213,7 @@ def inequality_tolerance(left: float, right: float) -> float:
 def check_flip_inequality(spec: FunctionalSpec, dcx, tcx) -> CheckResult:
     """The flip inequality on a pair from ``radon_two_triangulations``: the sum
     over the Delaunay triangulation ``dcx`` must not exceed that over ``tcx``."""
-    sum_d = complex_sum(spec, dcx)
-    sum_t = complex_sum(spec, tcx)
+    sum_d, sum_t = _paired_sums(spec, dcx, tcx)
     tol = inequality_tolerance(sum_d, sum_t)
     return CheckResult(
         passed=bool(sum_d <= sum_t + tol),
@@ -220,9 +228,7 @@ def check_g_inequality(spec: FunctionalSpec, t_prime, dcx) -> CheckResult:
     Delaunay triangulation of Y, to the underlying space of T' must not
     exceed the sum over T'.  Raises ``ValueError`` when T' is not a complex
     on the points of ``dcx``."""
-    dprime = restrict_delaunay(dcx, t_prime)
-    sum_d = complex_sum(spec, dprime)
-    sum_t = complex_sum(spec, t_prime)
+    sum_d, sum_t = _paired_sums(spec, restrict_delaunay(dcx, t_prime), t_prime)
     tol = inequality_tolerance(sum_d, sum_t)
     return CheckResult(
         passed=bool(sum_d <= sum_t + tol),

@@ -67,6 +67,7 @@ class TriangulationComplex:
     _bound_q: float | None = field(default=None, repr=False)
     _cells_sorted: list | None = field(default=None, repr=False)
     _cells_array: np.ndarray | None = field(default=None, repr=False)
+    _rows: list | None = field(default=None, repr=False)
 
     # -- basic views --------------------------------------------------------
 
@@ -88,6 +89,14 @@ class TriangulationComplex:
 
     def cell_coords(self, cell: Cell) -> np.ndarray:
         return self.points[list(cell)]
+
+    @property
+    def point_rows(self) -> list:
+        """The points as lists of Python floats for the scalar predicates
+        (cached; copies share it, as they share ``points``)."""
+        if self._rows is None:
+            self._rows = self.points.tolist()
+        return self._rows
 
     def cells_array(self) -> np.ndarray:
         """The sorted cells as a read-only (m, d+1) int64 array (cached)."""
@@ -134,6 +143,7 @@ class TriangulationComplex:
             _cells=set(self._cells),
             _adjacency={f: list(cs) for f, cs in self.facet_adjacency.items()},
             provenance=dict(self.provenance),
+            _rows=self._rows,
         )
 
     # -- mutation (exclusive access) ----------------------------------------
@@ -350,13 +360,14 @@ def is_locally_delaunay(cx: TriangulationComplex, facet) -> bool:
     each other's circumspheres.  Raises on boundary facets and on exact
     cospherical (ON) configurations."""
     facet = tuple(sorted(facet))
-    incident = cx.facet_cells(facet)
+    incident = cx.facet_adjacency.get(facet, ())
     if len(incident) != 2:
         raise InvalidComplexError(f"facet {facet} is not interior")
     c0, c1 = incident
-    (v1,) = set(c1) - set(facet)
+    v1 = sum(c1) - sum(facet)
     if cx.dim == 2:  # in_sphere's decision, on Python floats
-        (ax, ay), (bx, by), (px, py), (qx, qy) = cx.points[[*c0, v1]].tolist()
+        rows = cx.point_rows
+        (ax, ay), (bx, by), (px, py), (qx, qy) = (rows[i] for i in (*c0, v1))
         if not (orient := orient2d(ax, ay, bx, by, px, py)):
             raise DegenerateSimplexError("in_sphere: degenerate simplex")
         side = incircle2d(ax, ay, bx, by, px, py, qx, qy) * orient
@@ -388,35 +399,47 @@ def first_non_delaunay_facet(cx: TriangulationComplex):
     return facets[inside[0]] if len(inside) else None
 
 
-def _quad_of(cx: TriangulationComplex, facet) -> tuple:
-    facet = tuple(sorted(facet))
-    c0, c1 = cx.facet_cells(facet)
-    return facet, sum(c0) - sum(facet), sum(c1) - sum(facet)
-
-
-def _do_flip(cx: TriangulationComplex, facet, direction: str) -> FlipRecord:
-    (u, v), a, b = _quad_of(cx, facet)
-    pa, pb, pu, pv = cx.points[[a, b, u, v]].tolist()
+def _plan_flip(cx: TriangulationComplex, facet) -> tuple:
+    """The 2D flip of interior edge ``facet`` as (edge, opposite vertices,
+    old cells, new cells); raises unless the surrounding quadrilateral is
+    strictly convex."""
+    u, v = facet = tuple(sorted(facet))
+    old = cx.facet_cells(facet)
+    a, b = (sum(c) - u - v for c in old)
+    rows = cx.point_rows
+    pa, pb, pu, pv = rows[a], rows[b], rows[u], rows[v]
     # strict convexity of the quadrilateral a-u-b-v
     if orient2d(*pa, *pb, *pu) * orient2d(*pa, *pb, *pv) >= 0:
         raise InvalidComplexError(
-            f"facet {(u, v)}: surrounding quadrilateral is not strictly convex"
+            f"facet {facet}: surrounding quadrilateral is not strictly convex"
         )
     if orient2d(*pu, *pv, *pa) * orient2d(*pu, *pv, *pb) >= 0:
-        raise InvalidComplexError(f"facet {(u, v)}: opposite vertices not separated")
-    old = cx.facet_cells((u, v))
-    new = [tuple(sorted((a, b, u))), tuple(sorted((a, b, v)))]
-    radii = circumradii(cx.points[np.array(old + new, dtype=np.int64)])
+        raise InvalidComplexError(f"facet {facet}: opposite vertices not separated")
+    return facet, (a, b), old, [tuple(sorted((a, b, u))), tuple(sorted((a, b, v)))]
+
+
+def _apply_flip(cx: TriangulationComplex, plan) -> None:
+    _, _, old, new = plan
     for cell in old:
         cx._remove_cell(cell)
     for cell in new:
         cx._add_cell(cell)
-    return FlipRecord(
-        facet=(u, v),
-        before_max_circumradius=float(radii[:2].max()),
-        after_max_circumradius=float(radii[2:].max()),
-        direction=direction,
-    )
+
+
+def _flip_records(cx: TriangulationComplex, plans, direction: str) -> list:
+    """The records of ``plans``: one ``circumradii`` call over the old and
+    new cells of every flip, row by row as a call per flip computes them."""
+    quads = np.array([old + new for _, _, old, new in plans], dtype=np.int64)
+    radii = circumradii(cx.points[quads.reshape(-1, 3)]).reshape(-1, 4)
+    return [FlipRecord(plan[0], r0, r1, direction) for plan, r0, r1 in zip(
+        plans, radii[:, :2].max(axis=1).tolist(), radii[:, 2:].max(axis=1).tolist())]
+
+
+def _do_flip(cx: TriangulationComplex, facet, direction: str) -> FlipRecord:
+    plan = _plan_flip(cx, facet)
+    (record,) = _flip_records(cx, [plan], direction)  # before the complex changes
+    _apply_flip(cx, plan)
+    return record
 
 
 def flip(cx: TriangulationComplex, facet) -> FlipRecord:
@@ -454,28 +477,28 @@ def legalize_to_delaunay(cx: TriangulationComplex):
 
     Returns a new complex and the flip log; the input is left untouched.
     For generic vertices the result equals the Delaunay triangulation of the
-    same vertex set.
+    same vertex set.  The log's radii come from one call after the last
+    flip, so a radius failure surfaces there.
     """
     if cx.dim != 2:
         raise InvalidComplexError("legalize_to_delaunay is 2D only")
     out = cx.copy()
     queue = deque(sorted(out.interior_facets()))
-    records: list[FlipRecord] = []
+    plans = []
     limit = 4 * (len(out._cells) + 2) ** 2 + 64
-    steps = 0
     while queue:
         facet = queue.popleft()
         if len(out.facet_adjacency.get(facet, ())) != 2:
             continue
         if is_locally_delaunay(out, facet):
             continue
-        (u, v), a, b = _quad_of(out, facet)
-        records.append(_do_flip(out, facet, TO_DELAUNAY))
-        for e in ((u, a), (u, b), (v, a), (v, b)):
-            queue.append(tuple(sorted(e)))
-        steps += 1
-        if steps > limit:
+        plans.append(plan := _plan_flip(out, facet))
+        _apply_flip(out, plan)
+        edge, opposite, _, _ = plan  # requeue the quadrilateral's sides
+        queue.extend(tuple(sorted(e)) for e in itertools.product(edge, opposite))
+        if len(plans) > limit:
             raise RuntimeError("flip scheduling failed to terminate")
+    records = _flip_records(out, plans, TO_DELAUNAY)
     facet = first_non_delaunay_facet(out)
     if facet is not None:
         raise InvalidComplexError(f"legalization left facet {facet} non-Delaunay")
@@ -500,6 +523,8 @@ class _PrefixBuilder:
     def __init__(self, points: np.ndarray):
         self.points = points  # arrays for _containing_cell
         self.xy = points.tolist()  # Python floats for the scalar predicates
+        self.sq = [x * x + y * y for x, y in self.xy]
+        self.reach = math.inf  # largest squared norm of a vertex, once seeded
         self.cx = TriangulationComplex(dim=2, points=points, _cells=set(),
                                        _adjacency={})
         self.hull: list = []  # CCW vertex cycle
@@ -514,6 +539,7 @@ class _PrefixBuilder:
             self.hull = [j, i, k]
         self.cx._add_cell((i, j, k))
         self.is_vertex[[i, j, k]] = True
+        self.reach = max(self.sq[i], self.sq[j], self.sq[k])
 
     def star_exterior(self, w: int):
         """Attach exterior point w to every strictly visible hull edge."""
@@ -542,8 +568,13 @@ class _PrefixBuilder:
         new_hull.append(w)  # cycle: ..., arc start vertex, w, vertex after arc, ...
         self.hull = new_hull
         self.is_vertex[w] = True
+        self.reach = max(self.reach, self.sq[w])
 
     def point_in_space(self, idx: int) -> bool:
+        # the hull lies in the disk through its farthest vertex; a float x*x + y*y
+        # errs by under 3 * 2**-53 relative (barring underflow), far inside 1e-12
+        if self.sq[idx] > self.reach * (1.0 + 1e-12):
+            return False
         xy, hull = self.xy, self.hull
         px, py = xy[idx]
         m = len(hull)
@@ -601,6 +632,7 @@ class _PrefixBuilder:
                             self.hull.insert(t + 1, w)
                             break
             self.is_vertex[w] = True
+            self.reach = max(self.reach, self.sq[w])
 
 
 def _segment_clear(points, i, j, candidate_ids) -> bool:

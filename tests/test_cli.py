@@ -129,6 +129,56 @@ def test_flipcheck_threads_env(tmp_path, capsys, monkeypatch):
     assert results[0] == results[1]  # worker count must not change the trials
 
 
+@pytest.mark.parametrize("value, cpus, tasks, workers", [
+    (None, 8, 100, 1), ("1", 8, 100, 1), ("3", 8, 100, 3), ("500", 4, 1000, 4),
+    ("500", None, 1000, 1), ("6", 8, 2, 2), (" 2 ", 8, 100, 2),
+])
+def test_worker_count_is_capped(monkeypatch, value, cpus, tasks, workers):
+    from delone import cli
+
+    if value is None:
+        monkeypatch.delenv("DELONE_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("DELONE_THREADS", value)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+    assert cli.worker_count(tasks) == workers
+
+
+@pytest.mark.parametrize("value", ["0", "-2", "2.5", "two", "", "\u00b2"])
+def test_worker_count_rejects_non_positive_integers(monkeypatch, value):
+    from delone import cli
+
+    monkeypatch.setenv("DELONE_THREADS", value)
+    with pytest.raises(ValueError, match="DELONE_THREADS must be a positive integer"):
+        cli.worker_count(100)
+
+
+def test_flipcheck_bad_threads_exits_1(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("DELONE_THREADS", "many")
+    code, _, err = run(capsys, "flipcheck", "--F", "F5", "--trials", "5",
+                       "--out", str(tmp_path / "fc.json"))
+    assert code == 1
+    assert json.loads(err.strip())["error"] == "ValueError"
+
+
+@pytest.mark.parametrize("trials, workers, chunks", [
+    (10, 1, [(0, 10)]), (10, 3, [(0, 4), (4, 4), (8, 2)]),
+    (10, 4, [(0, 3), (3, 3), (6, 3), (9, 1)]), (4, 3, [(0, 2), (2, 2)]),
+    (2, 2, [(0, 1), (1, 1)]),
+])
+def test_trial_chunks_cover_the_trials_once(trials, workers, chunks):
+    from delone.cli import _trial_chunks
+
+    assert _trial_chunks(trials, workers) == chunks
+
+
+def test_trial_chunks_reject_no_trials():
+    from delone.cli import _trial_chunks
+
+    with pytest.raises(ValueError, match="trials must be positive"):
+        _trial_chunks(0, 1)
+
+
 def test_gcheck_cli(tmp_path, capsys):
     out = str(tmp_path / "gc.json")
     code, stdout, _ = run(capsys, "gcheck", "--F", "FE", "--trials", "8",

@@ -4,10 +4,11 @@ import math
 import numpy as np
 import pytest
 
-from delone.delaunay import delaunay_2d, radon_split
+from delone.delaunay import delaunay_2d, radon_split, restrict_delaunay
 from delone.errors import DegenerateSimplexError, SamplerError
 from delone.functionals import (
     ClassReport,
+    _paired_sums,
     FunctionalSpec,
     check_ecal_bounds,
     check_flip_inequality,
@@ -20,6 +21,7 @@ from delone.functionals import (
     run_flip_trials,
 )
 from delone.generators import stream_rng
+from delone.oracle import enumerate_triangulations_2d
 from delone.triangulation import build_complex
 
 TRI_345 = [(0.0, 0.0), (4.0, 0.0), (0.0, 3.0)]
@@ -311,6 +313,42 @@ def test_complex_sum_matches_loop():
     spec = FunctionalSpec("F5")
     manual = sum(eval_functional(spec, cx.cell_coords(c)) for c in cx.cells)
     assert complex_sum(spec, cx) == pytest.approx(manual, rel=1e-12)
+
+
+PAIRED_SPECS = [FunctionalSpec("AREA"), FunctionalSpec("F1", c1=1.0), FunctionalSpec("F1", c1=1.5),
+                FunctionalSpec("F2"), FunctionalSpec("F3"), FunctionalSpec("F4"),
+                FunctionalSpec("F5"), FunctionalSpec("F6"), FunctionalSpec("FR"),
+                FunctionalSpec("FE")]
+
+
+@pytest.fixture(scope="module")
+def paired_inputs():
+    """(a, b) as the flip trials hand them over (seeded Radon pairs, d = 2
+    and 3) and as the g-trials do (a restricted Delaunay triangulation and
+    its region: a whole triangulation, its non-Delaunay cells, and one
+    non-Delaunay cell, whose restriction is empty)."""
+    rng = np.random.default_rng(416)
+    pairs = [random_radon_pair(rng, d)[1] for d in (2, 3) for _ in range(12)]
+    for n in (5, 6, 7, 8):
+        pts = rng.uniform(size=(n, 2)) * 4.0
+        tris = enumerate_triangulations_2d(pts)
+        dcx, other = tris[0], tris[-1].cells
+        rest = [c for c in other if not dcx.has_cell(c)]
+        for cells in (other, rest, rest[:1]):
+            region = build_complex(pts, cells)
+            pairs.append((restrict_delaunay(dcx, region), region))
+    assert any(not a.n_cells for a, _ in pairs)
+    return pairs
+
+
+@pytest.mark.parametrize("spec", PAIRED_SPECS, ids=str)
+def test_paired_sums_equal_two_complex_sums(spec, paired_inputs):
+    checked = 0
+    for a, b in paired_inputs:
+        if spec.admissible_dim(a.dim):
+            assert _paired_sums(spec, a, b) == (complex_sum(spec, a), complex_sum(spec, b))
+            checked += 1
+    assert checked >= 24
 
 
 def test_class_report_roundtrip():

@@ -14,6 +14,7 @@ from delone.functionals import FunctionalSpec
 from delone.generators import distorted_cubic_window, lattice_window, poisson_delone_window
 from delone.geometry import (
     Side,
+    circumradii,
     circumradius,
     circumsphere,
     in_sphere,
@@ -24,10 +25,12 @@ from delone.geometry import (
 from delone.triangulation import (
     FROM_DELAUNAY,
     TO_DELAUNAY,
+    FlipRecord,
     TriangulationComplex,
     build_complex,
     build_unbounded_prefix,
     certify_tiling,
+    first_non_delaunay_facet,
     flip,
     is_locally_delaunay,
     legalize_to_delaunay,
@@ -341,6 +344,64 @@ def test_flip_records_equal_scalar_circumsphere_radii():
     assert flips > 100
 
 
+def _per_flip_records(cx, records):
+    """Replays the flips of ``records`` on a copy of ``cx`` with one
+    ``circumradii`` call per flip over its old and new cells, made before
+    the complex changes: the log of a flip-by-flip legalization."""
+    replay = cx.copy()
+    log = []
+    for rec in records:
+        u, v = rec.facet
+        old = replay.facet_cells(rec.facet)
+        a, b = replay.opposite_vertices(rec.facet)
+        new = [tuple(sorted((a, b, u))), tuple(sorted((a, b, v)))]
+        radii = circumradii(replay.points[np.array(old + new, dtype=np.int64)])
+        log.append(FlipRecord(rec.facet, float(radii[:2].max()), float(radii[2:].max()),
+                              TO_DELAUNAY))
+        for cell in old:
+            replay._remove_cell(cell)
+        for cell in new:
+            replay._add_cell(cell)
+    return log, replay
+
+
+def test_legalize_records_equal_per_flip_circumradii():
+    rng = np.random.default_rng(606)
+    flips = 0
+    for trial in range(60):
+        n = 10 + trial % 21
+        pts = rng.uniform(size=(n, 2)) * 6
+        cx = scrambled(pts, seed=trial, flips=1 + trial % 11)
+        out, records = legalize_to_delaunay(cx)
+        log, replay = _per_flip_records(cx, records)
+        assert records == log
+        assert replay.cells == out.cells
+        flips += len(records)
+    assert flips > 200
+
+
+def test_legalize_radius_failure_raises_and_keeps_input(monkeypatch):
+    rng = np.random.default_rng(11)
+    cx = scrambled(rng.uniform(size=(20, 2)) * 4, seed=3, flips=10)
+    cells, adjacency = set(cx._cells), {f: list(cs) for f, cs in cx.facet_adjacency.items()}
+    assert first_non_delaunay_facet(cx) is not None
+
+    def failing(stack):
+        raise DegenerateSimplexError("circumsphere solve lost accuracy")
+
+    monkeypatch.setattr(triangulation, "circumradii", failing)
+    with pytest.raises(DegenerateSimplexError, match="lost accuracy"):
+        legalize_to_delaunay(cx)
+    assert cx._cells == cells and cx.facet_adjacency == adjacency
+
+
+def test_copies_share_the_float_rows():
+    cx = quad_complex()
+    rows = cx.point_rows
+    assert rows == QUAD.tolist() and cx.point_rows is rows
+    assert cx.copy().point_rows is rows
+
+
 def test_legalize_already_delaunay_zero_flips():
     rng = np.random.default_rng(5)
     dt = delaunay_2d(rng.uniform(size=(20, 2)))
@@ -487,6 +548,30 @@ def test_prefix_builder_splits_point_on_boundary_edge():
     assert 3 in b.hull and len(b.hull) == 4
     # every cell uses the on-edge point or the interior point correctly
     assert cx.cell_measures().sum() == pytest.approx(6.0, rel=1e-12)
+
+
+def test_prefix_point_in_space_norm_prefilter_keeps_the_scan():
+    """The squared-norm rejection agrees with the full ``orient2d`` scan of
+    the hull for every point, while growing a hull star by star."""
+    from delone.triangulation import _PrefixBuilder
+
+    window = poisson_delone_window(0.4, 1.5, 8, seed=2)
+    pts = np.asarray(window.points, dtype=float)
+    order = np.argsort(np.linalg.norm(pts, axis=1), kind="stable").tolist()
+    b = _PrefixBuilder(pts)
+    b.seed(*order[:3])
+    rejected = 0
+    for w in order[3:40]:
+        hull, xy = b.hull, b.xy
+        for idx in range(len(pts)):
+            scan = all(
+                geometry.orient2d(*xy[hull[t]], *xy[hull[(t + 1) % len(hull)]], *xy[idx]) >= 0
+                for t in range(len(hull)))
+            assert b.point_in_space(idx) == scan
+            rejected += b.sq[idx] > b.reach * (1.0 + 1e-12)
+        if not b.point_in_space(w):
+            b.star_exterior(w)
+    assert rejected > 1000
 
 
 # Recorded when the prefix builder still passed NumPy rows to its exact
@@ -822,7 +907,7 @@ def faulty():
                         [[30.0, 30.0], [31.0, 30.0], [30.0, 31.0]]])
     cells = list(valid._cells)
     k = len(cells) // 2
-    (u, v), _, _ = triangulation._quad_of(valid, sorted(valid.interior_facets())[k])
+    u, v = sorted(valid.interior_facets())[k]  # an interior edge
     w3 = next(x for x in range(n) if x not in {u, v} and not valid.facet_cells((u, x))
               and not valid.facet_cells((v, x)))
     third = (u, v, w3)  # a third cell on the interior edge (u, v)
