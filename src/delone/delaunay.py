@@ -367,9 +367,9 @@ def _lower_hull_complex(points, provenance=None) -> TriangulationComplex:
         raise NonGenericError("lifted hull has a facet through its centroid")
     # an upper facet (the hull lies below it), or a coplanar 4-tuple on the
     # window boundary that lifts to a lower facet whose projection is flat,
-    # is no cell either; the set keeps the facets' order for build_complex
-    lower = np.sort(hull.simplices[live & (ins != downs)], axis=1)
-    cells = set(map(tuple, lower[orientations(pts[lower]) != 0].tolist()))
+    # is no cell either
+    lower = hull.simplices[live & (ins != downs)]
+    cells = lower[orientations(pts[lower]) != 0]
 
     cx = build_complex(pts, cells, provenance=provenance or {})
     certify_tiling(cx)

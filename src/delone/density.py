@@ -505,7 +505,12 @@ def distorted_cube_report(W: float) -> CubeReport:
     have volumes (2/3) / (2 + |k|) at lattice level k."""
     window = distorted_cubic_window(W)
     cx = delaunay_3d(window.points, provenance=dict(window.provenance))
-    index = {tuple(p): idx for idx, p in enumerate(map(tuple, window.points))}
+    pts = window.points
+    # the corners within norm W - CUBE_MARGIN; the stacked 1x3 @ 3x1 products
+    # take NumPy's vector-dot path, so each norm is np.linalg.norm(p) bit for bit
+    norms = np.sqrt((pts[:, None, :] @ pts[:, :, None])[:, 0, 0]).tolist()
+    inner = {p: idx for idx, (p, norm) in enumerate(zip(map(tuple, pts.tolist()), norms))
+             if norm <= W - CUBE_MARGIN}
     cells = cx.cells
     incident = {}
     for pos, cell in enumerate(cells):
@@ -523,10 +528,10 @@ def distorted_cube_report(W: float) -> CubeReport:
     for i, j, k in itertools.product(range(-n, n), repeat=3):
         ids = []  # corners in (di, dj, dk) order: even positions at level k
         for di, dj, dk in itertools.product((0, 1), repeat=3):
-            p = displaced_lattice_point(i + di, j + dj, k + dk)
-            if p not in index or np.linalg.norm(p) > W - CUBE_MARGIN:
+            idx = inner.get(displaced_lattice_point(i + di, j + dj, k + dk))
+            if idx is None:
                 break
-            ids.append(index[p])
+            ids.append(idx)
         if len(ids) < 8:
             continue
         corner_set = set(ids)

@@ -18,6 +18,7 @@ from .triangulation import TriangulationComplex, build_complex
 
 JITTER_SCALE = 1e-6  # jitter magnitude as a fraction of r
 COMPATIBILITY_TOL = 1e-12  # relative slack of the edge match and the angle tests
+_PROBE_SLAB = 1 << 16  # probes per slab of the Delone check's grid
 
 
 def stream_rng(seed: int, name: str) -> np.random.Generator:
@@ -86,9 +87,11 @@ def verify_delone_params(window: PointSetWindow) -> DeloneReport:
 
 
 def _delone_check(window: PointSetWindow):
-    """The report of ``verify_delone_params``, its probe grid (the points of
-    the R/4 grid within W - R of the origin) and each probe's distance to the
-    nearest window point."""
+    """The report of ``verify_delone_params`` and the probes farther than R
+    from every window point.  The probes are the points of the R/4 grid
+    within W - R of the origin; the grid is walked in slabs of its outer
+    meshgrid index, at most ``_PROBE_SLAB`` probes each (one index at least),
+    so the whole grid is never held at once."""
     from scipy.spatial import cKDTree
 
     r, R, pts = window.r, window.R, window.points
@@ -97,18 +100,25 @@ def _delone_check(window: PointSetWindow):
     min_pair = float(dmin[:, 1].min()) if len(pts) > 1 else math.inf
 
     probe_extent = window.window_radius - R
-    probes, dist = np.empty((0, window.dim)), np.empty(0)
+    far = [np.empty((0, window.dim))]
     hole, witness = 0.0, None
     if probe_extent > 0:
         step = R / 4.0
         axis = np.arange(-probe_extent, probe_extent + step, step)
-        grids = np.meshgrid(*([axis] * window.dim))
-        probes = np.stack([g.ravel() for g in grids], axis=1)
-        probes = probes[np.linalg.norm(probes, axis=1) <= probe_extent]
-        if len(probes):
+        inner = [axis] * (window.dim - 2)
+        slab = max(1, _PROBE_SLAB // len(axis) ** (window.dim - 1))
+        for start in range(0, len(axis), slab):
+            # meshgrid's "xy" indexing puts its second argument outermost
+            grids = np.meshgrid(axis, axis[start:start + slab], *inner)
+            probes = np.stack([g.ravel() for g in grids], axis=1)
+            probes = probes[np.linalg.norm(probes, axis=1) <= probe_extent]
+            if not len(probes):
+                continue
             dist, _ = tree.query(probes)
             i = int(np.argmax(dist))
-            hole, witness = float(dist[i]), probes[i]
+            if witness is None or dist[i] > hole:  # the first maximum
+                hole, witness = float(dist[i]), probes[i].copy()
+            far.append(probes[dist > R])
     scale = max(1.0, abs(2 * r), abs(R))
     ok = min_pair >= 2 * r - TAU_GEO * scale and hole <= R + TAU_GEO * scale
     report = DeloneReport(
@@ -117,7 +127,7 @@ def _delone_check(window: PointSetWindow):
         ok=bool(ok),
         hole_witness=None if ok else witness,
     )
-    return report, probes, dist
+    return report, np.concatenate(far)
 
 
 # ---------------------------------------------------------------------------
@@ -253,7 +263,7 @@ def poisson_delone_window(r: float, R: float, W: float, seed: int = 0) -> PointS
         window = PointSetWindow(
             dim=2, points=np.array(points), r=r, R=R, window_radius=float(W)
         )
-        report, probes, dist = _delone_check(window)
+        report, far = _delone_check(window)
         if report.ok:
             window.provenance = {
                 "generator": "poisson", "r": r, "R": R, "W": W, "seed": seed,
@@ -263,7 +273,7 @@ def poisson_delone_window(r: float, R: float, W: float, seed: int = 0) -> PointS
         if report.min_pairwise_distance < 2 * r - TAU_GEO:
             raise SamplerError("dart throwing produced a spacing violation")
         added = []
-        for p in probes[dist > R]:
+        for p in far:
             p = (float(p[0]), float(p[1]))
             if all((p[0] - q[0]) ** 2 + (p[1] - q[1]) ** 2 >= spacing**2 for q in added):
                 added.append(p)

@@ -171,20 +171,27 @@ def orientations(stack) -> np.ndarray:
     return _filtered_det_signs(rows, lambda k: _exact_rows(pts[k]))
 
 
-def _lifted_rows(pts, q):
-    """Rows (p_i - q, |p_i - q|^2) of the in-sphere determinant, over floats,
-    ints or NumPy columns, so both predicates share one formula."""
-    diffs = [[x - y for x, y in zip(p, q)] for p in pts]
+def _lifted_rows(pts, origin):
+    """Rows (p_i - origin, |p_i - origin|^2) of an in-sphere determinant,
+    over floats, ints or NumPy columns, so every predicate shares one
+    formula."""
+    diffs = [[x - y for x, y in zip(p, origin)] for p in pts]
     return [diff + [sum(x * x for x in diff)] for diff in diffs]
 
 
-def _exact_lifted_rows(pts, q):
-    """The lifted rows over the simplex and ``q`` scaled to exact ints by one
-    power of two D: the coordinate columns scale by D, the lifted column by
-    D^2, so the sign is kept."""
-    *simplex, q = _scaled([*pts, q])
-    return _lifted_rows(simplex, q)
+def _exact_lifted_rows(pts, origin):
+    """The lifted rows of ``pts`` about ``origin``, all scaled to exact ints
+    by one power of two D: the coordinate columns scale by D, the lifted
+    column by D^2, so the sign is kept."""
+    *pts, origin = _scaled([*pts, origin])
+    return _lifted_rows(pts, origin)
 
+
+# The in-sphere determinant of a simplex p_0..p_d and a point q takes the
+# lifted rows of p_1..p_d, q about p_0.  It is (-1)^(d+1) times the one about
+# q, so it is negative inside a positively oriented simplex in every
+# dimension.  About q, a far q against a sliver cell makes every row long and
+# the filter bound loose; about p_0 only q's row is long.
 
 def _in_sphere_rows(p, q) -> Side:
     """``in_sphere`` on d+1 rows and a point of Python floats."""
@@ -193,12 +200,13 @@ def _in_sphere_rows(p, q) -> Side:
         raise DegenerateSimplexError("in_sphere: degenerate simplex")
     if len(q) == 2:
         (ax, ay), (bx, by), (cx, cy) = p
-        s = incircle2d(ax, ay, bx, by, cx, cy, *q)
+        s = incircle2d(ax, ay, bx, by, cx, cy, *q)  # positive inside
     else:
-        s = _filtered_det_sign(_lifted_rows(p, q), lambda: _exact_lifted_rows(p, q))
-    # The translated lifted determinant is positive-inside in even dimension
-    # and negative-inside in odd dimension; index -1 picks OUTSIDE.
-    return (Side.ON, Side.INSIDE, Side.OUTSIDE)[s * orient * (-1) ** len(q)]
+        rows = [*p[1:], q]
+        s = -_filtered_det_sign(_lifted_rows(rows, p[0]),
+                                lambda: _exact_lifted_rows(rows, p[0]))
+    # index -1 picks OUTSIDE
+    return (Side.ON, Side.INSIDE, Side.OUTSIDE)[s * orient]
 
 
 def in_sphere(simplex, point) -> Side:
@@ -225,9 +233,10 @@ def in_spheres(simplices, points) -> np.ndarray:
     orient = orientations(simp)
     if not orient.all():
         raise DegenerateSimplexError("in_spheres: degenerate simplex")
-    rows = _lifted_rows(simp.transpose(1, 2, 0), q.T)
-    signs = _filtered_det_signs(rows, lambda k: _exact_lifted_rows(simp[k], q[k]))
-    return signs * orient * (-1) ** d
+    others = np.concatenate([simp[:, 1:], q[:, None]], axis=1)
+    rows = _lifted_rows(others.transpose(1, 2, 0), simp[:, 0].T)
+    signs = _filtered_det_signs(rows, lambda k: _exact_lifted_rows(others[k], simp[k, 0]))
+    return -signs * orient
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Simplicial complexes with facet adjacency, flips, and validity checks.
 
-Cells are stored as sorted vertex-id tuples.  A complex is treated as
+Cells are sorted vertex-id tuples; a large build keeps them as a validated
+int64 array and makes the tuple set on first read.  A complex is treated as
 immutable by readers; the flip operations mutate a complex in place and
 require exclusive access to it.
 """
@@ -61,15 +62,26 @@ class FlipRecord:
 class TriangulationComplex:
     dim: int
     points: np.ndarray
-    _cells: set = field(repr=False)
+    _cell_set: set | None = field(repr=False)
     _adjacency: dict | None = field(default=None, repr=False)
     provenance: dict = field(default_factory=dict)
     _bound_q: float | None = field(default=None, repr=False)
     _cells_sorted: list | None = field(default=None, repr=False)
     _cells_array: np.ndarray | None = field(default=None, repr=False)
     _rows: list | None = field(default=None, repr=False)
+    _cell_rows: np.ndarray | None = field(default=None, repr=False)
 
     # -- basic views --------------------------------------------------------
+
+    @property
+    def _cells(self) -> set:
+        """The cells as a set of sorted tuples.  ``build_complex``'s array
+        path leaves it unbuilt and keeps its validated rows in input order;
+        the first read fills the set from them, as the per-cell loop would."""
+        if self._cell_set is None:
+            self._cell_set = set(map(tuple, self._cell_rows.tolist()))
+            self._cell_rows = None
+        return self._cell_set
 
     @property
     def cells(self) -> list:
@@ -82,7 +94,7 @@ class TriangulationComplex:
 
     @property
     def n_cells(self) -> int:
-        return len(self._cells)
+        return len(self._cell_rows if self._cell_set is None else self._cell_set)
 
     def has_cell(self, cell: Cell) -> bool:
         return tuple(sorted(cell)) in self._cells
@@ -140,7 +152,7 @@ class TriangulationComplex:
         return TriangulationComplex(
             dim=self.dim,
             points=self.points,
-            _cells=set(self._cells),
+            _cell_set=set(self._cells),
             _adjacency={f: list(cs) for f, cs in self.facet_adjacency.items()},
             provenance=dict(self.provenance),
             _rows=self._rows,
@@ -228,15 +240,16 @@ def build_complex(
     if hasattr(cells, "__len__") and len(cells) >= ARRAY_MIN_CELLS:
         checked = _validated_rows(points, cells)
     if checked is None:
-        cell_set, lex = _validated_by_loop(points, cells), None
+        cell_set, rows, lex = _validated_by_loop(points, cells), None, None
     else:
-        cell_set, lex = checked
+        cell_set, (rows, lex) = None, checked
     return TriangulationComplex(
         dim=dim,
         points=points,
-        _cells=cell_set,
+        _cell_set=cell_set,
         provenance=provenance or {},
         _cells_array=lex,
+        _cell_rows=rows,
     )
 
 
@@ -306,12 +319,13 @@ def _validated_by_loop(points, cells):
 
 
 def _validated_rows(points, cells):
-    """The cell set of ``_validated_by_loop`` (filled in the same order) and
-    the cells as an (m, d+1) int64 array of sorted rows in lexicographic
-    order (read-only, the ``cells_array()`` cache), if every check of that
-    loop passes; else None.  With the vertex ids as digits in base n, a
-    cell's key orders it, and non-manifold facets show as runs of three
-    equal facet keys in one sort."""
+    """The cells as (m, d+1) int64 arrays of sorted rows, in input order
+    (which fills the cell set as ``_validated_by_loop`` does) and in
+    lexicographic order (read-only, the ``cells_array()`` cache), if every
+    check of that loop passes; else None.  With the vertex ids as digits in
+    base n, a cell's key orders it, duplicate cells show as equal adjacent
+    keys, and non-manifold facets as runs of three equal facet keys in one
+    sort."""
     n, dim = points.shape
     try:
         rows = np.asarray(cells if isinstance(cells, np.ndarray) else list(cells))
@@ -324,19 +338,20 @@ def _validated_rows(points, cells):
     rows = np.sort(rows.astype(np.int64), axis=1)
     if (rows[:, 0] < 0).any() or (rows[:, -1] >= n).any() or (rows[:, 1:] == rows[:, :-1]).any():
         return None
-    cell_set = set(map(tuple, rows.tolist()))
-    if len(cell_set) != len(rows):
+    digits = n ** np.arange(dim, -1, -1, dtype=np.int64)
+    keys = rows @ digits
+    order = np.argsort(keys)
+    if (keys[order[1:]] == keys[order[:-1]]).any():
         return None
     if not orientations(points[rows]).all():
         return None
-    digits = n ** np.arange(dim, -1, -1, dtype=np.int64)
-    keys = np.sort(np.concatenate(
+    facet_keys = np.sort(np.concatenate(
         [np.delete(rows, j, axis=1) @ digits[1:] for j in range(dim + 1)]))
-    if (keys[2:] == keys[:-2]).any():
+    if (facet_keys[2:] == facet_keys[:-2]).any():
         return None
-    lex = rows[np.argsort(rows @ digits)]
+    lex = rows[order]
     lex.flags.writeable = False
-    return cell_set, lex
+    return rows, lex
 
 
 def _containing_pairs(coords, pts):
@@ -485,7 +500,7 @@ def legalize_to_delaunay(cx: TriangulationComplex):
     out = cx.copy()
     queue = deque(sorted(out.interior_facets()))
     plans = []
-    limit = 4 * (len(out._cells) + 2) ** 2 + 64
+    limit = 4 * (out.n_cells + 2) ** 2 + 64
     while queue:
         facet = queue.popleft()
         if len(out.facet_adjacency.get(facet, ())) != 2:
@@ -508,7 +523,7 @@ def legalize_to_delaunay(cx: TriangulationComplex):
 def uniform_bound_q(cx: TriangulationComplex) -> float:
     """Maximum circumradius over all cells (cached)."""
     if cx._bound_q is None:
-        cx._bound_q = float(cx.cell_circumradii().max()) if cx._cells else 0.0
+        cx._bound_q = float(cx.cell_circumradii().max()) if cx.n_cells else 0.0
     return cx._bound_q
 
 
@@ -525,7 +540,7 @@ class _PrefixBuilder:
         self.xy = points.tolist()  # Python floats for the scalar predicates
         self.sq = [x * x + y * y for x, y in self.xy]
         self.reach = math.inf  # largest squared norm of a vertex, once seeded
-        self.cx = TriangulationComplex(dim=2, points=points, _cells=set(),
+        self.cx = TriangulationComplex(dim=2, points=points, _cell_set=set(),
                                        _adjacency={})
         self.hull: list = []  # CCW vertex cycle
         self.is_vertex = np.zeros(len(points), dtype=bool)

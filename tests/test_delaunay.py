@@ -200,7 +200,7 @@ def lower_facet_cells_by_scalar_loop(pts):
     lifted = np.array([lift(p) for p in pts])
     hull = ConvexHull(lifted, qhull_options="Qt")
     interior = lifted.mean(axis=0)
-    cells = set()
+    cells = []  # in Qhull's facet order
     for facet in hull.simplices:
         base = lifted[facet]
         below = base.mean(axis=0)
@@ -212,7 +212,7 @@ def lower_facet_cells_by_scalar_loop(pts):
         assert s_in != 0
         cell = tuple(sorted(int(v) for v in facet))
         if s_in != s_down and orientation(pts[list(cell)]) != 0:
-            cells.add(cell)
+            cells.append(cell)
     return cells
 
 

@@ -5,10 +5,13 @@ import math
 import numpy as np
 import pytest
 
+from delone import generators
 from delone.errors import InvalidComplexError
+from delone.geometry import TAU_GEO
 from delone.triangulation import first_non_delaunay_facet
 from delone.generators import (
     _delone_check,
+    DeloneReport,
     PointSetWindow,
     StripConfig,
     compatible_isoceles,
@@ -39,6 +42,62 @@ def test_lattice_window_verifies():
     assert bad.hole_witness is not None
     center_frac = np.abs(bad.hole_witness - np.round(bad.hole_witness))
     assert center_frac.max() > 0.2  # the hole sits near a cell center
+
+
+def one_shot_delone_check(window):
+    """Reference for ``_delone_check``: the whole R/4 probe grid at once,
+    then the report and the probes farther than R."""
+    from scipy.spatial import cKDTree
+
+    r, R, pts = window.r, window.R, window.points
+    tree = cKDTree(pts)
+    dmin, _ = tree.query(pts, k=2)
+    min_pair = float(dmin[:, 1].min()) if len(pts) > 1 else math.inf
+    probe_extent = window.window_radius - R
+    probes, dist = np.empty((0, window.dim)), np.empty(0)
+    hole, witness = 0.0, None
+    if probe_extent > 0:
+        step = R / 4.0
+        axis = np.arange(-probe_extent, probe_extent + step, step)
+        grids = np.meshgrid(*([axis] * window.dim))
+        probes = np.stack([g.ravel() for g in grids], axis=1)
+        probes = probes[np.linalg.norm(probes, axis=1) <= probe_extent]
+        if len(probes):
+            dist, _ = tree.query(probes)
+            i = int(np.argmax(dist))
+            hole, witness = float(dist[i]), probes[i]
+    scale = max(1.0, abs(2 * r), abs(R))
+    ok = min_pair >= 2 * r - TAU_GEO * scale and hole <= R + TAU_GEO * scale
+    report = DeloneReport(min_pairwise_distance=min_pair, max_hole_radius=hole, ok=bool(ok),
+                          hole_witness=None if ok else witness)
+    return report, probes[dist > R], len(probes)
+
+
+DELONE_WINDOWS = {
+    "2d": lambda: lattice_window(2, 60, jitter=True, seed=1),
+    "3d": lambda: lattice_window(3, 10, jitter=True, seed=1),
+    "2d-failing": lambda: dataclasses.replace(lattice_window(2, 10), R=0.5),
+    "3d-failing": lambda: dataclasses.replace(lattice_window(3, 5, jitter=True, seed=2), R=0.55),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DELONE_WINDOWS))
+def test_delone_check_by_slabs_equals_the_one_shot_grid(name):
+    window = DELONE_WINDOWS[name]()
+    want, want_far, n_probes = one_shot_delone_check(window)
+    assert want.ok == (not name.endswith("failing"))
+    if want.ok:
+        assert n_probes > 1 << 16  # more than one slab
+    else:
+        assert len(want_far) and want.hole_witness is not None
+    for slab in (generators._PROBE_SLAB, 1000, 1):  # 1: one outer index per slab
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(generators, "_PROBE_SLAB", slab)
+            got, far = _delone_check(window)
+        for f in dataclasses.fields(DeloneReport):
+            a, b = getattr(got, f.name), getattr(want, f.name)
+            assert (a is None and b is None) or np.array_equal(a, b), (slab, f.name)
+        assert far.shape == want_far.shape and far.tobytes() == want_far.tobytes(), slab
 
 
 def test_lattice_window_jitter_reproducible():
@@ -164,11 +223,11 @@ def _reference_window(r, R, W, seed):
     spacing = 2.0 * r
     for _ in range(16):
         window = PointSetWindow(dim=2, points=np.array(points), r=r, R=R, window_radius=float(W))
-        report, probes, dist = _delone_check(window)
+        report, far = _delone_check(window)
         if report.ok:
             return window.points, len(points) - n_darts
         added = []
-        for p in map(tuple, probes[dist > R].tolist()):
+        for p in map(tuple, far.tolist()):
             if all((p[0] - q[0]) ** 2 + (p[1] - q[1]) ** 2 >= spacing**2 for q in added):
                 added.append(p)
                 points.append(p)

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from delone.delaunay import _collinear_3d, delaunay_2d, delaunay_3d
+from delone import geometry
+from delone.delaunay import _collinear_3d, delaunay_2d, delaunay_3d, verify_empty_circumspheres
 from delone.errors import DegenerateSimplexError
 from delone.generators import lattice_window
 from delone.geometry import (
@@ -637,6 +638,49 @@ def test_integer_path_exact_on_mixed_extreme_exponents(case):
         assert integer_side(simplex, q) == fraction_side(simplex, q)
     pts = [p + [0.0] * (3 - len(p)) for p in simplex[:3]]
     assert _collinear_3d(*pts) == fraction_collinear(*pts)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_in_spheres_about_the_first_vertex_match_the_rows_about_q(d):
+    """The lifted rows about p_0 give the exact side of the rows about q."""
+    rng = np.random.default_rng(40 + d)
+    m = 300
+    # cube corners are cospherical: some queries lie ON, some a ulp off
+    corners = np.array(list(itertools.product((0.0, 1.0), repeat=d)))
+    picks = np.array([rng.permutation(len(corners))[:d + 2] for _ in range(m)])
+    cube = corners[picks] * 2.0 ** rng.integers(-3, 4, size=(m, 1, 1))
+    cube = nudge_one_coordinate(rng, cube + rng.integers(-50, 50, size=(m, 1, d)))
+    cube[: m // 2] = (corners[picks] + rng.integers(-50, 50, size=(m, 1, d)))[: m // 2]
+    # slivers of a jittered unit cube against far queries, as in a lattice
+    slivers = corners[picks] + rng.normal(scale=1e-6, size=(m, d + 2, d))
+    slivers[:, -1] += rng.normal(scale=30.0, size=(m, d))
+    wide = rng.normal(size=(m, d + 2, d)) * 10.0 ** rng.integers(-3, 4, size=(m, 1, 1))
+    stack = np.concatenate([cube, slivers, wide])
+    simp, q = stack[:, :-1], stack[:, -1]
+    keep = np.array([integer_orientation(s) != 0 for s in simp.tolist()])
+    simp, q = simp[keep], q[keep]
+    want = [integer_side(s, p) for s, p in zip(simp.tolist(), q.tolist())]
+    assert {Side.ON, Side.INSIDE, Side.OUTSIDE} <= set(want)
+    assert in_spheres(simp, q).tolist() == want
+    assert [in_sphere(s, p) for s, p in zip(simp, q)] == want
+
+
+def test_3d_emptiness_check_of_a_jittered_lattice_takes_no_integer_in_sphere():
+    """Sliver cells against far vertices: about q every row is long and the
+    filter bound loose, and 738 of the three windows' ~6,000 sampled pairs
+    went to integers."""
+    calls = []
+
+    def counting(rows):
+        calls.append(len(rows))
+        return _exact_sign(rows)
+
+    for seed in (1, 2, 3):
+        cx = delaunay_3d(lattice_window(3, 7, jitter=True, seed=seed).points)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(geometry, "_exact_sign", counting)
+            verify_empty_circumspheres(cx)
+    assert calls.count(4) == 0  # 4 x 4 lifted rows; 3 x 3 are orientations
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # NumPy overflow to inf

@@ -751,6 +751,22 @@ def test_builds_that_read_no_facet_leave_the_adjacency_unfilled():
     assert cx._adjacency is None
 
 
+def test_builds_that_read_no_cell_set_never_build_it():
+    cx3 = delaunay_3d(lattice_window(3, 3, jitter=True, seed=3).points)
+    assert cx3._cell_set is None and cx3.n_cells == len(cx3.cells)
+    w = lattice_window(2, 8, jitter=True, seed=1)
+    text = delaunay_2d(w.points).to_json()
+    cx = TriangulationComplex.from_json(text)
+    assert cx.to_json() == text
+    density_sequence(cx, FunctionalSpec("AREA"), (0, 0), [2.0, 4.0],
+                     window_radius=w.window_radius, q_bound=w.R)
+    assert cx.n_cells == len(json.loads(text)["cells"])
+    uniform_bound_q(cx)
+    assert cx._cell_set is None
+    # the first read builds it from the input rows, as the per-cell loop does
+    assert list(cx._cells) == list(loop_build(cx.points, json.loads(text)["cells"])._cells)
+
+
 def _reverse_flips(cx, facet):
     try:
         reverse_flip(cx.copy(), facet)
@@ -931,13 +947,27 @@ def faulty():
     return points, cells, faults
 
 
+def test_a_duplicate_in_the_3d_hull_array_raises_the_loops_message():
+    points, feed = ARRAY_WINDOWS["lattice-3d-7"]()
+    assert isinstance(feed, np.ndarray)
+    feed = np.insert(feed, 40, feed[3][::-1], axis=0)
+    want = first_error_by_cell_loop(points, feed)
+    assert want == (InvalidComplexError, f"duplicate cell {tuple(sorted(map(int, feed[3])))}")
+    with pytest.raises(InvalidComplexError) as info:
+        build_complex(points, feed)
+    assert str(info.value) == want[1]
+
+
 @pytest.mark.parametrize("fault", FAULTS)
 def test_array_path_raises_the_loops_first_error(fault, faulty):
     points, cells, faults = faulty
     assert build_complex(points, cells)._cells_array is not None
     want = first_error_by_cell_loop(points, faults[fault])
     assert want is not None
-    for feed in (faults[fault], [list(c) for c in faults[fault]]):
+    feeds = [faults[fault], [list(c) for c in faults[fault]]]
+    if fault not in ("ragged", "wrong-length"):
+        feeds.append(np.array(faults[fault]))
+    for feed in feeds:
         with pytest.raises(want[0]) as info:
             build_complex(points, feed)
         assert type(info.value) is want[0] and str(info.value) == want[1]
