@@ -1,22 +1,29 @@
 """Delaunay triangulations of finite point sets in 2D and 3D.
 
-The 2D builder is an incremental Bowyer-Watson with ghost triangles and
-exact predicates, so its combinatorics are exact for generic input and
-non-generic input is detected rather than silently mis-triangulated; one
-exact in-circle test per interior edge then certifies the output.  The 3D
-builder projects the lower faces of the convex hull of the lifted points;
-the hull combinatorics come from Qhull, while lower-face classification and
-the emptiness verification (sampled above 200 points) use exact arithmetic.
+From 32 points on, the 2D builder takes Qhull's proposal and accepts it
+only if exact checks certify it: the cells tile the hull, every point is a
+vertex, and one exact in-circle test per interior edge passes, so by
+Delaunay's lemma it is the Delaunay triangulation.  An incremental
+Bowyer-Watson mesh with ghost triangles and exact predicates then only
+supplies the frozen cell order, on first read of the cell set; it builds
+eagerly, certified the same way, below 32 points and whenever the proposal
+is rejected, so non-generic input is detected rather than silently
+mis-triangulated.  The 3D builder projects the lower faces of the convex
+hull of the lifted points; the hull combinatorics come from Qhull, while
+lower-face classification and the emptiness verification (sampled above
+200 points) use exact arithmetic.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
 
 from .errors import (
     DegenerateSimplexError,
+    GeometryError,
     InvalidComplexError,
     NonGenericError,
 )
@@ -35,7 +42,9 @@ from .geometry import (
     segments_cross,
 )
 from .triangulation import (
+    ARRAY_MIN_CELLS,
     TriangulationComplex,
+    all_locally_delaunay,
     build_complex,
     certify_tiling,
     first_non_delaunay_facet,
@@ -177,9 +186,12 @@ def _serpentine_order(pts, lex):
     The order is frozen: it fixes the mesh's creation order, hence the order
     of the cells and of ``interior_facets()``, from which ``compare`` picks
     the edges it reverse-flips, so any change moves the recorded ``compare``
-    digests.  On jittered lattices it inserts near-collinear columns into
-    fans of slivers: 19.6 triangles are created per point at W = 24 against
-    7.8 on a Poisson window."""
+    digests.  That order, and the exact fallback when Qhull's proposal is
+    rejected or the input has fewer than 32 points, are all the mesh runs
+    for; builds whose readers need no cell order never run it.  On jittered
+    lattices it inserts near-collinear columns into fans of slivers: 19.6
+    triangles are created per point at W = 24 against 7.8 on a Poisson
+    window."""
     n = len(pts)
     xmin, xmax = float(pts[:, 0].min()), float(pts[:, 0].max())
     span = xmax - xmin
@@ -192,30 +204,15 @@ def _serpentine_order(pts, lex):
     return np.lexsort((np.arange(n), ys, col))
 
 
-def delaunay_2d(points, *, provenance=None) -> TriangulationComplex:
-    """Delaunay triangulation of >= 3 generic planar points, certified by an
-    exact local-Delaunay test of every interior edge.
-
-    Raises ``NonGenericError`` on cocircular 4-tuples encountered during
-    construction or certification, ``InvalidComplexError`` if an edge of
-    the built complex is not locally Delaunay, ``DegenerateSimplexError`` if
-    all points are collinear, and ``ValueError`` on duplicates, on a NaN or
-    infinite coordinate and on an array that is not (n, 2).
-    """
-    pts = _point_rows(points, 2)
-    n = len(pts)
-    if n < 3:
-        raise DegenerateSimplexError("delaunay_2d needs at least 3 planar points")
-    lex = np.lexsort((pts[:, 1], pts[:, 0]))
-    srt = pts[lex]
-    dup = np.flatnonzero((srt[1:] == srt[:-1]).all(axis=1))
-    if len(dup):
-        s, t = lex[dup[0]], lex[dup[0] + 1]
-        raise ValueError(f"duplicate points {int(s)} and {int(t)}")
-    order = _serpentine_order(pts, lex)
-
+def _mesh_cells(pts, lex) -> list:
+    """The exact 2D build: ``_Mesh2D`` seeded with the first two points of
+    the serpentine order and the first later point off their line, the rest
+    inserted in that order; its real cells in creation order, which is the
+    frozen order of every 2D Delaunay complex's cell set.  Raises
+    ``DegenerateSimplexError`` if all points are collinear and
+    ``NonGenericError`` at the first cocircular in-circle test."""
     xs, ys = pts[:, 0].tolist(), pts[:, 1].tolist()
-    order = order.tolist()
+    order = _serpentine_order(pts, lex).tolist()
     i0, i1 = order[0], order[1]
     k = next(
         (
@@ -233,8 +230,64 @@ def delaunay_2d(points, *, provenance=None) -> TriangulationComplex:
     for idx in order[2:]:
         if idx != k:
             mesh.insert(idx)
+    return mesh.real_cells()
 
-    cx = build_complex(pts, mesh.real_cells(), provenance=provenance or {})
+
+def _qhull_complex(pts, lex, provenance):
+    """Qhull's Delaunay triangulation of ``pts`` (Barber, Dobkin & Huhdanpaa
+    1996) if it passes every exact check of the mesh build, else None.  The
+    checks: ``build_complex``'s, ``certify_tiling``, every point a vertex,
+    and ``all_locally_delaunay``, so by Delaunay's lemma an accepted
+    proposal is the Delaunay triangulation.  Its cell set is left unbuilt:
+    the first read runs ``_mesh_cells`` for the frozen order."""
+    from scipy.spatial import Delaunay, QhullError
+
+    try:
+        cx = build_complex(pts, Delaunay(pts).simplices, provenance=provenance,
+                           order=functools.partial(_mesh_cells, pts, lex))
+        certify_tiling(cx)
+    except (QhullError, GeometryError):  # no proposal, or one an exact check rejects
+        return None
+    if len(cx.vertices_used()) != len(pts) or not all_locally_delaunay(cx):
+        return None
+    return cx
+
+
+def delaunay_2d(points, *, provenance=None) -> TriangulationComplex:
+    """Delaunay triangulation of >= 3 generic planar points, certified by an
+    exact local-Delaunay test of every interior edge.
+
+    From ``ARRAY_MIN_CELLS // 2`` = 32 points on, Qhull proposes the cells
+    and exact array checks accept them (``_qhull_complex``); the cell set,
+    in the mesh's frozen order, is then built on first read, and that read
+    raises ``NonGenericError`` if an intermediate mesh step meets a
+    cocircular 4-tuple.  Below 32 points, and whenever the proposal is
+    rejected, the mesh builds eagerly and is certified as follows.
+
+    Raises ``ValueError`` on duplicates, on a NaN or infinite coordinate and
+    on an array that is not (n, 2) (both paths, before either runs); from
+    the mesh build, ``DegenerateSimplexError`` if all points are collinear,
+    ``NonGenericError`` on cocircular 4-tuples met during construction or
+    certification, and ``InvalidComplexError`` if an edge of the built
+    complex is not locally Delaunay.
+    """
+    pts = _point_rows(points, 2)
+    n = len(pts)
+    if n < 3:
+        raise DegenerateSimplexError("delaunay_2d needs at least 3 planar points")
+    lex = np.lexsort((pts[:, 1], pts[:, 0]))
+    srt = pts[lex]
+    dup = np.flatnonzero((srt[1:] == srt[:-1]).all(axis=1))
+    if len(dup):
+        s, t = lex[dup[0]], lex[dup[0] + 1]
+        raise ValueError(f"duplicate points {int(s)} and {int(t)}")
+    provenance = provenance or {}
+    if n >= ARRAY_MIN_CELLS // 2:
+        cx = _qhull_complex(pts, lex, provenance)
+        if cx is not None:
+            return cx
+
+    cx = build_complex(pts, _mesh_cells(pts, lex), provenance=provenance)
     certify_tiling(cx)
     used = cx.vertices_used()
     if len(used) != n:
@@ -355,23 +408,20 @@ def _lower_hull_complex(points, provenance=None) -> TriangulationComplex:
     except QhullError as exc:
         raise NonGenericError(f"lifted hull is degenerate: {exc}") from exc
 
-    interior = lifted.mean(axis=0)
+    # the lifted orientation of a facet against a point straight below it is
+    # minus its projection's orientation o; o == 0 marks a vertical facet, the
+    # lift of coplanar window-boundary points, which is no cell
+    o = orientations(pts[hull.simplices])
     base = lifted[hull.simplices]
-    below = base.mean(axis=1)
-    below[:, 3] -= 1.0
-    downs = orientations(np.concatenate([base, below[:, None]], axis=1))
     ins = orientations(np.concatenate(
-        [base, np.broadcast_to(interior, below.shape)[:, None]], axis=1))
-    live = downs != 0  # a vertical facet (coplanar window-boundary points) is no cell
+        [base, np.broadcast_to(lifted.mean(axis=0), (len(base), 1, 4))], axis=1))
+    live = o != 0
     if (ins[live] == 0).any():
         raise NonGenericError("lifted hull has a facet through its centroid")
-    # an upper facet (the hull lies below it), or a coplanar 4-tuple on the
-    # window boundary that lifts to a lower facet whose projection is flat,
-    # is no cell either
-    lower = hull.simplices[live & (ins != downs)]
-    cells = lower[orientations(pts[lower]) != 0]
+    # an upper facet has the hull's centroid on the side of the points below
+    lower = hull.simplices[live & (ins != -o)]
 
-    cx = build_complex(pts, cells, provenance=provenance or {})
+    cx = build_complex(pts, lower, provenance=provenance or {})
     certify_tiling(cx)
     used = cx.vertices_used()
     if len(used) != n:

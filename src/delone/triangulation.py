@@ -1,7 +1,8 @@
 """Simplicial complexes with facet adjacency, flips, and validity checks.
 
 Cells are sorted vertex-id tuples; a large build keeps them as a validated
-int64 array and makes the tuple set on first read.  A complex is treated as
+int64 array and makes the tuple set on first read, from its rows or from a
+deferred source of them (the 2D builder's mesh order).  A complex is treated as
 immutable by readers; the flip operations mutate a complex in place and
 require exclusive access to it.
 """
@@ -13,7 +14,7 @@ import json
 import math
 from collections import Counter, deque
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -69,7 +70,7 @@ class TriangulationComplex:
     _cells_sorted: list | None = field(default=None, repr=False)
     _cells_array: np.ndarray | None = field(default=None, repr=False)
     _rows: list | None = field(default=None, repr=False)
-    _cell_rows: np.ndarray | None = field(default=None, repr=False)
+    _cell_rows: np.ndarray | Callable | None = field(default=None, repr=False)
 
     # -- basic views --------------------------------------------------------
 
@@ -77,9 +78,19 @@ class TriangulationComplex:
     def _cells(self) -> set:
         """The cells as a set of sorted tuples.  ``build_complex``'s array
         path leaves it unbuilt and keeps its validated rows in input order;
-        the first read fills the set from them, as the per-cell loop would."""
+        the first read fills the set from them, as the per-cell loop would.
+        A deferred row source (``build_complex``'s ``order``) is called on
+        that read instead; its rows must list exactly the certified cells."""
         if self._cell_set is None:
-            self._cell_set = set(map(tuple, self._cell_rows.tolist()))
+            rows = self._cell_rows
+            if callable(rows):
+                rows = np.sort(np.asarray(rows(), dtype=np.int64).reshape(-1, self.dim + 1), axis=1)
+                lex = self._cells_array
+                if rows.shape != lex.shape or not np.array_equal(
+                        rows[np.lexsort(rows.T[::-1])], lex):
+                    raise InvalidComplexError(
+                        "the deferred cell order does not list the certified cells")
+            self._cell_set = set(map(tuple, rows.tolist()))
             self._cell_rows = None
         return self._cell_set
 
@@ -94,7 +105,7 @@ class TriangulationComplex:
 
     @property
     def n_cells(self) -> int:
-        return len(self._cell_rows if self._cell_set is None else self._cell_set)
+        return len(self._cells_array if self._cell_set is None else self._cell_set)
 
     def has_cell(self, cell: Cell) -> bool:
         return tuple(sorted(cell)) in self._cells
@@ -220,16 +231,24 @@ def build_complex(
     cells: Sequence[Sequence[int]],
     *,
     provenance: dict | None = None,
+    order: Callable | None = None,
 ) -> TriangulationComplex:
     """Build a complex from points and d-cells, verifying its invariants:
     every cell is a non-degenerate d-simplex on existing points, no cell
     repeats, and no facet is shared by more than two cells.
 
-    Sized integer inputs of at least ``ARRAY_MIN_CELLS`` cells are validated
-    with array operations when n**(d+1) fits in int64 (up to 55,108 points
-    in 3D); any failure there, and every other input, goes through the
-    per-cell loop, which raises the first error.  Whether the cells tile a
-    convex hull is ``certify_tiling``'s question.
+    Sized integer inputs of at least ``ARRAY_MIN_CELLS`` cells, and every
+    input given an ``order``, are validated with array operations when
+    n**(d+1) fits in int64 (up to 55,108 points in 3D); any failure there,
+    and every other input, goes through the per-cell loop, which raises the
+    first error.  Whether the cells tile a convex hull is
+    ``certify_tiling``'s question.
+
+    ``order``, a deferred row source, is called with no argument on the
+    first read of the cell set and returns the same cells in the order the
+    set fills in (the set's iteration order fixes ``facet_adjacency`` and
+    ``interior_facets()``); that read raises ``InvalidComplexError`` unless
+    they are exactly the validated cells.
     """
     points = np.asarray(points, dtype=float)
     if points.ndim != 2:
@@ -237,13 +256,13 @@ def build_complex(
     dim = points.shape[1]
 
     checked = None
-    if hasattr(cells, "__len__") and len(cells) >= ARRAY_MIN_CELLS:
+    if order is not None or hasattr(cells, "__len__") and len(cells) >= ARRAY_MIN_CELLS:
         checked = _validated_rows(points, cells)
     if checked is None:
         cell_set, rows, lex = _validated_by_loop(points, cells), None, None
     else:
         cell_set, (rows, lex) = None, checked
-    return TriangulationComplex(
+    cx = TriangulationComplex(
         dim=dim,
         points=points,
         _cell_set=cell_set,
@@ -251,6 +270,10 @@ def build_complex(
         _cells_array=lex,
         _cell_rows=rows,
     )
+    if order is not None:
+        cx.cells_array()  # the validated cells, which the source must list
+        cx._cell_set, cx._cell_rows = None, order
+    return cx
 
 
 def certify_tiling(cx: TriangulationComplex) -> None:
@@ -345,13 +368,20 @@ def _validated_rows(points, cells):
         return None
     if not orientations(points[rows]).all():
         return None
-    facet_keys = np.sort(np.concatenate(
-        [np.delete(rows, j, axis=1) @ digits[1:] for j in range(dim + 1)]))
+    facet_keys = np.sort(_facet_keys(rows, digits[1:]))
     if (facet_keys[2:] == facet_keys[:-2]).any():
         return None
     lex = rows[order]
     lex.flags.writeable = False
     return rows, lex
+
+
+def _facet_keys(rows, digits):
+    """The integer key of every facet of the (m, d+1) rows, the facets
+    without vertex 0 of every row first, then those without vertex 1, and
+    so on: entry j*m + i is row i's facet opposite ``rows[i, j]``, with its
+    ids as the base-n ``digits`` (n**d down to 1)."""
+    return np.concatenate([np.delete(rows, j, axis=1) @ digits for j in range(rows.shape[1])])
 
 
 def _containing_pairs(coords, pts):
@@ -412,6 +442,24 @@ def first_non_delaunay_facet(cx: TriangulationComplex):
         raise NonGenericError(f"facet {facets[on[0]]}: cospherical opposite vertex")
     inside = np.flatnonzero(sides == Side.INSIDE)
     return facets[inside[0]] if len(inside) else None
+
+
+def all_locally_delaunay(cx: TriangulationComplex) -> bool:
+    """True iff every interior facet's opposite vertices lie strictly
+    outside each other's circumspheres: ``first_non_delaunay_facet`` is None,
+    except that a cospherical (ON) facet reads False where that raises.  It
+    reads only arrays: one sort of the integer facet keys (n**d must fit in
+    int64) pairs the two cells of every interior facet, and one exact
+    ``in_spheres`` call tests the second cell's opposite vertex against the
+    first cell, with no cell set and no adjacency dict."""
+    rows = cx.cells_array()
+    m = len(rows)
+    keys = _facet_keys(rows, len(cx.points) ** np.arange(cx.dim - 1, -1, -1, dtype=np.int64))
+    order = np.argsort(keys)
+    pair = np.flatnonzero(keys[order[1:]] == keys[order[:-1]])
+    near, far = order[pair], order[pair + 1]
+    sides = in_spheres(cx.points[rows[near % m]], cx.points[rows[far % m, far // m]])
+    return bool((sides == Side.OUTSIDE).all())
 
 
 def _plan_flip(cx: TriangulationComplex, facet) -> tuple:

@@ -227,6 +227,31 @@ def test_counts_cli(tmp_path, capsys):
     assert last_json(stdout)["ok"] is True
 
 
+def test_tri_and_counts_never_run_the_mesh(tmp_path, capsys, monkeypatch):
+    """Qhull proposes the cells of a 2D window; ``_Mesh2D`` runs only when a
+    reader asks for the cell order, once per complex."""
+    from delone import delaunay
+
+    pts = str(tmp_path / "w.pts")
+    run(capsys, "gen", "lattice", "--W", "14", "--jitter", "--seed", "9",
+        "--out", pts)
+    insert, inserted = delaunay._Mesh2D.insert, []
+
+    def counted(mesh, q):
+        inserted.append(q)
+        return insert(mesh, q)
+
+    monkeypatch.setattr(delaunay._Mesh2D, "insert", counted)
+    assert run(capsys, "tri", pts, "--out", str(tmp_path / "w.json"))[0] == 0
+    assert run(capsys, "counts", pts, "--out", str(tmp_path / "counts.json"))[0] == 0
+    assert inserted == []
+    window = PointSetWindow.load(pts)
+    cx = delaunay.delaunay_of(window.points)
+    cx.interior_facets()
+    cx.interior_facets()
+    assert sorted(inserted) == sorted(set(inserted)) and len(inserted) == window.n_points - 3
+
+
 def test_compare_cli(tmp_path, capsys):
     pts = str(tmp_path / "w.pts")
     run(capsys, "gen", "lattice", "--W", "16", "--jitter", "--seed", "4",

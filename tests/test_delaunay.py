@@ -1,5 +1,6 @@
 import itertools
 import re
+import types
 from fractions import Fraction
 
 import numpy as np
@@ -40,6 +41,8 @@ from delone.geometry import (
 )
 from delone.oracle import enumerate_triangulations_2d
 from delone.triangulation import (
+    ARRAY_MIN_CELLS,
+    all_locally_delaunay,
     build_complex,
     first_non_delaunay_facet,
     is_locally_delaunay,
@@ -638,9 +641,12 @@ def test_delaunay_3d_distorted_cube_single_cell_facets_lie_on_the_hull(W):
 
 
 def test_delaunay_2d_names_one_reversed_edge(monkeypatch):
-    """One interior edge of a 1.8k-point window reverse-flipped in the
-    builder's output: the certificate names it.  2,000 sampled (cell,
-    vertex) pairs almost never meet the one bad pair."""
+    """One interior edge of a 1.8k-point window reverse-flipped: proposed
+    by Qhull, the array verdict rejects it and the mesh build is returned;
+    built by the mesh as well, the certificate names it.  2,000 sampled
+    (cell, vertex) pairs almost never meet the one bad pair."""
+    import scipy.spatial
+
     pts = lattice_window(2, 24.0, jitter=True, seed=3).points
     good = delaunay_2d(pts)
     for facet in good.interior_facets():
@@ -653,9 +659,68 @@ def test_delaunay_2d_names_one_reversed_edge(monkeypatch):
         if len(bad) == 1:
             break
     assert len(pts) > 1000 and len(bad) == 1
+    assert not all_locally_delaunay(bad_cx)
+    monkeypatch.setattr(scipy.spatial, "Delaunay",
+                        lambda pts: types.SimpleNamespace(simplices=bad_cx.cells_array()))
+    cx = delaunay_2d(pts)
+    assert cx._cell_set is not None  # the eager mesh build
+    assert cx.cells == good.cells and cx.interior_facets() == good.interior_facets()
     monkeypatch.setattr(delaunay._Mesh2D, "real_cells", lambda mesh: bad_cx.cells)
     with pytest.raises(InvalidComplexError, match=re.escape(f"facet {bad[0]} ")):
         delaunay_2d(pts)
+
+
+def test_deferred_order_must_list_the_certified_cells(monkeypatch):
+    pts = lattice_window(2, 12.0, jitter=True, seed=1).points
+    good = delaunay_2d(pts)
+    assert good._cell_set is None
+    wrong = good.cells[1:]
+    monkeypatch.setattr(delaunay._Mesh2D, "real_cells", lambda mesh: wrong)
+    cx = delaunay_2d(pts)
+    assert cx.n_cells == good.n_cells and cx.cells == good.cells
+    with pytest.raises(InvalidComplexError, match="deferred cell order"):
+        cx.interior_facets()
+
+
+def test_qhull_wrong_diagonal_falls_back_to_the_mesh():
+    """``gen lattice --d 2 --W 24 --jitter --seed 301001113``: Qhull proposes
+    the wrong diagonal of a nearly cocircular quadrilateral (exact in-circle
+    determinant about 2.2e-12), and the exact mesh build is returned."""
+    from scipy.spatial import Delaunay
+
+    pts = lattice_window(2, 24.0, jitter=True, seed=301001113).points
+    proposal = build_complex(pts, Delaunay(pts).simplices)
+    assert not all_locally_delaunay(proposal)
+    assert first_non_delaunay_facet(proposal) == (396, 438)
+    want = build_complex(pts, tuple_mesh_cells(pts))
+    cx = delaunay_2d(pts)
+    assert cx.cells == want.cells
+    assert cx.interior_facets() == want.interior_facets()
+    assert (396, 438) not in cx.facet_adjacency
+
+
+def mesh_builds(monkeypatch):
+    """A list that gains an entry each time ``_Mesh2D`` is seeded."""
+    seed, seeded = delaunay._Mesh2D.seed, []
+
+    def recorded(mesh, *ijk):
+        seeded.append(ijk)
+        return seed(mesh, *ijk)
+
+    monkeypatch.setattr(delaunay._Mesh2D, "seed", recorded)
+    return seeded
+
+
+def test_small_inputs_build_with_the_mesh_large_ones_defer_it(monkeypatch):
+    seeded = mesh_builds(monkeypatch)
+    rng = np.random.default_rng(14)
+    small = delaunay_2d(rng.uniform(size=(ARRAY_MIN_CELLS // 2 - 1, 2)))
+    assert small._cell_set is not None and len(seeded) == 1
+    pts = rng.uniform(size=(ARRAY_MIN_CELLS // 2, 2))
+    large = delaunay_2d(pts)
+    assert large._cell_set is None and len(seeded) == 1
+    assert large.interior_facets() == build_complex(pts, tuple_mesh_cells(pts)).interior_facets()
+    assert len(seeded) == 2
 
 
 def scrambles(cx, rng, flips):
@@ -682,6 +747,25 @@ def error_type(check, cx):
 def local_pass(cx):
     if first_non_delaunay_facet(cx) is not None:
         raise InvalidComplexError("not locally Delaunay")
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_array_verdict_agrees_with_the_facet_scan(seed):
+    rng = np.random.default_rng(seed)
+    verdicts = []
+    for n in range(4, 61, 4):
+        cx = delaunay_2d(rng.uniform(size=(n, 2)) * 10)
+        for tcx in [cx, *scrambles(cx, rng, 6)]:
+            verdicts.append(all_locally_delaunay(tcx))
+            assert verdicts[-1] is (first_non_delaunay_facet(tcx) is None)
+    assert True in verdicts and False in verdicts
+
+
+def test_array_verdict_reads_cospherical_as_not_delaunay():
+    cx = build_complex(SQUARE, [(0, 1, 2), (1, 2, 3)])
+    assert not all_locally_delaunay(cx)
+    with pytest.raises(NonGenericError):
+        first_non_delaunay_facet(cx)
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -856,7 +940,8 @@ def tuple_mesh_cells(points):
 
 
 def flat_mesh_build(points, monkeypatch):
-    """``delaunay_2d(points)`` and the ``real_cells()`` list it built from."""
+    """``delaunay_2d(points)`` and the ``real_cells()`` list its cell order
+    comes from (read at once, since large builds defer the mesh)."""
     real_cells, seen = delaunay._Mesh2D.real_cells, []
 
     def recorded(mesh):
@@ -866,6 +951,8 @@ def flat_mesh_build(points, monkeypatch):
     with monkeypatch.context() as patch:
         patch.setattr(delaunay._Mesh2D, "real_cells", recorded)
         cx = delaunay_2d(points)
+        cx.interior_facets()
+    assert len(seen) == 1
     return seen[0], cx
 
 
@@ -895,6 +982,20 @@ def test_flat_mesh_matches_tuple_mesh_on_windows(name, monkeypatch):
     got, cx = flat_mesh_build(pts, monkeypatch)
     assert got == want
     assert cx.interior_facets() == build_complex(pts, want).interior_facets()
+
+
+@pytest.mark.parametrize("name", REFERENCE_INPUTS)
+def test_deferred_order_is_the_mesh_order(name, monkeypatch):
+    """Built with the mesh deferred (all but the 20-point input), a complex
+    runs it once, on the first read of its order."""
+    pts = REFERENCE_INPUTS[name]()
+    seeded = mesh_builds(monkeypatch)
+    cx = delaunay_2d(pts)
+    deferred = len(pts) >= ARRAY_MIN_CELLS // 2
+    assert len(seeded) == (not deferred)
+    assert cx.interior_facets() == build_complex(pts, tuple_mesh_cells(pts)).interior_facets()
+    cx.cells, cx.interior_facets()
+    assert len(seeded) == 1
 
 
 def test_flat_mesh_matches_tuple_mesh_on_battery_sizes(monkeypatch):
@@ -953,5 +1054,5 @@ def test_flat_mesh_stays_closed_after_every_insertion(monkeypatch):
         inserted.append(q)
 
     monkeypatch.setattr(delaunay._Mesh2D, "insert", checked)
-    delaunay_2d(np.random.default_rng(13).uniform(size=(200, 2)))
+    delaunay_2d(np.random.default_rng(13).uniform(size=(200, 2))).interior_facets()
     assert len(inserted) == 197
