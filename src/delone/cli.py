@@ -299,7 +299,7 @@ def cmd_counts(args) -> dict:
 def cmd_compare(args) -> dict:
     window = PointSetWindow.load(args.pointfile)
     spec = fun.FunctionalSpec.parse(args.F)
-    hi = args.alpha_max or (window.window_radius - 6 * window.R)
+    hi = window.window_radius - 6 * window.R if args.alpha_max is None else args.alpha_max
     alphas = density_mod.geometric_grid(args.alpha_min, hi, args.ratio)
     report = density_mod.delaunay_minimality_comparison(
         window, spec, args.reverse_flips, alphas, seed=args.seed

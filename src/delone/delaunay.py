@@ -1,17 +1,17 @@
 """Delaunay triangulations of finite point sets in 2D and 3D.
 
-From 32 points on, the 2D builder takes Qhull's proposal and accepts it
-only if exact checks certify it: the cells tile the hull, every point is a
-vertex, and one exact in-circle test per interior edge passes, so by
-Delaunay's lemma it is the Delaunay triangulation.  An incremental
-Bowyer-Watson mesh with ghost triangles and exact predicates then only
-supplies the frozen cell order, on first read of the cell set; it builds
-eagerly, certified the same way, below 32 points and whenever the proposal
-is rejected, so non-generic input is detected rather than silently
-mis-triangulated.  The 3D builder projects the lower faces of the convex
-hull of the lifted points; the hull combinatorics come from Qhull, while
-lower-face classification and the emptiness verification (sampled above
-200 points) use exact arithmetic.
+Both 2D builds go through one certification, ``_certified``: the cells tile
+the hull, every point is a vertex, and ``first_non_delaunay_facet`` passes
+(one exact in-circle test per interior edge, read from the cell array), so
+by Delaunay's lemma the result is the Delaunay triangulation.  From 32
+points on, Qhull proposes the cells; an incremental Bowyer-Watson mesh with
+ghost triangles and exact predicates then only supplies the frozen cell
+order, on first read of the cell set.  The mesh builds eagerly below 32
+points and whenever the proposal fails a check, so non-generic input is
+detected rather than silently mis-triangulated.  The 3D builder projects
+the lower faces of the convex hull of the lifted points; the hull
+combinatorics come from Qhull, while lower-face classification and the
+emptiness verification (sampled above 200 points) use exact arithmetic.
 """
 
 from __future__ import annotations
@@ -44,7 +44,6 @@ from .geometry import (
 from .triangulation import (
     ARRAY_MIN_CELLS,
     TriangulationComplex,
-    all_locally_delaunay,
     build_complex,
     certify_tiling,
     first_non_delaunay_facet,
@@ -233,43 +232,37 @@ def _mesh_cells(pts, lex) -> list:
     return mesh.real_cells()
 
 
-def _qhull_complex(pts, lex, provenance):
-    """Qhull's Delaunay triangulation of ``pts`` (Barber, Dobkin & Huhdanpaa
-    1996) if it passes every exact check of the mesh build, else None.  The
-    checks: ``build_complex``'s, ``certify_tiling``, every point a vertex,
-    and ``all_locally_delaunay``, so by Delaunay's lemma an accepted
-    proposal is the Delaunay triangulation.  Its cell set is left unbuilt:
-    the first read runs ``_mesh_cells`` for the frozen order."""
-    from scipy.spatial import Delaunay, QhullError
-
-    try:
-        cx = build_complex(pts, Delaunay(pts).simplices, provenance=provenance,
-                           order=functools.partial(_mesh_cells, pts, lex))
-        certify_tiling(cx)
-    except (QhullError, GeometryError):  # no proposal, or one an exact check rejects
-        return None
-    if len(cx.vertices_used()) != len(pts) or not all_locally_delaunay(cx):
-        return None
+def _certified(cx, n) -> TriangulationComplex:
+    """``cx`` once every exact check passes: ``certify_tiling``, each of the
+    n points a vertex, and ``first_non_delaunay_facet``, so by Delaunay's
+    lemma it is the Delaunay triangulation.  Raises ``InvalidComplexError``
+    or ``NonGenericError`` at the first failure."""
+    certify_tiling(cx)
+    if len(cx.vertices_used()) != n:
+        raise InvalidComplexError("a point ended up unused by the triangulation")
+    facet = first_non_delaunay_facet(cx)
+    if facet is not None:
+        raise InvalidComplexError(f"facet {facet} is not locally Delaunay")
     return cx
 
 
 def delaunay_2d(points, *, provenance=None) -> TriangulationComplex:
-    """Delaunay triangulation of >= 3 generic planar points, certified by an
-    exact local-Delaunay test of every interior edge.
+    """Delaunay triangulation of >= 3 generic planar points, certified by
+    ``_certified``.
 
     From ``ARRAY_MIN_CELLS // 2`` = 32 points on, Qhull proposes the cells
-    and exact array checks accept them (``_qhull_complex``); the cell set,
-    in the mesh's frozen order, is then built on first read, and that read
-    raises ``NonGenericError`` if an intermediate mesh step meets a
-    cocircular 4-tuple.  Below 32 points, and whenever the proposal is
-    rejected, the mesh builds eagerly and is certified as follows.
+    (Barber, Dobkin & Huhdanpaa 1996); an accepted proposal leaves its cell
+    set unbuilt, and the first read of it runs the mesh for the frozen
+    order, raising ``NonGenericError`` if a mesh step meets a cocircular
+    4-tuple.  Below 32 points, and whenever the proposal fails a check, the
+    mesh builds eagerly and is certified the same way.
 
     Raises ``ValueError`` on duplicates, on a NaN or infinite coordinate and
     on an array that is not (n, 2) (both paths, before either runs); from
     the mesh build, ``DegenerateSimplexError`` if all points are collinear,
     ``NonGenericError`` on cocircular 4-tuples met during construction or
-    certification, and ``InvalidComplexError`` if an edge of the built
-    complex is not locally Delaunay.
+    certification, and ``InvalidComplexError`` naming the lexicographically
+    first edge that is not locally Delaunay.
     """
     pts = _point_rows(points, 2)
     n = len(pts)
@@ -283,19 +276,15 @@ def delaunay_2d(points, *, provenance=None) -> TriangulationComplex:
         raise ValueError(f"duplicate points {int(s)} and {int(t)}")
     provenance = provenance or {}
     if n >= ARRAY_MIN_CELLS // 2:
-        cx = _qhull_complex(pts, lex, provenance)
-        if cx is not None:
-            return cx
+        from scipy.spatial import Delaunay, QhullError
 
-    cx = build_complex(pts, _mesh_cells(pts, lex), provenance=provenance)
-    certify_tiling(cx)
-    used = cx.vertices_used()
-    if len(used) != n:
-        raise InvalidComplexError("a point ended up unused by the triangulation")
-    facet = first_non_delaunay_facet(cx)
-    if facet is not None:
-        raise InvalidComplexError(f"facet {facet} is not locally Delaunay")
-    return cx
+        try:
+            return _certified(build_complex(
+                pts, Delaunay(pts).simplices, provenance=provenance,
+                order=functools.partial(_mesh_cells, pts, lex)), n)
+        except (QhullError, GeometryError):  # no proposal, or one a check rejects
+            pass
+    return _certified(build_complex(pts, _mesh_cells(pts, lex), provenance=provenance), n)
 
 
 # ---------------------------------------------------------------------------

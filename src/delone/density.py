@@ -46,9 +46,9 @@ def unit_ball_volume(d: int) -> float:
 
 def geometric_grid(alpha_min: float, alpha_max: float, ratio: float = 1.1) -> np.ndarray:
     """Geometric alpha grid; the ratio is small enough to expose slow
-    oscillations of the windowed density."""
-    if not (alpha_min > 0 and alpha_max >= alpha_min and ratio > 1):
-        raise ValueError("need 0 < alpha_min <= alpha_max and ratio > 1")
+    oscillations of the windowed density; a non-finite bound or ratio is refused."""
+    if not (0 < alpha_min <= alpha_max < math.inf and 1 < ratio < math.inf):
+        raise ValueError("need finite 0 < alpha_min <= alpha_max and ratio > 1")
     out = [alpha_min]
     while out[-1] * ratio <= alpha_max:
         out.append(out[-1] * ratio)
@@ -116,9 +116,12 @@ def density_sequence(
     Containment of a cell in the ball is the vertex rule (a simplex lies in a
     ball iff its vertices do); the circumball-rule counts are also recorded.
     If the window radius is supplied, the grid must keep 2*q_bound of margin
-    so no window-boundary cell is ever counted.
+    so no window-boundary cell is ever counted.  Raises ``ValueError``
+    unless the center has one coordinate per dimension of the complex.
     """
     center = np.asarray(center, dtype=float)
+    if center.shape != (cx.dim,):
+        raise ValueError(f"the center must have {cx.dim} coordinates, not shape {center.shape}")
     alphas = np.asarray(alphas, dtype=float)
     if window_radius is not None:
         q = uniform_bound_q(cx) if q_bound is None else float(q_bound)

@@ -27,10 +27,9 @@ from .errors import (
 from .geometry import (
     Side,
     TAU_GEO,
+    _in_sphere_rows,
     circumradii,
-    in_sphere,
     in_spheres,
-    incircle2d,
     measures,
     on_open_segment,
     orient2d,
@@ -381,7 +380,8 @@ def _facet_keys(rows, digits):
     without vertex 0 of every row first, then those without vertex 1, and
     so on: entry j*m + i is row i's facet opposite ``rows[i, j]``, with its
     ids as the base-n ``digits`` (n**d down to 1)."""
-    return np.concatenate([np.delete(rows, j, axis=1) @ digits for j in range(rows.shape[1])])
+    k = rows.shape[1]
+    return (rows[:, [[c for c in range(k) if c != j] for j in range(k)]] @ digits).ravel(order="F")
 
 
 def _containing_pairs(coords, pts):
@@ -409,57 +409,39 @@ def is_locally_delaunay(cx: TriangulationComplex, facet) -> bool:
     if len(incident) != 2:
         raise InvalidComplexError(f"facet {facet} is not interior")
     c0, c1 = incident
-    v1 = sum(c1) - sum(facet)
-    if cx.dim == 2:  # in_sphere's decision, on Python floats
-        rows = cx.point_rows
-        (ax, ay), (bx, by), (px, py), (qx, qy) = (rows[i] for i in (*c0, v1))
-        if not (orient := orient2d(ax, ay, bx, by, px, py)):
-            raise DegenerateSimplexError("in_sphere: degenerate simplex")
-        side = incircle2d(ax, ay, bx, by, px, py, qx, qy) * orient
-    else:
-        side = in_sphere(cx.cell_coords(c0), cx.points[v1])
+    rows = cx.point_rows
+    side = _in_sphere_rows([rows[i] for i in c0], rows[sum(c1) - sum(facet)])
     if side == Side.ON:
         raise NonGenericError(f"facet {facet}: cospherical opposite vertex")
     return side == Side.OUTSIDE
 
 
 def first_non_delaunay_facet(cx: TriangulationComplex):
-    """The first interior facet, in ``interior_facets()`` order, whose second
-    cell's opposite vertex lies inside the first cell's circumsphere, or None;
-    raises ``NonGenericError`` at the first cospherical (ON) one.  One exact
-    ``in_spheres`` call.  By Delaunay's lemma (Delaunay 1934; Lawson 1977), a
+    """The lexicographically first interior facet whose opposite vertices lie
+    inside each other's circumspheres, or None; ``NonGenericError`` names the
+    first cospherical (ON) facet before that.  It reads only ``cells_array()``:
+    one sort of the facet keys (n**d must fit in int64, else ``ValueError``)
+    pairs the cells of each interior facet, and one exact ``in_spheres`` call
+    tests them.  By Delaunay's lemma (Delaunay 1934; Lawson 1977), a
     triangulation of the hull of its points that passes is their Delaunay
     triangulation."""
-    pairs = [(f, cs) for f, cs in cx.facet_adjacency.items() if len(cs) == 2]
-    if not pairs:
-        return None
-    facets = [f for f, _ in pairs]
-    near = np.array([cs[0] for _, cs in pairs], dtype=np.int64)
-    far = [sum(cs[1]) - sum(f) for f, cs in pairs]
-    sides = in_spheres(cx.points[near], cx.points[far])
-    on = np.flatnonzero(sides == Side.ON)
-    if len(on):
-        raise NonGenericError(f"facet {facets[on[0]]}: cospherical opposite vertex")
-    inside = np.flatnonzero(sides == Side.INSIDE)
-    return facets[inside[0]] if len(inside) else None
-
-
-def all_locally_delaunay(cx: TriangulationComplex) -> bool:
-    """True iff every interior facet's opposite vertices lie strictly
-    outside each other's circumspheres: ``first_non_delaunay_facet`` is None,
-    except that a cospherical (ON) facet reads False where that raises.  It
-    reads only arrays: one sort of the integer facet keys (n**d must fit in
-    int64) pairs the two cells of every interior facet, and one exact
-    ``in_spheres`` call tests the second cell's opposite vertex against the
-    first cell, with no cell set and no adjacency dict."""
     rows = cx.cells_array()
-    m = len(rows)
-    keys = _facet_keys(rows, len(cx.points) ** np.arange(cx.dim - 1, -1, -1, dtype=np.int64))
-    order = np.argsort(keys)
+    m, n = len(rows), len(cx.points)
+    if n ** cx.dim >= 2**63:
+        raise ValueError(f"facet keys of {n} points in R^{cx.dim} overflow int64")
+    keys = _facet_keys(rows, n ** np.arange(cx.dim - 1, -1, -1, dtype=np.int64))
+    order = np.argsort(keys, kind="stable")
     pair = np.flatnonzero(keys[order[1:]] == keys[order[:-1]])
     near, far = order[pair], order[pair + 1]
     sides = in_spheres(cx.points[rows[near % m]], cx.points[rows[far % m, far // m]])
-    return bool((sides == Side.OUTSIDE).all())
+    bad = np.flatnonzero(sides != Side.OUTSIDE)
+    if not len(bad):
+        return None
+    k = bad[np.argmax(sides[bad] == Side.ON)]  # the first ON facet, else the first INSIDE one
+    facet = tuple(np.delete(rows[near[k] % m], near[k] // m).tolist())
+    if sides[k] == Side.ON:
+        raise NonGenericError(f"facet {facet}: cospherical opposite vertex")
+    return facet
 
 
 def _plan_flip(cx: TriangulationComplex, facet) -> tuple:

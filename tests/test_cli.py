@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 
@@ -263,6 +264,39 @@ def test_compare_cli(tmp_path, capsys):
                           "--out", out)
     assert code == 0
     assert last_json(stdout)["passed"] is True
+
+
+@pytest.fixture(scope="module")
+def lattice_complex(tmp_path_factory):
+    """A 2D jittered lattice window and its Delaunay complex, as files."""
+    root = tmp_path_factory.mktemp("lattice")
+    pts, tri = str(root / "w.pts"), str(root / "w.tri.json")
+    assert main(["gen", "lattice", "--W", "16", "--jitter", "--seed", "4", "--out", pts]) == 0
+    assert main(["tri", pts, "--out", tri]) == 0
+    return pts, tri
+
+
+@pytest.mark.parametrize("extra", [
+    ("--center", "1"),  # a 2D complex: read as (1, 1) by broadcasting before
+    ("--center", "1,0,0"),
+    ("--alpha-max", "inf"),  # a grid that never ends
+])
+def test_density_cli_rejects_bad_center_and_grid(lattice_complex, tmp_path, capsys, extra):
+    _, tri = lattice_complex
+    args = {"--alpha-min": "3", "--alpha-max": "8"} | dict([extra])
+    out = tmp_path / "d.csv"
+    code, _, err = run(capsys, "density", tri, "--F", "F5",
+                       *itertools.chain(*args.items()), "--out", str(out))
+    assert code == 1 and json.loads(err)["error"] == "ValueError"
+    assert not out.exists()
+
+
+def test_compare_cli_alpha_max_zero_is_given(lattice_complex, tmp_path, capsys):
+    pts, _ = lattice_complex
+    code, _, err = run(capsys, "compare", pts, "--F", "F5", "--alpha-max", "0",
+                       "--out", str(tmp_path / "c.csv"))
+    assert code == 1 and json.loads(err)["error"] == "ValueError"
+    assert "alpha_min <= alpha_max" in json.loads(err)["message"]
 
 
 ORACLE_POINTS = """\

@@ -42,7 +42,6 @@ from delone.geometry import (
 from delone.oracle import enumerate_triangulations_2d
 from delone.triangulation import (
     ARRAY_MIN_CELLS,
-    all_locally_delaunay,
     build_complex,
     first_non_delaunay_facet,
     is_locally_delaunay,
@@ -642,7 +641,7 @@ def test_delaunay_3d_distorted_cube_single_cell_facets_lie_on_the_hull(W):
 
 def test_delaunay_2d_names_one_reversed_edge(monkeypatch):
     """One interior edge of a 1.8k-point window reverse-flipped: proposed
-    by Qhull, the array verdict rejects it and the mesh build is returned;
+    by Qhull, the certificate rejects it and the mesh build is returned;
     built by the mesh as well, the certificate names it.  2,000 sampled
     (cell, vertex) pairs almost never meet the one bad pair."""
     import scipy.spatial
@@ -659,11 +658,12 @@ def test_delaunay_2d_names_one_reversed_edge(monkeypatch):
         if len(bad) == 1:
             break
     assert len(pts) > 1000 and len(bad) == 1
-    assert not all_locally_delaunay(bad_cx)
+    assert first_non_delaunay_facet(bad_cx) == reference_first_non_delaunay_facet(bad_cx) == bad[0]
     monkeypatch.setattr(scipy.spatial, "Delaunay",
                         lambda pts: types.SimpleNamespace(simplices=bad_cx.cells_array()))
+    seeded = mesh_builds(monkeypatch)
     cx = delaunay_2d(pts)
-    assert cx._cell_set is not None  # the eager mesh build
+    assert len(seeded) == 1 and not callable(cx._cell_rows)  # the eager mesh build
     assert cx.cells == good.cells and cx.interior_facets() == good.interior_facets()
     monkeypatch.setattr(delaunay._Mesh2D, "real_cells", lambda mesh: bad_cx.cells)
     with pytest.raises(InvalidComplexError, match=re.escape(f"facet {bad[0]} ")):
@@ -690,7 +690,7 @@ def test_qhull_wrong_diagonal_falls_back_to_the_mesh():
 
     pts = lattice_window(2, 24.0, jitter=True, seed=301001113).points
     proposal = build_complex(pts, Delaunay(pts).simplices)
-    assert not all_locally_delaunay(proposal)
+    assert reference_first_non_delaunay_facet(proposal) == (396, 438)
     assert first_non_delaunay_facet(proposal) == (396, 438)
     want = build_complex(pts, tuple_mesh_cells(pts))
     cx = delaunay_2d(pts)
@@ -749,23 +749,105 @@ def local_pass(cx):
         raise InvalidComplexError("not locally Delaunay")
 
 
+def reference_first_non_delaunay_facet(cx):
+    """The certificate as a walk of ``facet_adjacency``: the first interior
+    facet, in ``interior_facets()`` order, whose second cell's opposite
+    vertex lies inside the first cell's circumsphere, or None; raises
+    ``NonGenericError`` at the first cospherical (ON) one."""
+    pairs = [(f, cs) for f, cs in cx.facet_adjacency.items() if len(cs) == 2]
+    if not pairs:
+        return None
+    facets = [f for f, _ in pairs]
+    near = np.array([cs[0] for _, cs in pairs], dtype=np.int64)
+    far = [sum(cs[1]) - sum(f) for f, cs in pairs]
+    sides = in_spheres(cx.points[near], cx.points[far])
+    on = np.flatnonzero(sides == Side.ON)
+    if len(on):
+        raise NonGenericError(f"facet {facets[on[0]]}: cospherical opposite vertex")
+    inside = np.flatnonzero(sides == Side.INSIDE)
+    return facets[inside[0]] if len(inside) else None
+
+
+def certificate_outcome(check, cx):
+    """``check(cx)``'s verdict: True if it finds no bad facet, False if it
+    names one, and ``NonGenericError`` if it raises that."""
+    try:
+        return check(cx) is None
+    except NonGenericError:
+        return NonGenericError
+
+
+# a 3D jittered lattice per seed; 14000112 is the lower hull one flip off
+LATTICES_3D = [(4.0, 1), (5.0, 2), (6.0, 3), (7.0, 14000112)]
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_array_verdict_agrees_with_the_facet_scan(seed):
+    """The array certificate against the adjacency walk: the same verdict on
+    every complex, and the same facet where exactly one facet is bad."""
     rng = np.random.default_rng(seed)
-    verdicts = []
+    complexes = []
     for n in range(4, 61, 4):
         cx = delaunay_2d(rng.uniform(size=(n, 2)) * 10)
-        for tcx in [cx, *scrambles(cx, rng, 6)]:
-            verdicts.append(all_locally_delaunay(tcx))
-            assert verdicts[-1] is (first_non_delaunay_facet(tcx) is None)
-    assert True in verdicts and False in verdicts
+        complexes += [cx, *scrambles(cx, rng, 6)]
+    W, lattice_seed = LATTICES_3D[seed]
+    complexes.append(delaunay._lower_hull_complex(
+        lattice_window(3, W, jitter=True, seed=lattice_seed).points))
+    verdicts, named = [], 0
+    for tcx in complexes:
+        verdicts.append(certificate_outcome(first_non_delaunay_facet, tcx))
+        assert verdicts[-1] is certificate_outcome(reference_first_non_delaunay_facet, tcx)
+        facets, _, sides = interior_facet_sides(tcx)
+        if (sides == Side.INSIDE).sum() == 1 and not (sides == Side.ON).any():
+            assert (first_non_delaunay_facet(tcx) == reference_first_non_delaunay_facet(tcx)
+                    == facets[int(np.flatnonzero(sides == Side.INSIDE)[0])])
+            named += 1
+    assert True in verdicts and False in verdicts and named
 
 
 def test_array_verdict_reads_cospherical_as_not_delaunay():
     cx = build_complex(SQUARE, [(0, 1, 2), (1, 2, 3)])
-    assert not all_locally_delaunay(cx)
-    with pytest.raises(NonGenericError):
+    with pytest.raises(NonGenericError, match=re.escape("facet (1, 2): cospherical")):
         first_non_delaunay_facet(cx)
+    with pytest.raises(NonGenericError, match=re.escape("facet (1, 2): cospherical")):
+        reference_first_non_delaunay_facet(cx)
+
+
+def lattice_3d_one_flip_off():
+    """The lower hull that the strict xfail above finds non-Delaunay."""
+    return delaunay._lower_hull_complex(
+        lattice_window(3, 7.0, jitter=True, seed=14000112).points)
+
+
+def test_certificate_names_the_facet_of_the_3d_lattice_one_flip_off():
+    assert first_non_delaunay_facet(lattice_3d_one_flip_off()) == (1223, 1234, 1314)
+
+
+def test_certificate_names_the_same_facet_in_any_insertion_order():
+    """"First" is lexicographic: the same cells built in two orders name
+    the same facet, the least of the bad ones."""
+    rng = np.random.default_rng(5)
+    *_, scrambled = scrambles(delaunay_2d(rng.uniform(size=(40, 2)) * 10), rng, 30)
+    counts = []
+    for cx in (scrambled, lattice_3d_one_flip_off()):
+        facets, _, sides = interior_facet_sides(cx)
+        bad = sorted(f for f, side in zip(facets, sides) if side == Side.INSIDE)
+        forward = build_complex(cx.points, cx.cells)
+        backward = build_complex(cx.points, [c[::-1] for c in reversed(cx.cells)])
+        assert bad and first_non_delaunay_facet(forward) == bad[0]
+        assert first_non_delaunay_facet(backward) == bad[0]
+        counts.append(len(bad))
+    assert counts[0] > 1  # the 2D case has a choice to make
+
+
+def test_delaunay_2d_certifies_without_the_adjacency_dict():
+    """Neither path builds ``facet_adjacency`` to certify its result."""
+    rng = np.random.default_rng(8)
+    for pts in (rng.uniform(size=(ARRAY_MIN_CELLS // 2 - 1, 2)),  # the mesh
+                rng.uniform(size=(200, 2)),  # Qhull's proposal
+                lattice_window(2, 24.0, jitter=True, seed=301001113).points):  # the fallback
+        cx = delaunay_2d(pts)
+        assert cx._adjacency is None
 
 
 @pytest.mark.parametrize("seed", range(4))

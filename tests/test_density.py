@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -49,6 +50,22 @@ def test_geometric_grid():
     g = geometric_grid(2, 16, 2.0)
     assert list(g) == [2, 4, 8, 16]
     assert geometric_grid(2, 17, 2.0)[-1] == 17
+
+
+@pytest.mark.parametrize("alpha_min, alpha_max, ratio", [
+    (2, math.inf, 1.1), (math.inf, math.inf, 1.1), (2, 16, math.inf),
+    (math.nan, 16, 1.1), (2, math.nan, 1.1), (2, 16, math.nan), (0, 16, 1.1),
+])
+def test_geometric_grid_rejects_unbounded_grids(alpha_min, alpha_max, ratio):
+    with pytest.raises(ValueError, match="finite"):
+        geometric_grid(alpha_min, alpha_max, ratio)
+
+
+@pytest.mark.parametrize("center", [(1.0,), (1.0, 0.0, 0.0), [[0.0, 0.0]], 0.0])
+def test_density_sequence_rejects_a_center_of_the_wrong_length(lattice20, center):
+    _, cx = lattice20
+    with pytest.raises(ValueError, match=re.escape("center must have 2 coordinates")):
+        density_sequence(cx, FunctionalSpec("AREA"), center, np.array([5.0]))
 
 
 def test_density_area_approaches_one(lattice20):

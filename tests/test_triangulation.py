@@ -905,6 +905,21 @@ def test_builds_whose_cell_keys_overflow_int64_take_the_loop():
         assert cx.cells == cells
 
 
+def test_certificate_refuses_facet_keys_that_overflow_int64():
+    # facet keys are vertex ids as digits in base n: n**3 >= 2**63 in 3D
+    cx = delaunay._lower_hull_complex(lattice_window(3, 3, jitter=True, seed=3).points)
+    for n in (2**21 - 1, 2**21):
+        points = np.zeros((n, 3))  # untouched pages: no memory is used
+        points[:len(cx.points)] = cx.points
+        wide = TriangulationComplex(dim=3, points=points, _cell_set=None,
+                                    _cells_array=cx.cells_array())
+        if n < 2**21:
+            assert first_non_delaunay_facet(wide) == first_non_delaunay_facet(cx)
+        else:
+            with pytest.raises(ValueError, match="overflow int64"):
+                first_non_delaunay_facet(wide)
+
+
 FAULTS = ["ragged", "wrong-length", "out-of-range", "negative", "repeated-vertex",
           "duplicate", "duplicate-apart", "degenerate", "non-manifold",
           "degenerate-and-non-manifold", "out-of-range-then-duplicate"]
