@@ -170,7 +170,8 @@ def cmd_density(args) -> dict:
     if args.window_radius is not None:
         kw = {"window_radius": args.window_radius, "q_bound": args.q_bound}
     origin_seq = density_mod.density_sequence(cx, spec, np.zeros(cx.dim), alphas, **kw)
-    center_seq = density_mod.density_sequence(cx, spec, center, alphas, **kw)
+    center_seq = (origin_seq if np.array_equal(center, origin_seq.center)
+                  else density_mod.density_sequence(cx, spec, center, alphas, **kw))
     out = args.out or "density.csv"
     _write_csv(out, density_mod.CSV_HEADER, origin_seq.csv_rows(center_seq))
     _write_manifest(out + ".manifest.json", "density", vars(args) | {"out": out})

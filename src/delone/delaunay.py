@@ -475,10 +475,12 @@ def radon_split(points):
 def radon_two_triangulations(points):
     """The Delaunay triangulation and the other triangulation of d+2 generic
     points in convex position (see ``radon_split``); the pair realizes the
-    directed flip T -> D."""
+    directed flip T -> D.  ``radon_split``'s exact signs settle every check
+    of ``build_complex``, so its cell lists become the complexes as they are."""
     pts = np.asarray(points, dtype=float)
     lower, upper = radon_split(pts)
-    return build_complex(pts, lower), build_complex(pts, upper)
+    d = pts.shape[1]
+    return TriangulationComplex(d, pts, set(lower)), TriangulationComplex(d, pts, set(upper))
 
 
 # ---------------------------------------------------------------------------

@@ -34,6 +34,7 @@ from .triangulation import (
 
 GAP_FRACTION = 1.0 / 3.0  # strip g_i must lie within GAP_FRACTION * gap of its target
 CUBE_MARGIN = 2.0  # the distorted-cube report keeps cubes within norm W - CUBE_MARGIN
+GRID_MAX_LEN = 100_000  # alpha grids in use have at most a few dozen entries
 
 
 def unit_ball_volume(d: int) -> float:
@@ -45,10 +46,13 @@ def unit_ball_volume(d: int) -> float:
 
 
 def geometric_grid(alpha_min: float, alpha_max: float, ratio: float = 1.1) -> np.ndarray:
-    """Geometric alpha grid; the ratio is small enough to expose slow
-    oscillations of the windowed density; a non-finite bound or ratio is refused."""
+    """Geometric alpha grid, fine enough to expose slow oscillations of the
+    windowed density; non-finite bounds or ratio, or over GRID_MAX_LEN entries, are refused."""
     if not (0 < alpha_min <= alpha_max < math.inf and 1 < ratio < math.inf):
         raise ValueError("need finite 0 < alpha_min <= alpha_max and ratio > 1")
+    steps = (math.log(alpha_max) - math.log(alpha_min)) / math.log(ratio)
+    if steps > GRID_MAX_LEN:
+        raise ValueError(f"the alpha grid needs about {steps:.3g} entries, more than {GRID_MAX_LEN}")
     out = [alpha_min]
     while out[-1] * ratio <= alpha_max:
         out.append(out[-1] * ratio)

@@ -30,14 +30,6 @@ ENUMERATION_LIMIT = 9
 NONCROSSING_LIMIT = 7
 
 
-def _facet_map(cells):
-    adj = {}
-    for cell in cells:
-        for facet in itertools.combinations(cell, 2):
-            adj.setdefault(facet, []).append(cell)
-    return adj
-
-
 def _orientation_table(pts):
     """Exact orientation signs of every ordered triple of the points, as
     nested lists: table[a][b][c] = orient2d(p_a, p_b, p_c).  One
@@ -53,30 +45,32 @@ def _orientation_table(pts):
     return table.tolist()
 
 
-def _flip_neighbors(sign, cells: frozenset):
+def _flip_neighbors(sign, cells: frozenset, sides: dict):
     """All triangulations reachable from this one by a single diagonal swap;
-    ``sign`` is the ``_orientation_table`` of the points.  A swap inside a
-    strictly convex quadrilateral onto a new edge keeps a triangulation valid."""
+    ``sign`` is the ``_orientation_table`` of the points, and ``sides`` caches
+    each cell's three (edge, opposite vertex) pairs for one traversal.  A swap
+    inside a strictly convex quadrilateral onto a new edge keeps a
+    triangulation valid."""
+    edges = {}
+    for cell in cells:
+        pairs = sides.get(cell)
+        if pairs is None:
+            i, j, k = cell
+            pairs = sides[cell] = (((i, j), k), ((i, k), j), ((j, k), i))
+        for edge, opposite in pairs:
+            edges.setdefault(edge, []).append((cell, opposite))
     out = []
-    for facet, incident in (edges := _facet_map(cells)).items():
+    for (u, v), incident in edges.items():
         if len(incident) != 2:
             continue
-        c0, c1 = incident
-        (a,) = set(c0) - set(facet)
-        (b,) = set(c1) - set(facet)
-        u, v = facet
+        (c0, a), (c1, b) = incident
         # both diagonals must split a strictly convex quadrilateral
-        if sign[a][b][u] * sign[a][b][v] >= 0:
-            continue
-        if sign[u][v][a] * sign[u][v][b] >= 0:
+        if sign[a][b][u] * sign[a][b][v] >= 0 or sign[u][v][a] * sign[u][v][b] >= 0:
             continue
         if (min(a, b), max(a, b)) in edges:
-            raise InvalidComplexError(f"flip of {facet}: edge {(a, b)} exists already")
-        swapped = (cells - {c0, c1}) | {
-            tuple(sorted((a, b, u))),
-            tuple(sorted((a, b, v))),
-        }
-        out.append(frozenset(swapped))
+            raise InvalidComplexError(f"flip of {(u, v)}: edge {(a, b)} exists already")
+        new = {tuple(sorted((a, b, u))), tuple(sorted((a, b, v)))}
+        out.append(frozenset((cells - {c0, c1}) | new))
     return out
 
 
@@ -92,12 +86,10 @@ def enumerate_triangulations_2d(points):
     start = delaunay_2d(pts)
     sign = _orientation_table(pts)
     root = frozenset(start.cells)
-    seen = {root}
-    order = [root]
-    queue = [root]
+    seen, order, queue, sides = {root}, [root], [root], {}
     while queue:
         state = queue.pop()
-        for nxt in _flip_neighbors(sign, state):
+        for nxt in _flip_neighbors(sign, state, sides):
             if nxt not in seen:
                 seen.add(nxt)
                 order.append(nxt)

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from delone import density as density_mod
 from delone.cli import main
 from delone.generators import PointSetWindow
 
@@ -280,15 +281,36 @@ def lattice_complex(tmp_path_factory):
     ("--center", "1"),  # a 2D complex: read as (1, 1) by broadcasting before
     ("--center", "1,0,0"),
     ("--alpha-max", "inf"),  # a grid that never ends
+    # a finite grid of about 1.4e15 entries
+    ("--alpha-min", "1e-300", "--alpha-max", "1e300", "--ratio", "1.000000000001"),
 ])
 def test_density_cli_rejects_bad_center_and_grid(lattice_complex, tmp_path, capsys, extra):
     _, tri = lattice_complex
-    args = {"--alpha-min": "3", "--alpha-max": "8"} | dict([extra])
+    args = {"--alpha-min": "3", "--alpha-max": "8"} | dict(zip(extra[::2], extra[1::2]))
     out = tmp_path / "d.csv"
     code, _, err = run(capsys, "density", tri, "--F", "F5",
                        *itertools.chain(*args.items()), "--out", str(out))
     assert code == 1 and json.loads(err)["error"] == "ValueError"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("center, calls", [
+    ((), 1), (("--center", "0,0"), 1), (("--center", "0.5,-0.25"), 2),
+])
+def test_density_cli_runs_the_origin_sequence_once(
+        lattice_complex, tmp_path, capsys, monkeypatch, center, calls):
+    # the f_z column of a run about the origin is the origin sequence itself
+    _, tri = lattice_complex
+    centers = []
+    sequence = density_mod.density_sequence
+    monkeypatch.setattr(density_mod, "density_sequence",
+                        lambda cx, spec, c, *a, **k: centers.append(c) or sequence(cx, spec, c, *a, **k))
+    out = tmp_path / "d.csv"
+    code, _, _ = run(capsys, "density", tri, "--F", "F5", "--alpha-min", "3",
+                     "--alpha-max", "6", *center, "--out", str(out))
+    assert code == 0 and len(centers) == calls
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert (calls == 1) == all(row[4] == row[5] for row in rows)
 
 
 def test_compare_cli_alpha_max_zero_is_given(lattice_complex, tmp_path, capsys):

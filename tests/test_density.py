@@ -61,6 +61,17 @@ def test_geometric_grid_rejects_unbounded_grids(alpha_min, alpha_max, ratio):
         geometric_grid(alpha_min, alpha_max, ratio)
 
 
+@pytest.mark.parametrize("alpha_min, alpha_max, ratio", [
+    (1e-300, 1e300, 1 + 1e-12), (5e-324, 1.7e308, 1 + 2**-52), (1.0, 1e5, 1 + 1e-4),
+])
+def test_geometric_grid_refuses_a_grid_too_long_to_build(alpha_min, alpha_max, ratio):
+    # the length is known before the loop; 1e-300..1e300 at 1 + 1e-12 would
+    # need about 1.4e15 entries
+    with pytest.raises(ValueError, match="more than 100000"):
+        geometric_grid(alpha_min, alpha_max, ratio)
+    assert len(geometric_grid(1.0, 1e4, 1 + 1e-4)) == 92_110
+
+
 @pytest.mark.parametrize("center", [(1.0,), (1.0, 0.0, 0.0), [[0.0, 0.0]], 0.0])
 def test_density_sequence_rejects_a_center_of_the_wrong_length(lattice20, center):
     _, cx = lattice20

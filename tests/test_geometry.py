@@ -153,6 +153,23 @@ def test_circumsphere_regular_tetrahedron():
     assert circumradius(tet) == pytest.approx(math.sqrt(3 / 8), rel=1e-9)
 
 
+def test_circumradii_of_a_hull_sliver_stay_within_2e_9_of_exact():
+    # the hull sliver (9, 10, 13) of a scrambled 15-point window, radius
+    # about 1.14e8: the exact radius is 114193796.61, the library's reads
+    # 1.2e-9 high and abc / 4A in floats 3.7e-9 high
+    tri = [[2.7984594393928983, 5.096613831747966],
+           [1.051597093238943, 0.9441718500228053],
+           [2.344991779293366, 4.018682173173303]]
+    (ax, ay), (bx, by), (cx, cy) = ([Fraction(t) for t in p] for p in tri)
+    ab, bc, ca = ((bx - ax)**2 + (by - ay)**2, (cx - bx)**2 + (cy - by)**2,
+                  (ax - cx)**2 + (ay - cy)**2)
+    area2 = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
+    exact_r2 = ab * bc * ca / (4 * area2**2)
+    assert 114193796.61 == pytest.approx(math.sqrt(exact_r2), abs=0.005)
+    r, tol = Fraction(float(circumradii(np.array([tri]))[0])), Fraction(2, 10**9)
+    assert (r / (1 + tol))**2 <= exact_r2 <= (r / (1 - tol))**2
+
+
 def test_circumsphere_degenerate_raises():
     with pytest.raises(DegenerateSimplexError):
         circumsphere([(0, 0), (1, 0), (2, 0)])

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -16,7 +17,6 @@ from delone.oracle import (
     run_g_trials,
 )
 from delone.geometry import orient2d
-from delone.oracle import _facet_map
 from delone.triangulation import build_complex
 
 TRI_345 = [(0.0, 0.0), (4.0, 0.0), (0.0, 3.0)]
@@ -79,6 +79,15 @@ def test_enumerators_agree_on_random_instances():
         assert flips == independent, trial
 
 
+def _facet_map(cells):
+    """Edge -> incident cells, in the iteration order of ``cells``."""
+    adj = {}
+    for cell in cells:
+        for facet in itertools.combinations(cell, 2):
+            adj.setdefault(facet, []).append(cell)
+    return adj
+
+
 def scalar_enumeration(points):
     """Reference flip-graph traversal: four scalar ``orient2d`` calls per
     interior edge and state, and a full ``build_complex`` per state."""
@@ -121,7 +130,8 @@ def enumeration_outcome(enumerate_cells, pts):
 
 def traversal_inputs():
     """Seeded uniform and dyadic point sets of 4..9 points, the dyadic ones
-    with the last point the exact midpoint of two others."""
+    with the last point the exact midpoint of two others, then 120 sets of
+    5..8 points drawn as ``run_g_trials`` draws them."""
     rng = np.random.default_rng(43)
     for n in range(4, 10):
         for _ in range(6):
@@ -132,6 +142,8 @@ def traversal_inputs():
             for pts, kind in ((uniform, "uniform"), (dyadic, "dyadic")):
                 if len(np.unique(pts, axis=0)) == n:
                     yield pts, kind
+    for _ in range(120):
+        yield rng.uniform(size=(int(rng.integers(5, 9)), 2)) * 4.0, "trial"
 
 
 def test_enumeration_matches_scalar_traversal():
@@ -142,9 +154,9 @@ def test_enumeration_matches_scalar_traversal():
             lambda p: [cx.cells for cx in enumerate_triangulations_2d(p)], pts)
         assert got == want
         if isinstance(want, list):
-            generic += kind == "uniform"
+            generic += kind != "dyadic"
             collinear += kind == "dyadic"
-    assert generic > 30 and collinear > 10
+    assert generic > 150 and collinear > 10
 
 
 def test_enumerated_states_equal_built_complexes():
