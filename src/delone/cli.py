@@ -103,10 +103,7 @@ def cmd_gen(args) -> dict:
     elif args.kind == "poisson":
         window = poisson_delone_window(args.r, args.R, args.W, seed=args.seed)
     elif args.kind == "strips":
-        delta, top, L = compatible_isoceles(args.a, args.phi, args.c, args.psi)
-        sizes = density_mod.choose_block_sizes(
-            delta, top, fun.FunctionalSpec.parse(args.F), args.blocks, shared=L
-        )
+        delta, top, L, sizes = _strip_blocks(args, fun.FunctionalSpec.parse(args.F))
         built = min(args.blocks, args.built_blocks)
         probe = StripConfig(delta=delta, top=top, shared=L,
                             block_sizes=sizes, extent=2)
@@ -231,15 +228,18 @@ def cmd_gcheck(args) -> dict:
             "passed": report.passed, "ok": report.passed}
 
 
+def _strip_blocks(args, spec):
+    """The strip pair's triangles, gluing length and block sizes; a pair
+    ``strip_ratios`` finds degenerate has no gap to size for, so blocks of 3."""
+    delta, top, L = compatible_isoceles(args.a, args.phi, args.c, args.psi)
+    if density_mod.strip_ratios(delta, top, spec, shared=L).degenerate:
+        return delta, top, L, [3] * args.blocks
+    return delta, top, L, density_mod.choose_block_sizes(delta, top, spec, args.blocks, shared=L)
+
+
 def cmd_strips(args) -> dict:
     spec = fun.FunctionalSpec.parse(args.F)
-    delta, top, L = compatible_isoceles(args.a, args.phi, args.c, args.psi)
-    try:
-        sizes = density_mod.choose_block_sizes(delta, top, spec, args.blocks, shared=L)
-    except ValueError as exc:
-        if "DEGENERATE" not in str(exc):
-            raise
-        sizes = [3] * args.blocks
+    delta, top, L, sizes = _strip_blocks(args, spec)
     cfg = StripConfig(delta=delta, top=top, shared=L, block_sizes=sizes, extent=2)
     report = density_mod.strip_gi_sequence(cfg, spec, args.blocks)
     out = args.out or "strips.csv"

@@ -7,6 +7,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -380,7 +381,7 @@ def built_strip_counts(cfg: StripConfig, upto_block: int):
     """Counts of the two congruence classes measured on the built complex;
     the cross-check for the analytic counter."""
     window, cx, alphas = strip_block_triangulation(cfg, upto_block)
-    cells, coords, _, _ = _cell_geometry(cx)
+    coords = cx.points[cx.cells_array()]
     vertex_dist = np.linalg.norm(coords, axis=2).max(axis=1)
     areas = measures(coords)
     a_delta = _triangle_area_from_sides(cfg.delta)
@@ -398,6 +399,32 @@ def built_strip_counts(cfg: StripConfig, upto_block: int):
     return out, alphas
 
 
+class StripRatios(NamedTuple):
+    """F and area of the wide (delta) and narrow (top) strip triangles as
+    pairs, Q_delta, Q_top, the ratio Q of one of each, the gap |Q_delta - Q|
+    and its scale |Q_delta| + |Q_top| + 1; the pair is ``degenerate`` (no
+    gap to witness: F is proportional to the area on it) within 1e-9."""
+    f: tuple
+    a: tuple
+    q_delta: float
+    q_top: float
+    q_mix: float
+    gap: float
+    scale: float
+    degenerate: bool
+
+
+def strip_ratios(delta, top, spec: FunctionalSpec, *, shared: float) -> StripRatios:
+    """The ``StripRatios`` of the triangles with sides ``delta`` and ``top``
+    glued along an edge of length ``shared``."""
+    probe = StripConfig(tuple(delta), tuple(top), shared, block_sizes=[3], extent=2)
+    f = tuple(float(eval_batch(spec, probe.triangle_coords(kind))[0]) for kind in "WN")
+    a = tuple(_triangle_area_from_sides(sides) for sides in (probe.delta, probe.top))
+    q_delta, q_top, q_mix = f[0] / a[0], f[1] / a[1], (f[0] + f[1]) / (a[0] + a[1])
+    gap, scale = abs(q_delta - q_mix), abs(q_delta) + abs(q_top) + 1.0
+    return StripRatios(f, a, q_delta, q_top, q_mix, gap, scale, gap <= 1e-9 * scale)
+
+
 def strip_gi_sequence(cfg: StripConfig, spec: FunctionalSpec, k: int) -> StripDensityReport:
     """The density-ratio sequence g_i and raw densities f_i of the strip
     construction at the inscribed radii alpha_i, from the analytic counts.
@@ -406,14 +433,9 @@ def strip_gi_sequence(cfg: StripConfig, spec: FunctionalSpec, k: int) -> StripDe
     ``choose_block_sizes`` the odd- and even-indexed values cluster near
     Q_delta and Q with a persistent gap, witnessing that the density limit
     does not exist unless F is proportional to the area."""
-    f_delta = float(eval_batch(spec, cfg.triangle_coords("W"))[0])
-    f_top = float(eval_batch(spec, cfg.triangle_coords("N"))[0])
-    a_delta = _triangle_area_from_sides(cfg.delta)
-    a_top = _triangle_area_from_sides(cfg.top)
-    q_delta = f_delta / a_delta
-    q_top = f_top / a_top
-    q_mix = (f_delta + f_top) / (a_delta + a_top)
-    gap = abs(q_delta - q_mix)
+    r = strip_ratios(cfg.delta, cfg.top, spec, shared=cfg.shared)
+    (f_delta, f_top), (a_delta, a_top) = r.f, r.a
+    q_delta, q_mix, gap, scale = r.q_delta, r.q_mix, r.gap, r.scale
 
     counts, alphas = analytic_strip_counts(cfg, k)
 
@@ -424,25 +446,16 @@ def strip_gi_sequence(cfg: StripConfig, spec: FunctionalSpec, k: int) -> StripDe
         g_values.append(f_sum / area_sum if area_sum > 0 else math.nan)
         f_values.append(f_sum / (math.pi * alpha * alpha))
 
-    scale = abs(q_delta) + abs(q_top) + 1.0
-    if gap <= 1e-9 * scale:
-        verdict = "DEGENERATE"
-    else:
-        ok = True
-        for i, g in enumerate(g_values, start=1):
-            target = q_delta if i % 2 == 1 else q_mix
-            if abs(g - target) >= GAP_FRACTION * gap:
-                ok = False
-        odd = [g for i, g in enumerate(g_values, 1) if i % 2 == 1]
-        even = [g for i, g in enumerate(g_values, 1) if i % 2 == 0]
-        if odd and even:
-            sep = min(abs(a - b) for a in odd for b in even)
-            ok = ok and sep >= gap / 3.0 - 1e-9 * scale
-        verdict = "PASS" if ok else "FAIL"
+    odd, even = g_values[0::2], g_values[1::2]  # g_1, g_3, ... near Q_delta; g_2, ... near Q
+    ok = not any(abs(g - q_delta) >= GAP_FRACTION * gap for g in odd)
+    ok = ok and not any(abs(g - q_mix) >= GAP_FRACTION * gap for g in even)
+    if odd and even:
+        ok = ok and min(abs(a - b) for a in odd for b in even) >= gap / 3.0 - 1e-9 * scale
+    verdict = "DEGENERATE" if r.degenerate else "PASS" if ok else "FAIL"
 
     return StripDensityReport(
         q_delta=q_delta,
-        q_top=q_top,
+        q_top=r.q_top,
         q_mix=q_mix,
         gap=gap,
         alphas=[float(a) for a in alphas],
@@ -460,30 +473,23 @@ def choose_block_sizes(delta, top, spec: FunctionalSpec, k: int, *,
     """Greedily grow odd block sizes, from m_1 = 3 up to 2^22, until each g_i
     lands within GAP_FRACTION * |Q_delta - Q| of its alternating target
     (Q_delta for odd i, Q for even i); ``shared`` is the gluing edge's
-    length."""
-    probe = StripConfig(delta=tuple(delta), top=tuple(top), shared=shared,
-                        block_sizes=[3], extent=2)
-    f_delta = float(eval_batch(spec, probe.triangle_coords("W"))[0])
-    f_top = float(eval_batch(spec, probe.triangle_coords("N"))[0])
-    a_delta = _triangle_area_from_sides(tuple(delta))
-    a_top = _triangle_area_from_sides(tuple(top))
-    q_delta = f_delta / a_delta
-    q_mix = (f_delta + f_top) / (a_delta + a_top)
-    gap = abs(q_delta - q_mix)
-    if gap <= 1e-9 * (abs(q_delta) + abs(q_mix) + 1.0):
+    length.  Raises ``ValueError`` when ``strip_ratios`` finds the pair
+    degenerate."""
+    r = strip_ratios(delta, top, spec, shared=shared)
+    if r.degenerate:
         raise ValueError("DEGENERATE: F(delta)/A(delta) equals the mixed ratio")
 
     sizes = [3]
     for i in range(2, k + 1):
-        target = q_delta if i % 2 == 1 else q_mix
+        target = r.q_delta if i % 2 == 1 else r.q_mix
         m = 3
         while True:
             cfg = StripConfig(delta=tuple(delta), top=tuple(top), shared=shared,
                               block_sizes=sizes + [m], extent=2)
             counts, _ = analytic_strip_counts(cfg, i)
             kc, lc = counts[-1]
-            g = (kc * f_delta + lc * f_top) / (kc * a_delta + lc * a_top)
-            if abs(g - target) < GAP_FRACTION * gap:
+            g = (kc * r.f[0] + lc * r.f[1]) / (kc * r.a[0] + lc * r.a[1])
+            if abs(g - target) < GAP_FRACTION * r.gap:
                 break
             m = 2 * m + 1
             if m > 1 << 22:
@@ -695,7 +701,8 @@ def delaunay_minimality_comparison(
     # combinatorial D'(alpha): unflipped cells inside the ball, plus both
     # Delaunay cells of every quadrilateral whose perturbed pair is inside
     flipped_d = {c for qd in quads for c in qd["d_cells"]}
-    d_cells, d_coords, _, _ = _cell_geometry(dcx)
+    d_cells = dcx.cells_array()
+    d_coords = dcx.points[d_cells]
     d_dist = np.linalg.norm(d_coords, axis=2).max(axis=1)
     d_f = eval_batch(spec, d_coords)
     d_tuples = [tuple(c) for c in d_cells.tolist()]
@@ -703,7 +710,8 @@ def delaunay_minimality_comparison(
     unflipped_mask = np.array([c not in flipped_d for c in d_tuples])
 
     t_dist = {}
-    t_cells, t_coords, _, _ = _cell_geometry(tcx)
+    t_cells = tcx.cells_array()
+    t_coords = tcx.points[t_cells]
     t_dd = np.linalg.norm(t_coords, axis=2).max(axis=1)
     for c, dist in zip((tuple(x) for x in t_cells.tolist()), t_dd):
         t_dist[c] = float(dist)

@@ -153,7 +153,7 @@ def eval_functional(spec: FunctionalSpec, simplex) -> float:
 
 
 def complex_sum(spec: FunctionalSpec, cx) -> float:
-    if not cx.cells:
+    if not cx.n_cells:
         return 0.0
     return float(eval_batch(spec, cx.points[cx.cells_array()]).sum())
 

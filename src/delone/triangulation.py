@@ -1,10 +1,10 @@
 """Simplicial complexes with facet adjacency, flips, and validity checks.
 
-Cells are sorted vertex-id tuples; a large build keeps them as a validated
-int64 array and makes the tuple set on first read, from its rows or from a
-deferred source of them (the 2D builder's mesh order).  A complex is treated as
-immutable by readers; the flip operations mutate a complex in place and
-require exclusive access to it.
+Cells are sorted vertex-id tuples; ``build_complex`` validates every input in
+one array pass, keeps the cells as an int64 array, and makes the tuple set on
+first read, from its rows or from a deferred source of them (the 2D builder's
+mesh order).  A complex is treated as immutable by readers; the flip
+operations mutate a complex in place and require exclusive access to it.
 """
 
 from __future__ import annotations
@@ -40,10 +40,6 @@ from .geometry import (
 Cell = tuple  # sorted vertex ids, length d+1
 Facet = tuple  # sorted vertex ids, length d
 
-# array validation breaks even with the per-cell loop at about 32 cells in
-# 2D and 3D (NumPy's fixed cost); 64 keeps every build of a complex on at
-# most 30 points (under 60 cells in 2D) on the loop
-ARRAY_MIN_CELLS = 64
 COVERAGE_RTOL = 1e-8
 
 TO_DELAUNAY = "TO_DELAUNAY"
@@ -75,11 +71,11 @@ class TriangulationComplex:
 
     @property
     def _cells(self) -> set:
-        """The cells as a set of sorted tuples.  ``build_complex``'s array
-        path leaves it unbuilt and keeps its validated rows in input order;
-        the first read fills the set from them, as the per-cell loop would.
-        A deferred row source (``build_complex``'s ``order``) is called on
-        that read instead; its rows must list exactly the certified cells."""
+        """The cells as a set of sorted tuples.  ``build_complex`` leaves it
+        unbuilt and keeps its validated rows in input order; the first read
+        fills the set from them.  A deferred row source (``build_complex``'s
+        ``order``) is called on that read instead; its rows must list
+        exactly the certified cells."""
         if self._cell_set is None:
             rows = self._cell_rows
             if callable(rows):
@@ -98,7 +94,7 @@ class TriangulationComplex:
         if self._cells_sorted is None:
             if self._cells_array is None:
                 self._cells_sorted = sorted(self._cells)
-            else:  # seeded by build_complex's array path, already in order
+            else:  # seeded by build_complex, already in order
                 self._cells_sorted = list(map(tuple, self._cells_array.tolist()))
         return self._cells_sorted
 
@@ -217,12 +213,18 @@ class TriangulationComplex:
 
     @classmethod
     def from_json(cls, text: str) -> "TriangulationComplex":
+        """The complex ``to_json`` wrote; raises ``InvalidComplexError`` on
+        another schema, missing points or cells, a dimension other than the
+        points' width, or any fault ``build_complex`` finds."""
         data = json.loads(text)
-        return build_complex(
-            np.array(data["points"], dtype=float),
-            data["cells"],
-            provenance=data.get("provenance", {}),
-        )
+        if data.get("schema") != 1 or not {"points", "cells"} <= data.keys():
+            raise InvalidComplexError("a complex file needs schema 1, points and cells, not "
+                                      f"schema {data.get('schema')!r} with keys {sorted(data)}")
+        points = np.array(data["points"], dtype=float)
+        if points.ndim != 2 or data.get("dimension") != points.shape[1]:
+            raise InvalidComplexError(f"complex file dimension {data.get('dimension')!r} does "
+                                      f"not match points of shape {points.shape}")
+        return build_complex(points, data["cells"], provenance=data.get("provenance", {}))
 
 
 def build_complex(
@@ -232,47 +234,28 @@ def build_complex(
     provenance: dict | None = None,
     order: Callable | None = None,
 ) -> TriangulationComplex:
-    """Build a complex from points and d-cells, verifying its invariants:
-    every cell is a non-degenerate d-simplex on existing points, no cell
-    repeats, and no facet is shared by more than two cells.
-
-    Sized integer inputs of at least ``ARRAY_MIN_CELLS`` cells, and every
-    input given an ``order``, are validated with array operations when
-    n**(d+1) fits in int64 (up to 55,108 points in 3D); any failure there,
-    and every other input, goes through the per-cell loop, which raises the
-    first error.  Whether the cells tile a convex hull is
-    ``certify_tiling``'s question.
-
-    ``order``, a deferred row source, is called with no argument on the
-    first read of the cell set and returns the same cells in the order the
-    set fills in (the set's iteration order fixes ``facet_adjacency`` and
-    ``interior_facets()``); that read raises ``InvalidComplexError`` unless
-    they are exactly the validated cells.
+    """Build a complex from points and d-cells, checked by
+    ``_validated_rows``: every cell is a non-degenerate d-simplex on
+    existing points, with integer ids, no cell repeats, and no facet is
+    shared by more than two cells (whether the cells tile a convex hull is
+    ``certify_tiling``'s question).  The cell set fills on its first read,
+    in input order, or in the order of the rows that ``order``, a deferred
+    row source, returns when called (the set's order fixes
+    ``facet_adjacency`` and ``interior_facets()``); that read raises
+    ``InvalidComplexError`` unless they are exactly the validated cells.
     """
     points = np.asarray(points, dtype=float)
     if points.ndim != 2:
         raise InvalidComplexError("points must be an (n, d) array")
-    dim = points.shape[1]
-
-    checked = None
-    if order is not None or hasattr(cells, "__len__") and len(cells) >= ARRAY_MIN_CELLS:
-        checked = _validated_rows(points, cells)
-    if checked is None:
-        cell_set, rows, lex = _validated_by_loop(points, cells), None, None
-    else:
-        cell_set, (rows, lex) = None, checked
-    cx = TriangulationComplex(
-        dim=dim,
+    rows, lex = _validated_rows(points, cells)
+    return TriangulationComplex(
+        dim=points.shape[1],
         points=points,
-        _cell_set=cell_set,
+        _cell_set=None,
         provenance=provenance or {},
         _cells_array=lex,
-        _cell_rows=rows,
+        _cell_rows=rows if order is None else order,
     )
-    if order is not None:
-        cx.cells_array()  # the validated cells, which the source must list
-        cx._cell_set, cx._cell_rows = None, order
-    return cx
 
 
 def certify_tiling(cx: TriangulationComplex) -> None:
@@ -310,69 +293,76 @@ def certify_tiling(cx: TriangulationComplex) -> None:
             )
 
 
-def _validated_by_loop(points, cells):
-    """The cells as a set, in input order; raises the first invalid cell,
-    the first degenerate one in set order, or the first non-manifold facet
-    in adjacency order."""
-    n, dim = points.shape
-    cell_set = set()
-    for cell in cells:
-        cell = tuple(sorted(map(int, cell)))
-        if len(cell) != dim + 1 or len(set(cell)) != dim + 1:
-            raise InvalidComplexError(f"cell {cell} is not a {dim}-simplex")
-        if cell[0] < 0 or cell[-1] >= n:
-            raise InvalidComplexError(f"cell {cell} references missing points")
-        if cell in cell_set:
-            raise InvalidComplexError(f"duplicate cell {cell}")
-        cell_set.add(cell)
-
-    cell_list = list(cell_set)
-    coords = points[np.array(cell_list, dtype=np.int64).reshape(-1, dim + 1)]
-    signs = orientations(coords).tolist()
-    if 0 in signs:
-        raise DegenerateSimplexError(f"cell {cell_list[signs.index(0)]} is degenerate")
-    # a Counter keeps first-insertion order, as the adjacency dict does
-    shared = Counter(itertools.chain.from_iterable(
-        map(itertools.combinations, cell_list, itertools.repeat(dim))))
-    if max(shared.values(), default=0) > 2:
-        facet, count = next((f, k) for f, k in shared.items() if k > 2)
-        raise InvalidComplexError(f"facet {facet} is shared by {count} cells (non-manifold)")
-    return cell_set
-
-
 def _validated_rows(points, cells):
     """The cells as (m, d+1) int64 arrays of sorted rows, in input order
-    (which fills the cell set as ``_validated_by_loop`` does) and in
-    lexicographic order (read-only, the ``cells_array()`` cache), if every
-    check of that loop passes; else None.  With the vertex ids as digits in
-    base n, a cell's key orders it, duplicate cells show as equal adjacent
-    keys, and non-manifold facets as runs of three equal facet keys in one
-    sort."""
+    (which fills the cell set) and lexicographic order (read-only, the
+    ``cells_array()`` cache), checked in one pass: with vertex ids as base-n
+    digits, duplicates are equal adjacent cell keys and non-manifold facets
+    runs of three equal facet keys (``np.lexsort`` orders the rows where the
+    cell keys overflow int64, from 55,109 points in 3D; facet keys are Python
+    ints from 2**21).  Faults raise as ``_raise_first_fault`` names them."""
     n, dim = points.shape
+    cells = cells if isinstance(cells, np.ndarray) and cells.dtype != object else list(cells)
     try:
-        rows = np.asarray(cells if isinstance(cells, np.ndarray) else list(cells))
-    except ValueError:  # ragged
-        return None
-    if rows.dtype.kind not in "iu" or rows.shape != (len(rows), dim + 1):
-        return None
-    if n ** (dim + 1) >= 2**63:  # the cell keys would overflow int64
-        return None
-    rows = np.sort(rows.astype(np.int64), axis=1)
-    if (rows[:, 0] < 0).any() or (rows[:, -1] >= n).any() or (rows[:, 1:] == rows[:, :-1]).any():
-        return None
-    digits = n ** np.arange(dim, -1, -1, dtype=np.int64)
-    keys = rows @ digits
-    order = np.argsort(keys)
-    if (keys[order[1:]] == keys[order[:-1]]).any():
-        return None
-    if not orientations(points[rows]).all():
-        return None
-    facet_keys = np.sort(_facet_keys(rows, digits[1:]))
-    if (facet_keys[2:] == facet_keys[:-2]).any():
-        return None
+        rows = np.asarray(cells)
+    except ValueError:  # ragged: the rows before the first of the wrong length must pass
+        k = next((i for i, cell in enumerate(cells)
+                  if not hasattr(cell, "__len__") or len(cell) != dim + 1), None)
+        if k is None:
+            raise InvalidComplexError(f"cells must be rows of {dim + 1} vertex ids") from None
+        _raise_first_fault(np.sort(np.reshape(cells[:k], (k, dim + 1)), axis=1), n)
+        rows = np.asarray(cells[k])[None]
+    if len(rows) and (rows.ndim != 2 or rows.shape[1] != dim + 1):
+        cell = tuple(sorted(rows[0].tolist())) if rows.ndim == 2 else rows[0].tolist()
+        raise InvalidComplexError(f"cell {cell} is not a {dim}-simplex")
+    if len(rows) and rows.dtype.kind not in "iu":
+        raise InvalidComplexError(f"vertex ids must be integers, not {rows.dtype}")
+    rows = np.sort(rows.astype(np.int64, copy=False).reshape(-1, dim + 1), axis=1)
+    digits = n ** np.arange(dim, -1, -1, dtype=np.int64 if n ** dim < 2**63 else object)
+    if n ** (dim + 1) < 2**63:
+        keys = rows @ digits
+        order = np.argsort(keys)
+        twins = keys[order[1:]] == keys[order[:-1]]
+    else:
+        order = np.lexsort(rows.T[::-1])
+        twins = (rows[order[1:]] == rows[order[:-1]]).all(axis=1)
+    if ((rows[:, 0] < 0).any() or (rows[:, -1] >= n).any()
+            or (rows[:, 1:] == rows[:, :-1]).any() or twins.any()):
+        _raise_first_fault(rows, n)
+    degenerate = orientations(points[rows]) == 0
+    facets = np.sort(_facet_keys(rows, digits[1:]))
+    if degenerate.any() or (facets[2:] == facets[:-2]).any():
+        _raise_first_fault(rows, n, degenerate)
     lex = rows[order]
     lex.flags.writeable = False
     return rows, lex
+
+
+def _raise_first_fault(rows, n, degenerate=None):
+    """Raise what a per-cell check of the sorted ``rows`` raises first: at
+    the first row in input order with a repeated vertex, an id outside
+    0..n-1 or an earlier copy; then, given the ``degenerate`` mask, at the
+    first degenerate cell, else non-manifold facet, in cell-set order."""
+    later = np.ones(len(rows), dtype=bool)
+    later[np.unique(rows, axis=0, return_index=True)[1]] = False
+    bad = later | (rows[:, 0] < 0) | (rows[:, -1] >= n) | (rows[:, 1:] == rows[:, :-1]).any(axis=1)
+    if bad.any():
+        cell = tuple(rows[np.argmax(bad)].tolist())
+        if len(set(cell)) < len(cell):
+            raise InvalidComplexError(f"cell {cell} is not a {len(cell) - 1}-simplex")
+        if cell[0] < 0 or cell[-1] >= n:
+            raise InvalidComplexError(f"cell {cell} references missing points")
+        raise InvalidComplexError(f"duplicate cell {cell}")
+    if degenerate is None:
+        return
+    cells = list(set(map(tuple, rows.tolist())))
+    if degenerate.any():
+        zero = set(map(tuple, rows[degenerate].tolist()))
+        raise DegenerateSimplexError(f"cell {next(c for c in cells if c in zero)} is degenerate")
+    shared = Counter(itertools.chain.from_iterable(  # keeps first-insertion order
+        map(itertools.combinations, cells, itertools.repeat(rows.shape[1] - 1))))
+    facet, count = next((f, k) for f, k in shared.items() if k > 2)
+    raise InvalidComplexError(f"facet {facet} is shared by {count} cells (non-manifold)")
 
 
 def _facet_keys(rows, digits):

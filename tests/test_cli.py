@@ -8,6 +8,7 @@ import pytest
 from delone import density as density_mod
 from delone.cli import main
 from delone.generators import PointSetWindow
+from delone.triangulation import TriangulationComplex
 
 
 def run(capsys, *argv):
@@ -163,6 +164,22 @@ def test_flipcheck_bad_threads_exits_1(tmp_path, capsys, monkeypatch):
     assert json.loads(err.strip())["error"] == "ValueError"
 
 
+@pytest.mark.parametrize("fault", ["non-integer-id", "dimension"])
+def test_density_on_a_bad_complex_file_exits_1(tmp_path, capsys, fault):
+    data = {"schema": 1, "dimension": 2, "points": [[0, 0], [1, 0], [0, 1], [1, 1]],
+            "cells": [[0, 1, 2], [1, 2, 3]]}
+    if fault == "dimension":
+        data["dimension"] = 3
+    else:
+        data["cells"][1][1] = 2.9  # once read as vertex 2
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    code, stdout, err = run(capsys, "density", str(path), "--F", "AREA", "--alpha-min", "1",
+                            "--alpha-max", "2", "--out", str(tmp_path / "bad.csv"))
+    assert code == 1 and stdout == ""
+    assert json.loads(err)["error"] == "InvalidComplexError"
+
+
 @pytest.mark.parametrize("trials, workers, chunks", [
     (10, 1, [(0, 10)]), (10, 3, [(0, 4), (4, 4), (8, 2)]),
     (10, 4, [(0, 3), (3, 3), (6, 3), (9, 1)]), (4, 3, [(0, 2), (2, 2)]),
@@ -200,6 +217,26 @@ def test_strips_cli(tmp_path, capsys):
     summary = last_json(stdout)
     assert summary["verdict"] == "PASS"
     assert len(open(out).read().splitlines()) == 5
+    # a degenerate pair keeps blocks of 3 and reports its verdict
+    code, stdout, _ = run(
+        capsys, "strips", "--F", "AREA", "--blocks", "3",
+        "--a", "1", "--phi", repr(math.pi / 6),
+        "--c", "1.6", "--psi", repr(math.pi / 5), "--out", out,
+    )
+    assert code == 0
+    summary = last_json(stdout)
+    assert summary["verdict"] == "DEGENERATE" and summary["block_sizes"] == [3, 3, 3]
+
+
+def test_gen_strips_sizes_blocks_as_strips_does(tmp_path, capsys):
+    # a degenerate pair (F = AREA) gets blocks of 3 from gen too, not a ValueError
+    for F in ("AREA", "F1:c1=1"):
+        out = str(tmp_path / f"{F}.pts")
+        code, _, _ = run(capsys, "gen", "strips", "--F", F, "--blocks", "2",
+                         "--a", "1", "--phi", repr(math.pi / 6),
+                         "--c", "1.6", "--psi", repr(math.pi / 5), "--out", out)
+        assert code == 0
+        assert TriangulationComplex.from_json(open(out + ".complex.json").read()).n_cells > 0
 
 
 def test_cube3d_cli(tmp_path, capsys):

@@ -41,7 +41,6 @@ from delone.geometry import (
 )
 from delone.oracle import enumerate_triangulations_2d
 from delone.triangulation import (
-    ARRAY_MIN_CELLS,
     build_complex,
     first_non_delaunay_facet,
     is_locally_delaunay,
@@ -763,11 +762,11 @@ def mesh_builds(monkeypatch):
 def test_small_inputs_build_with_the_mesh_large_ones_defer_it(monkeypatch):
     seeded = mesh_builds(monkeypatch)
     rng = np.random.default_rng(14)
-    small = delaunay_2d(rng.uniform(size=(ARRAY_MIN_CELLS // 2 - 1, 2)))
-    assert small._cell_set is not None and len(seeded) == 1
-    pts = rng.uniform(size=(ARRAY_MIN_CELLS // 2, 2))
+    small = delaunay_2d(rng.uniform(size=(delaunay.QHULL_MIN_POINTS - 1, 2)))
+    assert len(seeded) == 1 and not callable(small._cell_rows)
+    pts = rng.uniform(size=(delaunay.QHULL_MIN_POINTS, 2))
     large = delaunay_2d(pts)
-    assert large._cell_set is None and len(seeded) == 1
+    assert callable(large._cell_rows) and len(seeded) == 1
     assert large.interior_facets() == build_complex(pts, tuple_mesh_cells(pts)).interior_facets()
     assert len(seeded) == 2
 
@@ -892,7 +891,7 @@ def test_certificate_names_the_same_facet_in_any_insertion_order():
 def test_delaunay_2d_certifies_without_the_adjacency_dict():
     """Neither path builds ``facet_adjacency`` to certify its result."""
     rng = np.random.default_rng(8)
-    for pts in (rng.uniform(size=(ARRAY_MIN_CELLS // 2 - 1, 2)),  # the mesh
+    for pts in (rng.uniform(size=(delaunay.QHULL_MIN_POINTS - 1, 2)),  # the mesh
                 rng.uniform(size=(200, 2)),  # Qhull's proposal
                 lattice_window(2, 24.0, jitter=True, seed=301001113).points):  # the fallback
         cx = delaunay_2d(pts)
@@ -1122,7 +1121,7 @@ def test_deferred_order_is_the_mesh_order(name, monkeypatch):
     pts = REFERENCE_INPUTS[name]()
     seeded = mesh_builds(monkeypatch)
     cx = delaunay_2d(pts)
-    deferred = len(pts) >= ARRAY_MIN_CELLS // 2
+    deferred = len(pts) >= delaunay.QHULL_MIN_POINTS
     assert len(seeded) == (not deferred)
     assert cx.interior_facets() == build_complex(pts, tuple_mesh_cells(pts)).interior_facets()
     cx.cells, cx.interior_facets()

@@ -18,6 +18,7 @@ from delone.density import (
     delaunay_minimality_comparison,
     perturb_by_reverse_flips,
     strip_gi_sequence,
+    strip_ratios,
     unit_ball_volume,
 )
 from delone.errors import GeometryError, NonGenericError, WindowError
@@ -309,6 +310,20 @@ def test_strip_gi_area_degenerate():
     assert rep.verdict == "DEGENERATE"
     for g in rep.g_values:
         assert g == pytest.approx(1.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("F, degenerate", [("AREA", True), ("F1", False), ("F5", False)])
+def test_strip_degeneracy_has_one_test(F, degenerate):
+    delta, top, L = acceptance_pair()
+    spec = FunctionalSpec(F)
+    assert strip_ratios(delta, top, spec, shared=L).degenerate is degenerate
+    cfg = StripConfig(delta=delta, top=top, shared=L, block_sizes=[3, 7, 15], extent=2)
+    assert (strip_gi_sequence(cfg, spec, 3).verdict == "DEGENERATE") is degenerate
+    if degenerate:
+        with pytest.raises(ValueError, match="DEGENERATE"):
+            choose_block_sizes(delta, top, spec, 3, shared=L)
+    else:
+        assert len(choose_block_sizes(delta, top, spec, 3, shared=L)) == 3
 
 
 def test_analytic_counts_match_built_counts():

@@ -466,6 +466,20 @@ def test_json_roundtrip_bit_exact():
     assert back.cells == cx.cells
 
 
+@pytest.mark.parametrize("key, value", [
+    ("schema", 2), ("schema", None), ("dimension", 3), ("dimension", None),
+    ("points", None), ("cells", None),
+], ids=["schema", "no-schema", "dimension", "no-dimension", "no-points", "no-cells"])
+def test_from_json_refuses_a_file_that_does_not_describe_the_complex(key, value):
+    data = json.loads(quad_complex().to_json())
+    if value is None:
+        del data[key]
+    else:
+        data[key] = value
+    with pytest.raises(InvalidComplexError, match=key):
+        TriangulationComplex.from_json(json.dumps(data))
+
+
 def per_float_json(cx):
     """``to_json`` with one ``float`` per coordinate and one list per cell
     tuple: the reference for its bytes."""
@@ -646,15 +660,21 @@ def test_build_unbounded_prefix_phase_edges_grow():
 # facet adjacency filled on first use, and build-time validation
 
 
+def cell_set_by_loop(cells):
+    """The cell set as the per-cell build loop filled it: each cell's sorted
+    tuple added in input order."""
+    cell_set = set()
+    for cell in cells:
+        cell_set.add(tuple(sorted(int(v) for v in cell)))
+    return cell_set
+
+
 def eager_adjacency(cells, dim):
     """The build-time loop that filled ``facet_adjacency`` on every build:
     the cells deduplicated into a set, then each cell's facets appended in
     set iteration order."""
-    cell_set = set()
-    for cell in cells:
-        cell_set.add(tuple(sorted(int(v) for v in cell)))
     adjacency = {}
-    for cell in list(cell_set):
+    for cell in list(cell_set_by_loop(cells)):
         for facet in itertools.combinations(cell, dim):
             adjacency.setdefault(facet, []).append(cell)
     return adjacency
@@ -742,6 +762,64 @@ def test_build_complex_raises_the_cell_loops_first_error(cells):
     assert type(info.value) is want[0] and str(info.value) == want[1]
 
 
+@pytest.mark.parametrize("form", [list, np.array], ids=["list", "ndarray"])
+def test_non_integer_vertex_ids_are_refused(form):
+    cells = form([(1, 3, 4), (0, 1, 2.9)])
+    assert first_error_by_cell_loop(CHEV, cells) is None  # the loop read (0, 1, 2)
+    with pytest.raises(InvalidComplexError, match="integers"):
+        build_complex(CHEV, cells)
+    text = json.dumps({"schema": 1, "dimension": 2, "points": CHEV,
+                       "cells": [[1, 3, 4], [0, 1, 2.9]]})
+    with pytest.raises(InvalidComplexError, match="integers"):
+        TriangulationComplex.from_json(text)
+
+
+
+@pytest.mark.parametrize("cells", [[(0, 1, (2, 3))], [(0, 1, None)], [0, 1, 2], [[0, 1, 2], 5]],
+                         ids=["nested", "none", "flat", "scalar-row"])
+def test_malformed_rows_are_refused(cells):
+    with pytest.raises(InvalidComplexError):  # the loop raised a TypeError
+        build_complex(CHEV, cells)
+
+
+def assert_same_build(cx, ref):
+    assert cx.cells == ref.cells
+    assert list(cx._cells) == list(ref._cells)
+    assert list(cx.facet_adjacency.items()) == list(ref.facet_adjacency.items())
+    assert cx.provenance == ref.provenance
+
+
+def test_restrictions_equal_build_complex_of_their_cells():
+    rng = np.random.default_rng(6)
+    built = 0
+    while built < 20:
+        pts = rng.uniform(size=(int(rng.integers(5, 9)), 2)) * 4.0
+        try:
+            tris = oracle.enumerate_triangulations_2d(pts)
+        except NonGenericError:
+            continue
+        region_cells = [c for c in tris[-1].cells if rng.random() < 0.6] or tris[-1].cells
+        sub = delaunay.restrict_delaunay(tris[0], build_complex(pts, region_cells))
+        # restrict_delaunay built its result from the kept cells in sorted order
+        assert_same_build(sub, build_complex(pts, sub.cells, provenance=sub.provenance))
+        built += 1
+
+
+def test_g_trial_regions_equal_build_complex_of_their_cells(monkeypatch):
+    regions = []
+    check = oracle.check_g_inequality
+
+    def spy(spec, region, dcx):
+        regions.append(region)
+        return check(spec, region, dcx)
+
+    monkeypatch.setattr(oracle, "check_g_inequality", spy)
+    oracle.run_g_trials(FunctionalSpec("FE"), 20, seed=2)
+    assert len(regions) == 20
+    for region in regions:  # the trial's cells, in sorted order
+        assert_same_build(region, build_complex(region.points, region.cells))
+
+
 def test_builds_that_read_no_facet_leave_the_adjacency_unfilled():
     assert delaunay_3d(lattice_window(3, 3, jitter=True, seed=3).points)._adjacency is None
     w = lattice_window(2, 8, jitter=True, seed=1)
@@ -763,8 +841,8 @@ def test_builds_that_read_no_cell_set_never_build_it():
     assert cx.n_cells == len(json.loads(text)["cells"])
     uniform_bound_q(cx)
     assert cx._cell_set is None
-    # the first read builds it from the input rows, as the per-cell loop does
-    assert list(cx._cells) == list(loop_build(cx.points, json.loads(text)["cells"])._cells)
+    # the first read builds it from the input rows, as the per-cell loop did
+    assert list(cx._cells) == list(cell_set_by_loop(json.loads(text)["cells"]))
 
 
 def _reverse_flips(cx, facet):
@@ -814,7 +892,7 @@ def test_cells_array_is_read_only_and_refreshed_after_a_flip():
 
 
 # ---------------------------------------------------------------------------
-# array validation of builds at or above the crossover
+# array validation against the per-cell loop it replaced
 
 
 def builder_feed(build, points):
@@ -848,13 +926,6 @@ def array_window(request):
     return ARRAY_WINDOWS[request.param]()
 
 
-def loop_build(points, cells, **kw):
-    """``build_complex`` with every input on the per-cell loop."""
-    with pytest.MonkeyPatch.context() as m:
-        m.setattr(triangulation, "ARRAY_MIN_CELLS", float("inf"))
-        return build_complex(points, cells, **kw)
-
-
 def _input_forms(cells, seed):
     tuples = [tuple(int(v) for v in c) for c in cells]
     forms = _feeds(tuples, seed)
@@ -863,46 +934,57 @@ def _input_forms(cells, seed):
     return forms
 
 
+def assert_builds_like_the_loop(cx, points, cells):
+    """``cx`` is what the per-cell loop built from ``cells``: no error, the
+    same cell set in the same order, the sorted cells, and the adjacency."""
+    assert first_error_by_cell_loop(points, cells) is None
+    want = cell_set_by_loop(cells)
+    assert list(cx._cells) == list(want)
+    assert cx.cells == sorted(want)
+    assert cx.cells_array().tolist() == [list(c) for c in sorted(want)]
+    assert not cx.cells_array().flags.writeable
+    assert list(cx.facet_adjacency.items()) == list(eager_adjacency(cells, cx.dim).items())
+
+
 def test_array_path_builds_what_the_loop_builds(array_window):
     points, feed = array_window
     forms = {"builder": feed, **_input_forms(feed, seed=len(feed))}
-    for name, cells in forms.items():
-        fast = build_complex(points, cells)
-        assert fast._cells_array is not None, name  # the array path ran
-        slow = loop_build(points, cells)
-        assert slow._cells_array is None, name
-        assert list(fast._cells) == list(slow._cells), name
-        assert fast.cells == slow.cells, name
-        assert np.array_equal(fast.cells_array(), slow.cells_array()), name
-        assert not fast.cells_array().flags.writeable
-        assert list(fast.facet_adjacency.items()) == list(slow.facet_adjacency.items()), name
-        assert list(fast.facet_adjacency.items()) == list(eager_adjacency(cells, fast.dim).items())
+    for cells in forms.values():
+        assert_builds_like_the_loop(build_complex(points, cells), points, cells)
 
 
-def test_builds_below_the_crossover_take_the_loop():
+def test_small_builds_match_the_loop():
+    # from no cell up: orientations switches to NumPy at 8 cells
     points, feed = ARRAY_WINDOWS["poisson-2d-26"]()
-    for m, array_path in ((triangulation.ARRAY_MIN_CELLS - 1, False),
-                          (triangulation.ARRAY_MIN_CELLS, True)):
+    for m in (0, 1, 2, 7, 8, 63, 64):
         cells = list(feed)[:m]
-        cx = build_complex(points, cells)
-        assert (cx._cells_array is not None) == array_path
-        ref = loop_build(points, cells)
-        assert list(cx._cells) == list(ref._cells)
-        assert cx.cells == ref.cells
-        assert list(cx.facet_adjacency.items()) == list(ref.facet_adjacency.items())
+        assert_builds_like_the_loop(build_complex(points, cells), points, cells)
 
 
-def test_builds_whose_cell_keys_overflow_int64_take_the_loop():
-    # cell keys are vertex ids as digits in base n: n**4 >= 2**63 in 3D
+def test_builds_whose_cell_keys_overflow_int64_match_the_loop():
+    # cell keys are vertex ids as digits in base n: n**4 >= 2**63 in 3D, where
+    # the rows are lexsorted instead; zero pages use no memory
     pts = lattice_window(3, 3, jitter=True, seed=3).points
-    cells = delaunay._lower_hull_complex(pts).cells
-    assert len(cells) >= triangulation.ARRAY_MIN_CELLS
-    for n, array_path in ((55_108, True), (55_109, False)):
+    cx = delaunay._lower_hull_complex(pts)
+    cells, k = cx.cells, len(pts)
+    a, b, c = sorted(cx.interior_facets())[0]
+    third = next((a, b, c, w) for w in range(k) if len({a, b, c, w}) == 4
+                 and orientation(pts[[a, b, c, w]]) != 0 and not cx.has_cell((a, b, c, w)))
+    faults = {
+        "duplicate": cells[:9] + [cells[5][::-1]] + cells[9:],
+        "degenerate": cells[:9] + [(k, k + 1, k + 2, k + 3)] + cells[9:],
+        "non-manifold": cells[:9] + [third] + cells[9:],
+    }
+    for n in (55_108, 55_109):
         points = np.zeros((n, 3))
-        points[:len(pts)] = pts
-        cx = build_complex(points, cells)
-        assert (cx._cells_array is not None) == array_path
-        assert cx.cells == cells
+        points[:k] = pts
+        assert_builds_like_the_loop(build_complex(points, cells), points, cells)
+        for name, feed in faults.items():
+            want = first_error_by_cell_loop(points, feed)
+            assert want is not None, name
+            with pytest.raises(want[0]) as info:
+                build_complex(points, feed)
+            assert type(info.value) is want[0] and str(info.value) == want[1], (n, name)
 
 
 def test_certificate_refuses_facet_keys_that_overflow_int64():
@@ -927,8 +1009,8 @@ FAULTS = ["ragged", "wrong-length", "out-of-range", "negative", "repeated-vertex
 
 @pytest.fixture(scope="module")
 def faulty():
-    """Points, a valid complex of at least ARRAY_MIN_CELLS cells, and that
-    complex with each fault of FAULTS injected."""
+    """Points, a valid complex, and that complex with each fault of FAULTS
+    injected."""
     w = lattice_window(2, 8, jitter=True, seed=1)
     valid = delaunay_2d(w.points)
     n = len(valid.points)
@@ -958,8 +1040,37 @@ def faulty():
             cells[:3] + [(a, b, len(points))] + cells[3:] + [cells[0]],
     }
     assert sorted(faults) == sorted(FAULTS)
-    assert len(cells) >= triangulation.ARRAY_MIN_CELLS
     return points, cells, faults
+
+
+@pytest.mark.parametrize("n_pad", [0, 55_109], ids=["keyed", "lexsorted"])
+def test_random_faults_raise_the_loops_first_error(n_pad):
+    """Subsets of a valid complex with up to three random faults: each build
+    raises what the loop raised first, or builds what it built."""
+    rng = np.random.default_rng(5)
+    for d, valid in ((2, delaunay_2d(lattice_window(2, 4, jitter=True, seed=1).points)),
+                     (3, delaunay_3d(lattice_window(3, 2, jitter=True, seed=1).points))):
+        n = len(valid.points)  # ids n.. are at the origin: a degenerate cell
+        points = np.vstack([valid.points, np.zeros((max(n_pad - n, d + 1), d))])
+        for _ in range(150):
+            cells = [list(valid.cells[i]) for i in rng.permutation(valid.n_cells)]
+            cells = cells[:rng.integers(len(cells) + 1)]
+            for _ in range(rng.integers(4)):
+                fault = [
+                    lambda: list(reversed(cells[rng.integers(len(cells))])) if cells else [],
+                    lambda: rng.integers(-2, n + 5, size=d + 1).tolist(),
+                    lambda: rng.integers(n, size=rng.choice([d, d + 1, d + 2])).tolist(),
+                    lambda: list(range(n, n + d + 1)),
+                    lambda: list(valid.cells[rng.integers(valid.n_cells)][:d]) + [rng.integers(n)],
+                ][rng.integers(5)]()
+                cells.insert(rng.integers(len(cells) + 1), fault)
+            want = first_error_by_cell_loop(points, cells)
+            if want is None:
+                assert_builds_like_the_loop(build_complex(points, cells), points, cells)
+                continue
+            with pytest.raises(want[0]) as info:
+                build_complex(points, cells)
+            assert str(info.value) == want[1], cells
 
 
 def test_a_duplicate_in_the_3d_hull_array_raises_the_loops_message():
