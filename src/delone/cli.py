@@ -8,11 +8,11 @@ code 1 and a single-line JSON object on stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -84,10 +84,6 @@ def _json_default(obj):
     if isinstance(obj, (np.bool_, np.integer, np.floating)):
         return obj.item()
     raise TypeError(f"not JSON serializable: {type(obj).__name__}")
-
-
-def _emit(summary: dict):
-    print(json.dumps(summary, sort_keys=True, default=_json_default))
 
 
 # ---------------------------------------------------------------------------
@@ -196,6 +192,7 @@ def cmd_flipcheck(args) -> dict:
     if len(payloads) == 1:
         results = [_flip_chunk(payloads[0])]
     else:
+        from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing
         with ProcessPoolExecutor(max_workers=len(payloads)) as pool:
             results = list(pool.map(_flip_chunk, payloads))
     violations = sum(r[0] for r in results)
@@ -355,6 +352,7 @@ def cmd_oracle(args) -> dict:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache  # one parser per process, shared by every `main` call: none may change it
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="delone",
@@ -379,13 +377,11 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--built-blocks", type=int, default=2)
     g.add_argument("--extent", type=int, default=8)
     g.add_argument("--out")
-    g.set_defaults(func=cmd_gen)
 
     t = sub.add_parser("tri", help="Delaunay triangulation or flip legalization")
     t.add_argument("pointfile", nargs="?")
     t.add_argument("--legalize", help="complex JSON to legalize instead")
     t.add_argument("--out")
-    t.set_defaults(func=cmd_tri)
 
     d = sub.add_parser("density", help="windowed density sequence CSV")
     d.add_argument("complexfile")
@@ -397,7 +393,6 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("--window-radius", type=float)
     d.add_argument("--q-bound", type=float)
     d.add_argument("--out")
-    d.set_defaults(func=cmd_density)
 
     f = sub.add_parser("flipcheck", help="flip-inequality trial battery")
     f.add_argument("--F", required=True)
@@ -405,7 +400,6 @@ def build_parser() -> argparse.ArgumentParser:
     f.add_argument("--seed", type=int, default=0)
     f.add_argument("--d", type=int, default=2, choices=(2, 3))
     f.add_argument("--out")
-    f.set_defaults(func=cmd_flipcheck)
 
     gc = sub.add_parser("gcheck", help="subcomplex-inequality trials (oracle-backed)")
     gc.add_argument("--F", required=True)
@@ -413,7 +407,6 @@ def build_parser() -> argparse.ArgumentParser:
     gc.add_argument("--n", default="5..8")
     gc.add_argument("--seed", type=int, default=0)
     gc.add_argument("--out")
-    gc.set_defaults(func=cmd_gcheck)
 
     s = sub.add_parser("strips", help="strip-construction density oscillation")
     s.add_argument("--F", required=True)
@@ -423,17 +416,14 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--c", type=float, required=True)
     s.add_argument("--psi", type=float, required=True)
     s.add_argument("--out")
-    s.set_defaults(func=cmd_strips)
 
     c3 = sub.add_parser("cube3d", help="distorted-cube tetrahedra volumes")
     c3.add_argument("--window", type=float, default=6.0)
     c3.add_argument("--out")
-    c3.set_defaults(func=cmd_cube3d)
 
     c = sub.add_parser("counts", help="point/cell count certificate")
     c.add_argument("pointfile")
     c.add_argument("--out")
-    c.set_defaults(func=cmd_counts)
 
     cm = sub.add_parser("compare", help="Delaunay vs reverse-flip perturbation")
     cm.add_argument("pointfile")
@@ -444,27 +434,25 @@ def build_parser() -> argparse.ArgumentParser:
     cm.add_argument("--alpha-max", type=float)
     cm.add_argument("--ratio", type=float, default=1.1)
     cm.add_argument("--out")
-    cm.set_defaults(func=cmd_compare)
 
     o = sub.add_parser("oracle", help="exhaustive enumeration and argmin")
     o.add_argument("pointfile")
     o.add_argument("--F", required=True)
     o.add_argument("--out")
-    o.set_defaults(func=cmd_oracle)
 
     return p
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        summary = args.func(args)
+    try:  # looked up per call, so a replaced ``cmd_<command>`` is the one run
+        summary = globals()[f"cmd_{args.command}"](args)
     except Exception as exc:  # precondition failures become machine-readable
         sys.stderr.write(
             json.dumps({"error": type(exc).__name__, "message": str(exc)}) + "\n"
         )
         return 1
-    _emit(summary)
+    print(json.dumps(summary, sort_keys=True, default=_json_default))
     return 0 if summary.get("ok", True) else 3
 
 

@@ -6,12 +6,14 @@ the hull, every point is a vertex, and ``first_non_delaunay_facet`` passes
 by Delaunay's lemma the result is the Delaunay triangulation.  From 32
 points on, Qhull proposes the cells; an incremental Bowyer-Watson mesh with
 ghost triangles and exact predicates then only supplies the frozen cell
-order, on first read of the cell set.  The mesh builds eagerly below 32
-points and whenever the proposal fails a check, so non-generic input is
-detected rather than silently mis-triangulated.  The 3D builder projects
-the lower faces of the convex hull of the lifted points; the hull
-combinatorics come from Qhull, while lower-face classification and the
-emptiness verification (sampled above 200 points) use exact arithmetic.
+order, on first read of the cell set.  The mesh builds eagerly
+(``_mesh_delaunay_2d``) below 32 points, whenever the proposal fails a
+check, so non-generic input is detected rather than silently
+mis-triangulated, and for ``compare``, which reads the cell order at once.
+The 3D builder projects the lower faces of the convex hull of the lifted
+points; the hull combinatorics come from Qhull, while lower-face
+classification and the emptiness verification (sampled above 200 points)
+use exact arithmetic.
 """
 
 from __future__ import annotations
@@ -235,18 +237,37 @@ def _mesh_cells(pts, lex) -> list:
     return mesh.real_cells()
 
 
-def _certified(cx, n) -> TriangulationComplex:
-    """``cx`` once every exact check passes: ``certify_tiling``, each of the
-    n points a vertex, and ``first_non_delaunay_facet``, so by Delaunay's
+def _certified(cx) -> TriangulationComplex:
+    """``cx`` once every exact check passes: ``certify_tiling``, each of its
+    points a vertex, and ``first_non_delaunay_facet``, so by Delaunay's
     lemma it is the Delaunay triangulation.  Raises ``InvalidComplexError``
     or ``NonGenericError`` at the first failure."""
-    certify_tiling(cx)
-    if len(cx.vertices_used()) != n:
+    if len(certify_tiling(cx)) != len(cx.points):
         raise InvalidComplexError("a point ended up unused by the triangulation")
     facet = first_non_delaunay_facet(cx)
     if facet is not None:
         raise InvalidComplexError(f"facet {facet} is not locally Delaunay")
     return cx
+
+
+def _planar_rows(points):
+    """``points`` as (n, 2) rows and their lexicographic order, once the
+    input checks of ``delaunay_2d`` pass."""
+    pts = _point_rows(points, 2)
+    if len(pts) < 3:
+        raise DegenerateSimplexError("delaunay_2d needs at least 3 planar points")
+    lex = np.lexsort((pts[:, 1], pts[:, 0]))
+    srt = pts[lex]
+    dup = np.flatnonzero((srt[1:] == srt[:-1]).all(axis=1))
+    if len(dup):
+        s, t = lex[dup[0]], lex[dup[0] + 1]
+        raise ValueError(f"duplicate points {int(s)} and {int(t)}")
+    return pts, lex
+
+
+def _mesh_delaunay_2d(pts, lex, provenance) -> TriangulationComplex:
+    """The eager exact path: the certified mesh of ``_planar_rows``' output."""
+    return _certified(build_complex(pts, _mesh_cells(pts, lex), provenance=provenance))
 
 
 def delaunay_2d(points, *, provenance=None) -> TriangulationComplex:
@@ -267,27 +288,18 @@ def delaunay_2d(points, *, provenance=None) -> TriangulationComplex:
     certification, and ``InvalidComplexError`` naming the lexicographically
     first edge that is not locally Delaunay.
     """
-    pts = _point_rows(points, 2)
-    n = len(pts)
-    if n < 3:
-        raise DegenerateSimplexError("delaunay_2d needs at least 3 planar points")
-    lex = np.lexsort((pts[:, 1], pts[:, 0]))
-    srt = pts[lex]
-    dup = np.flatnonzero((srt[1:] == srt[:-1]).all(axis=1))
-    if len(dup):
-        s, t = lex[dup[0]], lex[dup[0] + 1]
-        raise ValueError(f"duplicate points {int(s)} and {int(t)}")
+    pts, lex = _planar_rows(points)
     provenance = provenance or {}
-    if n >= QHULL_MIN_POINTS:
+    if len(pts) >= QHULL_MIN_POINTS:
         from scipy.spatial import Delaunay, QhullError
 
         try:
             return _certified(build_complex(
                 pts, Delaunay(pts).simplices, provenance=provenance,
-                order=functools.partial(_mesh_cells, pts, lex)), n)
+                order=functools.partial(_mesh_cells, pts, lex)))
         except (QhullError, GeometryError):  # no proposal, or one a check rejects
             pass
-    return _certified(build_complex(pts, _mesh_cells(pts, lex), provenance=provenance), n)
+    return _mesh_delaunay_2d(pts, lex, provenance)
 
 
 # ---------------------------------------------------------------------------
@@ -414,9 +426,7 @@ def _lower_hull_complex(points, provenance=None) -> TriangulationComplex:
     lower = hull.simplices[live & (ins != -o)]
 
     cx = build_complex(pts, lower, provenance=provenance or {})
-    certify_tiling(cx)
-    used = cx.vertices_used()
-    if len(used) != n:
+    if len(certify_tiling(cx)) != n:
         raise NonGenericError("a point is missing from the lower hull projection")
     return cx
 

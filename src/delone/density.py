@@ -11,7 +11,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .delaunay import delaunay_2d, delaunay_3d
+from .delaunay import _mesh_delaunay_2d, _planar_rows, delaunay_3d
 from .errors import GeometryError, WindowError
 from .functionals import FunctionalSpec, eval_batch
 from .generators import (
@@ -623,6 +623,7 @@ def perturb_by_reverse_flips(
     quads = []
     tries = 0
     margin = window_radius - 2.0 * cap
+    norms = np.linalg.norm(cx.points, axis=1)  # each row as a per-pick norm reads it
     # kept in step with cx.interior_facets(): a flip deletes the old diagonal's
     # entry and appends the new one; a flip that raises leaves cx unchanged
     facets = cx.interior_facets()
@@ -632,14 +633,14 @@ def perturb_by_reverse_flips(
             raise WindowError("no reverse flip available")
         pick = int(rng.integers(len(facets)))
         facet = facets[pick]
-        if np.linalg.norm(cx.points[list(facet)], axis=1).max() > margin:
+        if norms[list(facet)].max() > margin:
             continue
         try:
             if not is_locally_delaunay(cx, facet):
                 continue
             old_cells = cx.facet_cells(facet)
             vertices = sorted(set(old_cells[0]) | set(old_cells[1]))
-            if np.linalg.norm(cx.points[vertices], axis=1).max() > margin:
+            if norms[vertices].max() > margin:
                 continue
             a, b = (w for w in vertices if w not in facet)
             u, v = facet
@@ -678,25 +679,16 @@ def delaunay_minimality_comparison(
     space of the perturbed selection form an annulus population whose sum is
     the slack (it grows like alpha^(d-1), so the normalized slack decays like
     1/alpha).  The liminf-tail comparison needs no slack."""
-    dcx = delaunay_2d(window.points, provenance=dict(window.provenance))
+    # the mesh at once: ``perturb_by_reverse_flips`` reads its cell order
+    dcx = _mesh_delaunay_2d(*_planar_rows(window.points), dict(window.provenance))
     q0 = window.R
     tcx, records, quads = perturb_by_reverse_flips(
         dcx, n_flips, window_radius=window.window_radius, q_bound=q0, seed=seed
     )
-    q_t = max(
-        (rec.after_max_circumradius for rec in records), default=q0
-    )
-    q_bound = max(q0, q_t)
+    q_bound = max([q0, *(rec.after_max_circumradius for rec in records)])
     alphas = np.asarray(alphas, dtype=float)
-
-    f_d = density_sequence(
-        dcx, spec, np.zeros(2), alphas,
-        window_radius=window.window_radius, q_bound=q_bound,
-    )
-    f_t = density_sequence(
-        tcx, spec, np.zeros(2), alphas,
-        window_radius=window.window_radius, q_bound=q_bound,
-    )
+    f_d, f_t = (density_sequence(cx, spec, np.zeros(2), alphas, q_bound=q_bound,
+                                 window_radius=window.window_radius) for cx in (dcx, tcx))
 
     # combinatorial D'(alpha): unflipped cells inside the ball, plus both
     # Delaunay cells of every quadrilateral whose perturbed pair is inside
@@ -705,21 +697,15 @@ def delaunay_minimality_comparison(
     d_coords = dcx.points[d_cells]
     d_dist = np.linalg.norm(d_coords, axis=2).max(axis=1)
     d_f = eval_batch(spec, d_coords)
-    d_tuples = [tuple(c) for c in d_cells.tolist()]
-    d_index = {c: i for i, c in enumerate(d_tuples)}
+    d_tuples = list(map(tuple, d_cells.tolist()))
+    d_value = dict(zip(d_tuples, d_f.tolist()))
     unflipped_mask = np.array([c not in flipped_d for c in d_tuples])
 
-    t_dist = {}
     t_cells = tcx.cells_array()
-    t_coords = tcx.points[t_cells]
-    t_dd = np.linalg.norm(t_coords, axis=2).max(axis=1)
-    for c, dist in zip((tuple(x) for x in t_cells.tolist()), t_dd):
-        t_dist[c] = float(dist)
-    quad_d_vals = []
-    for qd in quads:
-        reach = max(t_dist[tuple(c)] for c in qd["t_cells"])
-        val = sum(float(d_f[d_index[tuple(c)]]) for c in qd["d_cells"])
-        quad_d_vals.append((reach, val))
+    t_dd = np.linalg.norm(tcx.points[t_cells], axis=2).max(axis=1)
+    t_dist = dict(zip(map(tuple, t_cells.tolist()), t_dd.tolist()))
+    quad_d_vals = [(max(t_dist[c] for c in qd["t_cells"]), sum(d_value[c] for c in qd["d_cells"]))
+                   for qd in quads]
 
     vd = unit_ball_volume(2)
     bracket1 = np.zeros(len(alphas))

@@ -7,6 +7,7 @@ packing/covering radii (r, R), and records provenance sufficient to rerun it.
 from __future__ import annotations
 
 import math
+import warnings
 import zlib
 from dataclasses import dataclass, field
 
@@ -43,31 +44,44 @@ class PointSetWindow:
 
     def save(self, path):
         """Point-set file: header "d r R W", then one point per line."""
+        rows = np.asarray(self.points, dtype=float).tolist()
         with open(path, "w") as fh:
             fh.write(f"{self.dim} {self.r!r} {self.R!r} {self.window_radius!r}\n")
-            for p in self.points:
-                fh.write(" ".join(repr(float(x)) for x in p) + "\n")
+            fh.write("".join(" ".join(map(repr, row)) + "\n" for row in rows))
 
     @classmethod
     def load(cls, path) -> "PointSetWindow":
-        with open(path) as fh:  # one pass; errors name the path and the line
+        """One NumPy pass reads the coordinates.  A file it refuses is read
+        again line by line, to name the path and the first bad line (or to
+        take what ``float`` takes and NumPy does not, such as ``1_0``)."""
+        with open(path) as fh:
             head = fh.readline().split()
             try:
                 d, r, R, W = (f(t) for f, t in zip((int, float, float, float), head, strict=True))
             except ValueError:
                 raise ValueError(f'{path} line 1: expected the header "d r R W"') from None
+            try:
+                with warnings.catch_warnings():  # an empty body is refused below
+                    warnings.simplefilter("ignore", UserWarning)
+                    points = np.loadtxt(fh, dtype=float, comments=None, ndmin=2)
+            except ValueError:
+                points = None
+        if points is None or points.shape[1] != d:
             rows = []
-            for num, line in enumerate(fh, 2):
-                try:
-                    row = list(map(float, line.split()))
-                    if len(row) not in (0, d):
-                        raise ValueError(f"expected {d} coordinates, got {len(row)}")
-                except ValueError as exc:
-                    raise ValueError(f"{path} line {num}: {exc}") from None
-                rows += [row] if row else []
-        if not rows:
+            with open(path) as fh:
+                fh.readline()
+                for num, line in enumerate(fh, 2):
+                    try:
+                        row = list(map(float, line.split()))
+                        if len(row) not in (0, d):
+                            raise ValueError(f"expected {d} coordinates, got {len(row)}")
+                    except ValueError as exc:
+                        raise ValueError(f"{path} line {num}: {exc}") from None
+                    rows += [row] if row else []
+            points = np.array(rows)
+        if not len(points):
             raise ValueError(f"{path}: no points after the header")
-        return cls(dim=d, points=np.array(rows), r=r, R=R, window_radius=W,
+        return cls(dim=d, points=points, r=r, R=R, window_radius=W,
                    provenance={"generator": "file", "path": str(path)})
 
 

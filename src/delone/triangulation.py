@@ -136,7 +136,8 @@ class TriangulationComplex:
         return self._adjacency
 
     def vertices_used(self) -> np.ndarray:
-        return np.unique(self.cells_array())
+        """The sorted ids of the points that are vertices of a cell."""
+        return np.flatnonzero(np.bincount(self.cells_array().ravel()))
 
     def facets(self) -> Iterable[Facet]:
         return self.facet_adjacency.keys()
@@ -258,9 +259,10 @@ def build_complex(
     )
 
 
-def certify_tiling(cx: TriangulationComplex) -> None:
+def certify_tiling(cx: TriangulationComplex) -> np.ndarray:
     """Check that a complex is a triangulation of its points: its cells tile
     the convex hull of its vertices, and no other point lies in that hull.
+    Returns the ids of its vertices, as ``vertices_used`` does.
 
     The cell measures must sum to the hull volume (within ``COVERAGE_RTOL``),
     and an exact scan must find no unused point in a closed cell; any unused
@@ -272,7 +274,8 @@ def certify_tiling(cx: TriangulationComplex) -> None:
     """
     from scipy.spatial import ConvexHull
 
-    used = cx.vertices_used()
+    counts = np.bincount(cx.cells_array().ravel(), minlength=len(cx.points))
+    used, unused = np.flatnonzero(counts), np.flatnonzero(counts == 0)
     coords = cx.points[cx.cells_array()]
     total = measures(coords).sum()
     hull = float(ConvexHull(cx.points[used]).volume)
@@ -280,9 +283,6 @@ def certify_tiling(cx: TriangulationComplex) -> None:
         raise InvalidComplexError(
             f"cell measures sum to {total}, convex hull volume is {hull}"
         )
-    unused = np.ones(len(cx.points), dtype=bool)
-    unused[used] = False
-    unused = np.flatnonzero(unused)
     chunk = max(1, (1 << 16) // len(coords))  # bounds the box mask
     for start in range(0, len(unused), chunk):
         ids = unused[start:start + chunk]
@@ -291,6 +291,7 @@ def certify_tiling(cx: TriangulationComplex) -> None:
             raise InvalidComplexError(
                 f"point {ids[hits[0]]} lies in the underlying space but is not a vertex"
             )
+    return used
 
 
 def _validated_rows(points, cells):

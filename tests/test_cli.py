@@ -1,3 +1,4 @@
+import argparse
 import itertools
 import json
 import math
@@ -5,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from delone import cli
 from delone import density as density_mod
 from delone.cli import main
 from delone.generators import PointSetWindow
@@ -423,6 +425,7 @@ def test_tri_rejects_a_nan_point_as_bad_input(tmp_path, capsys):
     ("2 0.5 1.5\n0 0\n1 0\n0 1\n", '{path} line 1: expected the header "d r R W"'),
     ("2.0 0.5 1.5 3.0\n0 0\n1 0\n0 1\n", '{path} line 1: expected the header "d r R W"'),
     ("", '{path} line 1: expected the header "d r R W"'),
+    ("2 0.5 1.5 3.0\n0 0 0\n1 0 0\n0 1 0\n", "{path} line 2: expected 2 coordinates, got 3"),
 ])
 def test_tri_names_the_bad_line_of_a_point_file(tmp_path, capsys, text, message):
     pts = tmp_path / "bad.pts"
@@ -430,3 +433,27 @@ def test_tri_names_the_bad_line_of_a_point_file(tmp_path, capsys, text, message)
     code, stdout, err = run(capsys, "tri", str(pts))
     assert code == 1 and stdout == ""
     assert json.loads(err) == {"error": "ValueError", "message": message.format(path=pts)}
+
+
+def test_main_builds_one_parser_and_runs_the_command_it_finds(tmp_path, capsys, monkeypatch):
+    """The parser is built on the first ``main`` call and kept; the command
+    is looked up on the module per call, so a replaced ``cmd_density`` is
+    the one the next call runs."""
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(parser, *args, **kwargs):
+        if kwargs.get("prog") == "delone":
+            built.append(parser)
+        init(parser, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    cli.build_parser.cache_clear()
+    missing = str(tmp_path / "missing.json")
+    argv = ("density", missing, "--F", "AREA", "--alpha-min", "1", "--alpha-max", "2")
+    code, _, err = run(capsys, *argv)
+    assert code == 1 and json.loads(err)["error"] == "FileNotFoundError"
+    monkeypatch.setattr(cli, "cmd_density", lambda args: {"out": args.complexfile, "ok": False})
+    code, stdout, _ = run(capsys, *argv)
+    assert code == 3 and last_json(stdout) == {"out": missing, "ok": False}
+    assert len(built) == 1

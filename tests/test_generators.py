@@ -285,6 +285,55 @@ def test_pointset_file_roundtrip(tmp_path):
     assert np.array_equal(back.points, w.points)  # repr round-trip is exact
 
 
+def save_by_point(window, path):
+    """The point-file writer as it was: one ``repr`` join per point."""
+    with open(path, "w") as fh:
+        fh.write(f"{window.dim} {window.r!r} {window.R!r} {window.window_radius!r}\n")
+        for p in window.points:
+            fh.write(" ".join(repr(float(x)) for x in p) + "\n")
+
+
+def load_by_token(path):
+    """The coordinates of a point file, one ``float`` per token."""
+    with open(path) as fh:
+        fh.readline()
+        return np.array([[float(t) for t in line.split()] for line in fh if line.split()])
+
+
+# -0.0, the smallest subnormal, the largest double, 1e300 and a thirds' repr
+EDGE_ROWS = [[-0.0, 5e-324, 1e300], [-1e300, 2.2250738585072014e-308, -0.0],
+             [1.7976931348623157e308, 1 / 3, -5e-324], [0.1, -0.0, 1e-300]]
+POINT_FILE_WINDOWS = {
+    "lattice2d": lambda: lattice_window(2, 8, jitter=True, seed=2),
+    "lattice3d": lambda: lattice_window(3, 4, jitter=True, seed=2),
+    "poisson": lambda: poisson_delone_window(0.4, 1.5, 8, seed=3),
+    "cube3d": lambda: distorted_cubic_window(3),
+    "edge2d": lambda: PointSetWindow(2, np.array(EDGE_ROWS)[:, :2], 0.1, 1.0, 2.0),
+    "edge3d": lambda: PointSetWindow(3, np.array(EDGE_ROWS), 0.1, 1.0, 2.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(POINT_FILE_WINDOWS))
+def test_point_files_match_the_per_point_writer_and_the_per_token_reader(tmp_path, name):
+    window = POINT_FILE_WINDOWS[name]()
+    path, want = tmp_path / "w.pts", tmp_path / "want.pts"
+    window.save(path)
+    save_by_point(window, want)
+    assert path.read_bytes() == want.read_bytes()
+    back, ref = PointSetWindow.load(path), load_by_token(path)
+    assert back.points.dtype == ref.dtype and back.points.shape == ref.shape
+    assert back.points.tobytes() == ref.tobytes()
+    assert back.points.tobytes() == np.asarray(window.points, dtype=float).tobytes()
+
+
+def test_a_point_file_numpy_refuses_is_read_as_float_reads_it(tmp_path):
+    """``float`` takes digit underscores and the one-pass reader does not;
+    the line-by-line pass reads such a file as before."""
+    path = tmp_path / "under.pts"
+    path.write_text("2 0.5 1.5 3.0\n1_0 0\n0 2_5.5\n")
+    assert PointSetWindow.load(path).points.tolist() == [[10.0, 0.0], [0.0, 25.5]]
+
+
 def test_compatible_isoceles_formula():
     delta, top, L = compatible_isoceles(1.0, math.pi / 6, 1.0, math.pi / 6)
     assert L == pytest.approx(1.05 / math.sqrt(3), rel=1e-12)

@@ -9,7 +9,12 @@ import pytest
 from delone.delaunay import delaunay_2d, delaunay_3d
 from delone import delaunay, geometry, oracle, triangulation
 from delone.density import density_sequence
-from delone.errors import DegenerateSimplexError, InvalidComplexError, NonGenericError
+from delone.errors import (
+    DegenerateSimplexError,
+    GeometryError,
+    InvalidComplexError,
+    NonGenericError,
+)
 from delone.functionals import FunctionalSpec
 from delone.generators import distorted_cubic_window, lattice_window, poisson_delone_window
 from delone.geometry import (
@@ -541,6 +546,26 @@ def test_build_unbounded_prefix_small():
     hits, _ = triangulation._containing_pairs(cx.points[cx.cells_array()],
                                               cx.points[unused])
     assert len(hits) == 0
+
+
+def test_vertices_used_are_the_unique_cell_vertices():
+    """One counting pass gives what ``np.unique`` of the cells gives, on a
+    prefix complex that leaves most window points unused and after flips."""
+    cx = build_unbounded_prefix(_jittered_grid_window(), phases=2).copy()
+    rng = np.random.default_rng(6)
+    for flips in range(7):
+        if flips:  # one more reverse flip, at a random edge that takes one
+            facets = sorted(cx.interior_facets())
+            for k in rng.permutation(len(facets)):
+                try:
+                    reverse_flip(cx, facets[k])
+                    break
+                except GeometryError:
+                    continue
+        want = np.unique(np.array(cx.cells, dtype=np.int64))
+        got = cx.vertices_used()
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert len(got) < len(cx.points)
 
 
 def test_prefix_builder_splits_point_on_boundary_edge():
