@@ -265,6 +265,9 @@ def count_certificate(window: PointSetWindow, cx: TriangulationComplex) -> Bound
 
     lo = max(4 * R, window.window_radius / 8.0)
     hi = window.window_radius - 2 * q_int - 1.0
+    if not 0 < lo <= hi:
+        raise WindowError(f"window radius W = {window.window_radius} is too small for the "
+                          f"count certificate: its alpha range [{lo}, {hi}] is empty")
     alphas = geometric_grid(lo, hi, 1.15)
 
     pts_dist = np.sort(np.linalg.norm(window.points, axis=1))

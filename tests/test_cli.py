@@ -2,6 +2,7 @@ import argparse
 import itertools
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -266,6 +267,22 @@ def test_counts_cli(tmp_path, capsys):
     code, stdout, _ = run(capsys, "counts", pts, "--out", out)
     assert code == 0
     assert last_json(stdout)["ok"] is True
+
+
+def test_counts_on_a_window_too_small_names_the_window(tmp_path, capsys):
+    """The certificate's alpha range [max(4R, W/8), W - 2q - 1] is empty at
+    W = 6 in 3D; ``counts`` takes no alpha options, so the error names W."""
+    pts = str(tmp_path / "w.pts")
+    assert run(capsys, "gen", "lattice", "--d", "3", "--W", "6", "--jitter", "--seed", "3",
+               "--out", pts)[0] == 0
+    code, stdout, err = run(capsys, "counts", pts, "--out", str(tmp_path / "counts.json"))
+    assert code == 1 and stdout == ""
+    e = json.loads(err)
+    assert e["error"] == "WindowError"
+    assert e["message"].startswith("window radius W = 6.0 is too small for the count certificate")
+    lo, hi = map(float, re.search(r"\[(.+), (.+)\] is empty$", e["message"]).groups())
+    assert lo == pytest.approx(4 * (math.sqrt(3) / 2 + 5e-7)) and hi < lo
+    assert not (tmp_path / "counts.json").exists()
 
 
 def test_tri_and_counts_never_run_the_mesh(tmp_path, capsys, monkeypatch):
