@@ -11,7 +11,6 @@ import argparse
 import functools
 import json
 import math
-import os
 import sys
 
 import numpy as np
@@ -27,30 +26,13 @@ from .generators import (
     lattice_window,
     poisson_delone_window,
     strip_block_triangulation,
+    strip_layout,
     verify_delone_params,
 )
 from .oracle import enumerate_triangulations_2d, min_sum_triangulation
 from .triangulation import TriangulationComplex, legalize_to_delaunay
 
 SCHEMA = 1
-
-
-def worker_count(tasks: int) -> int:
-    """``DELONE_THREADS`` (default 1) capped at the CPU count and at ``tasks``;
-    raises ``ValueError`` unless the variable is a positive integer."""
-    value = os.environ.get("DELONE_THREADS", "1")
-    wanted = int(value) if value.strip().isdecimal() else 0
-    if wanted < 1:
-        raise ValueError(f"DELONE_THREADS must be a positive integer, not {value!r}")
-    return max(1, min(wanted, os.cpu_count() or 1, tasks))
-
-
-def _trial_chunks(trials: int, workers: int) -> list:
-    """(start, count) of each worker's consecutive share of ``trials``."""
-    if trials < 1:
-        raise ValueError("trials must be positive")
-    chunk = math.ceil(trials / workers)
-    return [(start, min(chunk, trials - start)) for start in range(0, trials, chunk)]
 
 
 def _write_manifest(path: str, command: str, params: dict):
@@ -103,7 +85,7 @@ def cmd_gen(args) -> dict:
         built = min(args.blocks, args.built_blocks)
         probe = StripConfig(delta=delta, top=top, shared=L,
                             block_sizes=sizes, extent=2)
-        _, alphas = density_mod.analytic_strip_counts(probe, built)
+        _, alphas = strip_layout(probe, built)
         extent = max(args.extent, math.ceil(alphas[built - 1] / L) + 2)
         cfg = StripConfig(delta=delta, top=top, shared=L,
                           block_sizes=sizes, extent=extent)
@@ -175,39 +157,13 @@ def cmd_density(args) -> dict:
     }
 
 
-def _flip_chunk(payload):
-    spec_str, trials, seed, d, start = payload
-    report = fun.run_flip_trials(
-        fun.FunctionalSpec.parse(spec_str), trials, seed=seed, d=d, start=start
-    )
-    return report.violations, report.witness, report.notes["min_margin"]
-
-
 def cmd_flipcheck(args) -> dict:
     spec = fun.FunctionalSpec.parse(args.F)
-    workers = worker_count(args.trials)
-    # per-trial streams make the result independent of the partitioning
-    payloads = [(str(spec), n, args.seed, args.d, start)
-                for start, n in _trial_chunks(args.trials, workers)]
-    if len(payloads) == 1:
-        results = [_flip_chunk(payloads[0])]
-    else:
-        from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing
-        with ProcessPoolExecutor(max_workers=len(payloads)) as pool:
-            results = list(pool.map(_flip_chunk, payloads))
-    violations = sum(r[0] for r in results)
-    witness = next((r[1] for r in results if r[1]), None)
-    report = fun.ClassReport(
-        functional=str(spec),
-        trials=args.trials,
-        violations=violations,
-        witness=witness,
-        notes={"min_margin": min(r[2] for r in results), "d": args.d},
-    )
+    report = fun.run_flip_trials(spec, args.trials, seed=args.seed, d=args.d)
     out = args.out or "flipcheck.json"
     with open(out, "w") as fh:
         json.dump({"schema": SCHEMA} | report.to_dict(), fh)
-    return {"out": out, "violations": violations, "passed": report.passed,
+    return {"out": out, "violations": report.violations, "passed": report.passed,
             "ok": report.passed}
 
 

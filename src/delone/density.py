@@ -619,6 +619,8 @@ def perturb_by_reverse_flips(
     skipped, so the perturbed triangulation stays uniformly bounded at
     window scale instead of acquiring near-degenerate slivers.
     """
+    if n_flips < 0:
+        raise ValueError(f"n_flips must be >= 0, not {n_flips}")
     cx = dcx.copy()
     rng = stream_rng(seed, "reverse-flips")
     cap = 2.0 * q_bound

@@ -299,9 +299,11 @@ def random_radon_pair(rng, d: int):
 def run_flip_trials(
     spec: FunctionalSpec, trials: int, seed: int = 0, d: int = 2, start: int = 0
 ) -> ClassReport:
-    """Seeded flip-inequality battery.  Each trial draws from its own named
-    stream, so splitting an index range across workers reproduces exactly
-    the same trials as a serial run."""
+    """Seeded flip-inequality battery over trials ``start .. start + trials - 1``.
+    Each trial draws from its own named stream, so trial i is the same
+    whether it runs alone or within a longer range."""
+    if trials < 1:
+        raise ValueError("trials must be positive")
     violations = 0
     witness = None
     worst = math.inf

@@ -250,6 +250,8 @@ def poisson_delone_window(r: float, R: float, W: float, seed: int = 0) -> PointS
     for rounding): every scanned ``cy + dy`` lies in [-2, span - 3], ``span``
     consecutive ints, and the key is injective.
     """
+    if not r > 0:
+        raise ValueError(f"need r > 0, not {r}")
     if R < 2 * r:
         raise ValueError("need R >= 2r for the sampler to make progress")
     if W <= 4 * R:

@@ -174,13 +174,18 @@ def run_g_trials(spec: FunctionalSpec, trials: int, *, n_range=(5, 8), seed: int
     of a random small generic set, or the subcomplex of its cells that are
     not Delaunay cells; the restricted Delaunay sum must never exceed the T'
     sum."""
+    if trials < 1:
+        raise ValueError("trials must be positive")
+    lo, hi = n_range
+    if not 3 <= lo <= hi <= ENUMERATION_LIMIT:
+        raise ValueError(f"n_range {lo}..{hi} must satisfy 3 <= lo <= hi <= {ENUMERATION_LIMIT}")
     rng = stream_rng(seed, "g-trials")
     violations = 0
     witness = None
     worst = math.inf
     done = 0
     while done < trials:
-        n = int(rng.integers(n_range[0], n_range[1] + 1))
+        n = int(rng.integers(lo, hi + 1))
         pts = rng.uniform(size=(n, 2)) * 4.0
         try:
             tris = enumerate_triangulations_2d(pts)

@@ -122,49 +122,13 @@ def test_flipcheck_cli(tmp_path, capsys):
     assert report["trials"] == 40 and report["passed"] is True
 
 
-def test_flipcheck_threads_env(tmp_path, capsys, monkeypatch):
-    results = []
-    for workers in ("1", "2"):
-        monkeypatch.setenv("DELONE_THREADS", workers)
-        out = str(tmp_path / f"fc{workers}.json")
-        code, stdout, _ = run(capsys, "flipcheck", "--F", "F1:c1=1",
-                              "--trials", "30", "--seed", "2", "--out", out)
-        assert code == 0
-        assert last_json(stdout)["passed"] is True
-        results.append(json.loads(open(out).read()))
-    assert results[0] == results[1]  # worker count must not change the trials
-
-
-@pytest.mark.parametrize("value, cpus, tasks, workers", [
-    (None, 8, 100, 1), ("1", 8, 100, 1), ("3", 8, 100, 3), ("500", 4, 1000, 4),
-    ("500", None, 1000, 1), ("6", 8, 2, 2), (" 2 ", 8, 100, 2),
-])
-def test_worker_count_is_capped(monkeypatch, value, cpus, tasks, workers):
-    from delone import cli
-
-    if value is None:
-        monkeypatch.delenv("DELONE_THREADS", raising=False)
-    else:
-        monkeypatch.setenv("DELONE_THREADS", value)
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
-    assert cli.worker_count(tasks) == workers
-
-
-@pytest.mark.parametrize("value", ["0", "-2", "2.5", "two", "", "\u00b2"])
-def test_worker_count_rejects_non_positive_integers(monkeypatch, value):
-    from delone import cli
-
-    monkeypatch.setenv("DELONE_THREADS", value)
-    with pytest.raises(ValueError, match="DELONE_THREADS must be a positive integer"):
-        cli.worker_count(100)
-
-
-def test_flipcheck_bad_threads_exits_1(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("DELONE_THREADS", "many")
-    code, _, err = run(capsys, "flipcheck", "--F", "F5", "--trials", "5",
-                       "--out", str(tmp_path / "fc.json"))
-    assert code == 1
-    assert json.loads(err.strip())["error"] == "ValueError"
+@pytest.mark.parametrize("command", ["flipcheck", "gcheck"])
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_trial_batteries_refuse_fewer_than_one_trial(tmp_path, capsys, command, trials):
+    out = tmp_path / "report.json"
+    code, stdout, err = run(capsys, command, "--F", "FE", "--trials", trials, "--out", str(out))
+    assert code == 1 and stdout == "" and not out.exists()
+    assert json.loads(err) == {"error": "ValueError", "message": "trials must be positive"}
 
 
 @pytest.mark.parametrize("fault", ["non-integer-id", "dimension"])
@@ -183,30 +147,29 @@ def test_density_on_a_bad_complex_file_exits_1(tmp_path, capsys, fault):
     assert json.loads(err)["error"] == "InvalidComplexError"
 
 
-@pytest.mark.parametrize("trials, workers, chunks", [
-    (10, 1, [(0, 10)]), (10, 3, [(0, 4), (4, 4), (8, 2)]),
-    (10, 4, [(0, 3), (3, 3), (6, 3), (9, 1)]), (4, 3, [(0, 2), (2, 2)]),
-    (2, 2, [(0, 1), (1, 1)]),
-])
-def test_trial_chunks_cover_the_trials_once(trials, workers, chunks):
-    from delone.cli import _trial_chunks
-
-    assert _trial_chunks(trials, workers) == chunks
-
-
-def test_trial_chunks_reject_no_trials():
-    from delone.cli import _trial_chunks
-
-    with pytest.raises(ValueError, match="trials must be positive"):
-        _trial_chunks(0, 1)
-
-
 def test_gcheck_cli(tmp_path, capsys):
     out = str(tmp_path / "gc.json")
     code, stdout, _ = run(capsys, "gcheck", "--F", "FE", "--trials", "8",
                           "--n", "5..7", "--seed", "3", "--out", out)
     assert code == 0
     assert last_json(stdout)["violations"] == 0
+
+
+@pytest.mark.parametrize("n_range", ["8..5", "2..3", "9..10"])
+def test_gcheck_names_a_bad_point_count_range(tmp_path, capsys, n_range):
+    code, _, err = run(capsys, "gcheck", "--F", "FE", "--trials", "2", "--n", n_range,
+                       "--out", str(tmp_path / "gc.json"))
+    assert code == 1
+    error = json.loads(err)
+    assert error["error"] == "ValueError" and f"n_range {n_range}" in error["message"]
+
+
+def test_gcheck_on_three_points(tmp_path, capsys):
+    out = tmp_path / "gc.json"
+    code, stdout, _ = run(capsys, "gcheck", "--F", "FE", "--trials", "3", "--n", "3..3",
+                          "--out", str(out))
+    assert code == 0 and last_json(stdout)["passed"] is True
+    assert json.loads(out.read_text())["notes"]["n_range"] == [3, 3]
 
 
 def test_strips_cli(tmp_path, capsys):
@@ -375,6 +338,22 @@ def test_compare_cli_alpha_max_zero_is_given(lattice_complex, tmp_path, capsys):
                        "--out", str(tmp_path / "c.csv"))
     assert code == 1 and json.loads(err)["error"] == "ValueError"
     assert "alpha_min <= alpha_max" in json.loads(err)["message"]
+
+
+def test_compare_refuses_negative_reverse_flips(lattice_complex, tmp_path, capsys):
+    pts, _ = lattice_complex
+    code, _, err = run(capsys, "compare", pts, "--F", "F5", "--reverse-flips", "-2",
+                       "--out", str(tmp_path / "c.csv"))
+    assert code == 1
+    assert json.loads(err) == {"error": "ValueError", "message": "n_flips must be >= 0, not -2"}
+
+
+@pytest.mark.parametrize("r", ["-0.4", "0", "nan"])
+def test_gen_poisson_refuses_non_positive_r(tmp_path, capsys, r):
+    out = tmp_path / "p.pts"
+    code, _, err = run(capsys, "gen", "poisson", "--r", r, "--W", "10", "--out", str(out))
+    assert code == 1 and not out.exists()
+    assert json.loads(err) == {"error": "ValueError", "message": f"need r > 0, not {float(r)}"}
 
 
 ORACLE_POINTS = """\
