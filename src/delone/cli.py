@@ -1,8 +1,10 @@
 """Command line interface: reproducible experiments with CSV/JSON outputs.
 
 Every subcommand is deterministic given its parameters and seed; a manifest
-JSON capturing them is written next to each data file.  Errors exit with
-code 1 and a single-line JSON object on stderr.
+JSON capturing them is written next to each data file.  Every output is
+written by ``generators.write_text``, which replaces an existing file rather
+than truncating it.  Errors exit with code 1 and a single-line JSON object on
+stderr.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from .generators import (
     strip_block_triangulation,
     strip_layout,
     verify_delone_params,
+    write_text,
 )
 from .oracle import enumerate_triangulations_2d, min_sum_triangulation
 from .triangulation import TriangulationComplex, legalize_to_delaunay
@@ -42,24 +45,19 @@ def _write_manifest(path: str, command: str, params: dict):
         if isinstance(v, (int, float, str, bool, list, type(None)))
     }
     manifest = {"schema": SCHEMA, "command": command, "params": clean}
-    with open(path, "w") as fh:
-        json.dump(manifest, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    write_text(path, json.dumps(manifest, indent=1, sort_keys=True) + "\n")
 
 
 def _write_csv(path: str, header: str, rows):
-    with open(path, "w") as fh:
-        fh.write(header + "\n")
-        for row in rows:
-            fh.write(
-                ",".join(
-                    repr(float(x)) if isinstance(x, float) else str(int(x))
-                    if isinstance(x, (int, np.integer))
-                    else str(x)
-                    for x in row
-                )
-            )
-            fh.write("\n")
+    write_text(path, header + "\n" + "".join(
+        ",".join(
+            repr(float(x)) if isinstance(x, float) else str(int(x))
+            if isinstance(x, (int, np.integer))
+            else str(x)
+            for x in row
+        ) + "\n"
+        for row in rows
+    ))
 
 
 def _json_default(obj):
@@ -90,8 +88,7 @@ def cmd_gen(args) -> dict:
         cfg = StripConfig(delta=delta, top=top, shared=L,
                           block_sizes=sizes, extent=extent)
         window, cx, alphas = strip_block_triangulation(cfg, built)
-        with open(out + ".complex.json", "w") as fh:
-            fh.write(cx.to_json())
+        write_text(out + ".complex.json", cx.to_json())
     else:
         raise ValueError(f"unknown generator {args.kind}")
     window.save(out)
@@ -113,8 +110,7 @@ def cmd_tri(args) -> dict:
             cx = TriangulationComplex.from_json(fh.read())
         out = args.out or args.legalize + ".legalized.json"
         legal, records = legalize_to_delaunay(cx)
-        with open(out, "w") as fh:
-            fh.write(legal.to_json())
+        write_text(out, legal.to_json())
         log = [
             {
                 "facet": list(rec.facet),
@@ -124,14 +120,12 @@ def cmd_tri(args) -> dict:
             }
             for rec in records
         ]
-        with open(out + ".fliplog.json", "w") as fh:
-            json.dump({"schema": SCHEMA, "flips": log}, fh)
+        write_text(out + ".fliplog.json", json.dumps({"schema": SCHEMA, "flips": log}))
         return {"out": out, "flips": len(records), "cells": legal.n_cells}
     window = PointSetWindow.load(args.pointfile)
     cx = delaunay_of(window.points, provenance=dict(window.provenance))
     out = args.out or args.pointfile + ".delaunay.json"
-    with open(out, "w") as fh:
-        fh.write(cx.to_json())
+    write_text(out, cx.to_json())
     return {"out": out, "cells": cx.n_cells, "dimension": cx.dim}
 
 
@@ -161,8 +155,7 @@ def cmd_flipcheck(args) -> dict:
     spec = fun.FunctionalSpec.parse(args.F)
     report = fun.run_flip_trials(spec, args.trials, seed=args.seed, d=args.d)
     out = args.out or "flipcheck.json"
-    with open(out, "w") as fh:
-        json.dump({"schema": SCHEMA} | report.to_dict(), fh)
+    write_text(out, json.dumps({"schema": SCHEMA} | report.to_dict()))
     return {"out": out, "violations": report.violations, "passed": report.passed,
             "ok": report.passed}
 
@@ -175,8 +168,7 @@ def cmd_gcheck(args) -> dict:
     n_range = (int(lo), int(hi or lo))
     report = run_g_trials(spec, args.trials, n_range=n_range, seed=args.seed)
     out = args.out or "gcheck.json"
-    with open(out, "w") as fh:
-        json.dump({"schema": SCHEMA} | report.to_dict(), fh)
+    write_text(out, json.dumps({"schema": SCHEMA} | report.to_dict()))
     return {"out": out, "violations": report.violations,
             "passed": report.passed, "ok": report.passed}
 
@@ -239,8 +231,7 @@ def cmd_counts(args) -> dict:
     cx = delaunay_of(window.points, provenance=dict(window.provenance))
     cert = density_mod.count_certificate(window, cx)
     out = args.out or "counts.json"
-    with open(out, "w") as fh:
-        json.dump({"schema": SCHEMA} | cert.to_dict(), fh)
+    write_text(out, json.dumps({"schema": SCHEMA} | cert.to_dict()))
     return {
         "out": out,
         "n_points": window.n_points,
@@ -286,18 +277,14 @@ def cmd_oracle(args) -> dict:
     best, best_sum, ties = min_sum_triangulation(tris, spec)
     argmin_is_delaunay = best.cells == tris[0].cells
     out = args.out or "oracle.json"
-    with open(out, "w") as fh:
-        json.dump(
-            {
-                "schema": SCHEMA,
-                "n_triangulations": len(tris),
-                "best_sum": best_sum,
-                "ties": ties,
-                "argmin_is_delaunay": argmin_is_delaunay,
-                "argmin_cells": [list(c) for c in best.cells],
-            },
-            fh,
-        )
+    write_text(out, json.dumps({
+        "schema": SCHEMA,
+        "n_triangulations": len(tris),
+        "best_sum": best_sum,
+        "ties": ties,
+        "argmin_is_delaunay": argmin_is_delaunay,
+        "argmin_cells": [list(c) for c in best.cells],
+    }))
     return {
         "out": out,
         "n_triangulations": len(tris),

@@ -1,8 +1,12 @@
 import argparse
+import ast
 import itertools
 import json
 import math
+import os
+import pathlib
 import re
+import stat
 
 import numpy as np
 import pytest
@@ -354,6 +358,128 @@ def test_gen_poisson_refuses_non_positive_r(tmp_path, capsys, r):
     code, _, err = run(capsys, "gen", "poisson", "--r", r, "--W", "10", "--out", str(out))
     assert code == 1 and not out.exists()
     assert json.loads(err) == {"error": "ValueError", "message": f"need r > 0, not {float(r)}"}
+
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["poisson", "--R", "nan"], "R must be finite, not nan"),
+    (["poisson", "--W", "inf"], "W must be finite, not inf"),
+    (["lattice", "--W", "nan"], "W must be finite, not nan"),
+    (["lattice", "--d", "3", "--W", "inf"], "W must be finite, not inf"),
+])
+def test_gen_refuses_non_finite_parameters(tmp_path, capsys, argv, message):
+    out = tmp_path / "p.pts"
+    code, _, err = run(capsys, "gen", *argv, "--out", str(out))
+    assert code == 1 and not out.exists()
+    assert json.loads(err) == {"error": "ValueError", "message": message}
+
+
+LATTICE_GEN = ("gen", "lattice", "--d", "2", "--W", "6", "--jitter", "--seed", "3")
+
+
+def test_rerun_replaces_gen_and_tri_outputs_with_the_same_bytes(tmp_path, capsys):
+    """A re-run over its own outputs writes each one as a new file (the old
+    one, held open here, keeps its inode) with the same bytes."""
+    pts = tmp_path / "w.pts"
+    argvs = [(*LATTICE_GEN, "--out", str(pts)), ("tri", str(pts))]
+    outputs = [pts, tmp_path / "w.pts.manifest.json", tmp_path / "w.pts.delaunay.json"]
+    for argv in argvs:
+        assert run(capsys, *argv)[0] == 0
+    first = [p.read_bytes() for p in outputs]
+    held = [os.open(p, os.O_RDONLY) for p in outputs]
+    try:
+        for argv in argvs:
+            assert run(capsys, *argv)[0] == 0
+        for p, fd, data in zip(outputs, held, first):
+            assert p.read_bytes() == data
+            assert os.stat(p).st_ino != os.fstat(fd).st_ino, p
+    finally:
+        for fd in held:
+            os.close(fd)
+
+
+def test_a_symlinked_out_is_written_through(tmp_path, capsys):
+    plain, target, link = tmp_path / "plain.pts", tmp_path / "target.pts", tmp_path / "link.pts"
+    assert run(capsys, *LATTICE_GEN, "--out", str(plain))[0] == 0
+    target.write_text("old\n")
+    link.symlink_to(target)
+    assert run(capsys, *LATTICE_GEN, "--out", str(link))[0] == 0
+    assert link.is_symlink() and os.readlink(link) == str(target)
+    assert target.read_bytes() == plain.read_bytes()
+
+
+def test_a_hard_linked_output_is_written_in_place(tmp_path, capsys):
+    out, other = tmp_path / "w.pts", tmp_path / "other.pts"
+    out.write_text("old\n")
+    os.link(out, other)
+    inode = os.stat(out).st_ino
+    assert run(capsys, *LATTICE_GEN, "--out", str(out))[0] == 0
+    assert os.stat(out).st_ino == inode
+    assert other.read_bytes() == out.read_bytes() != b"old\n"
+
+
+def test_a_read_only_output_is_refused_and_left_unchanged(tmp_path, capsys):
+    out = tmp_path / "w.pts"
+    out.write_text("old\n")
+    out.chmod(0o444)
+    code, stdout, err = run(capsys, *LATTICE_GEN, "--out", str(out))
+    assert code == 1 and stdout == ""
+    assert json.loads(err) == {"error": "PermissionError",
+                               "message": f"[Errno 13] Permission denied: '{out}'"}
+    assert out.read_text() == "old\n" and stat.S_IMODE(os.stat(out).st_mode) == 0o444
+
+
+@pytest.mark.parametrize("mode", [0o600, 0o640, 0o664, 0o755], ids=oct)
+def test_a_replaced_output_keeps_its_mode_bits(tmp_path, capsys, mode):
+    out = tmp_path / "w.pts"
+    out.write_text("old\n")
+    out.chmod(mode)
+    inode = os.stat(out).st_ino
+    with open(out):  # keeps the old inode from being reused
+        assert run(capsys, *LATTICE_GEN, "--out", str(out))[0] == 0
+        assert os.stat(out).st_ino != inode
+    assert stat.S_IMODE(os.stat(out).st_mode) == mode
+
+
+def _files_opened_for_writing(source: str) -> list:
+    """Lines of ``source`` that open a file for writing outside ``write_text``:
+    an ``open`` whose mode is not a literal of r, b and t, or a
+    ``.write_text``/``.write_bytes`` method call."""
+    found = []
+
+    class Finder(ast.NodeVisitor):
+        def visit_FunctionDef(self, node):
+            if node.name != "write_text":
+                self.generic_visit(node)
+
+        def visit_Call(self, node):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name == "open":
+                mode = node.args[1] if len(node.args) > 1 else next(
+                    (k.value for k in node.keywords if k.arg in ("mode", "flags")), None)
+                if mode is not None and not (isinstance(mode, ast.Constant)
+                                             and isinstance(mode.value, str)
+                                             and set(mode.value) <= set("rbt")):
+                    found.append(node.lineno)
+            elif name in ("write_text", "write_bytes") and isinstance(func, ast.Attribute):
+                found.append(node.lineno)
+            self.generic_visit(node)
+
+    Finder().visit(ast.parse(source))
+    return found
+
+
+def test_only_write_text_opens_a_file_for_writing():
+    """Every output goes through ``write_text``, so none is truncated in place."""
+    src = pathlib.Path(cli.__file__).parent
+    found = {p.name: lines for p in sorted(src.glob("*.py"))
+             if (lines := _files_opened_for_writing(p.read_text()))}
+    assert found == {}
+    planted = ("def save(p, t):\n    with open(p, 'w') as fh:\n        fh.write(t)\n"
+               "def log(p):\n    open(p, mode='a')\n    os.open(p, os.O_WRONLY)\n"
+               "    pathlib.Path(p).write_text('x')\n    open(p, 'rb')\n    open(p)\n")
+    assert _files_opened_for_writing(planted) == [2, 5, 6, 7]
 
 
 ORACLE_POINTS = """\

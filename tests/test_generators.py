@@ -235,6 +235,28 @@ def test_poisson_rejects_bad_parameters():
         poisson_delone_window(0.4, 1.5, 5)
 
 
+@pytest.mark.parametrize("make, name, value", [
+    (lambda v: poisson_delone_window(0.4, v, 20), "R", math.nan),
+    (lambda v: poisson_delone_window(0.4, v, 20), "R", math.inf),
+    (lambda v: poisson_delone_window(v, 1.5, 20), "r", math.inf),
+    (lambda v: poisson_delone_window(0.4, 1.5, v), "W", math.nan),
+    (lambda v: poisson_delone_window(0.4, 1.5, v), "W", math.inf),
+    (lambda v: lattice_window(2, v, jitter=True), "W", math.nan),
+    (lambda v: lattice_window(3, v), "W", math.inf),
+    (lambda v: lattice_window(2, v), "W", -math.inf),
+    (lambda v: distorted_cubic_window(v), "W", math.nan),
+    (lambda v: distorted_cubic_window(v), "W", math.inf),
+])
+def test_generators_name_a_non_finite_parameter_before_any_draw(monkeypatch, make, name, value):
+    def no_draw(*args):
+        raise AssertionError("a random stream was opened")
+
+    monkeypatch.setattr(generators, "stream_rng", no_draw)
+    with pytest.raises(ValueError) as info:
+        make(value)
+    assert str(info.value) == f"{name} must be finite, not {value}"
+
+
 def _reference_dart_throwing(r, R, W, seed):
     """The dart-throwing loop of ``poisson_delone_window`` with one ``rng``
     call per draw.  Returns its points and how many of them were accepted
