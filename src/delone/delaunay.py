@@ -4,12 +4,12 @@ Both 2D builds go through one certification, ``_certified``: the cells tile
 the hull, every point is a vertex, and ``first_non_delaunay_facet`` passes
 (one exact in-circle test per interior edge, read from the cell array), so
 by Delaunay's lemma the result is the Delaunay triangulation.  From 32
-points on, Qhull proposes the cells; an incremental Bowyer-Watson mesh with
-ghost triangles and exact predicates then only supplies the frozen cell
-order, on first read of the cell set.  The mesh builds eagerly
-(``_mesh_delaunay_2d``) below 32 points, whenever the proposal fails a
-check, so non-generic input is detected rather than silently
-mis-triangulated, and for ``compare``, which reads the cell order at once.
+points on, Qhull proposes the cells, and the cell set's order is the order
+of Qhull's rows.  Below 32 points, whenever the proposal fails a check, and
+for ``compare``, an incremental Bowyer-Watson mesh with ghost triangles and
+exact predicates builds the cells (``_mesh_delaunay_2d``), so non-generic
+input is detected rather than silently mis-triangulated, and the cell
+set's order is the mesh's creation order.
 The 3D builder projects the lower faces of the convex hull of the lifted
 points; the hull combinatorics come from Qhull, while lower-face
 classification and the emptiness verification (sampled above 200 points)
@@ -18,7 +18,6 @@ use exact arithmetic.
 
 from __future__ import annotations
 
-import functools
 import math
 
 import numpy as np
@@ -50,7 +49,7 @@ from .triangulation import (
     first_non_delaunay_facet,
 )
 
-# below this the mesh builds eagerly: small builds read their cell order anyway, so a
+# below this the mesh builds the cells: small builds read their cell order anyway, so a
 # Qhull proposal only adds cost (at every size: battery legalize trial 1,009 -> 1,098 us)
 QHULL_MIN_POINTS = 32
 
@@ -190,12 +189,9 @@ def _serpentine_order(pts, lex):
     The order is frozen: it fixes the mesh's creation order, hence the order
     of the cells and of ``interior_facets()``, from which ``compare`` picks
     the edges it reverse-flips, so any change moves the recorded ``compare``
-    digests.  That order, and the exact fallback when Qhull's proposal is
-    rejected or the input has fewer than 32 points, are all the mesh runs
-    for; builds whose readers need no cell order never run it.  On jittered
-    lattices it inserts near-collinear columns into fans of slivers: 19.6
-    triangles are created per point at W = 24 against 7.8 on a Poisson
-    window."""
+    digests.  On jittered lattices it inserts near-collinear columns into
+    fans of slivers: 19.6 triangles are created per point at W = 24 against
+    7.8 on a Poisson window."""
     n = len(pts)
     xmin, xmax = float(pts[:, 0].min()), float(pts[:, 0].max())
     span = xmax - xmin
@@ -206,35 +202,6 @@ def _serpentine_order(pts, lex):
     col = np.minimum(((pts[:, 0] - xmin) / width).astype(np.int64), nbins - 1)
     ys = np.where(col % 2 == 0, pts[:, 1], -pts[:, 1])
     return np.lexsort((np.arange(n), ys, col))
-
-
-def _mesh_cells(pts, lex) -> list:
-    """The exact 2D build: ``_Mesh2D`` seeded with the first two points of
-    the serpentine order and the first later point off their line, the rest
-    inserted in that order; its real cells in creation order, which is the
-    frozen order of every 2D Delaunay complex's cell set.  Raises
-    ``DegenerateSimplexError`` if all points are collinear and
-    ``NonGenericError`` at the first cocircular in-circle test."""
-    xs, ys = pts[:, 0].tolist(), pts[:, 1].tolist()
-    order = _serpentine_order(pts, lex).tolist()
-    i0, i1 = order[0], order[1]
-    k = next(
-        (
-            m
-            for m in order[2:]
-            if orient2d(xs[i0], ys[i0], xs[i1], ys[i1], xs[m], ys[m]) != 0
-        ),
-        None,
-    )
-    if k is None:
-        raise DegenerateSimplexError("all points are collinear")
-
-    mesh = _Mesh2D(xs, ys)
-    mesh.seed(i0, i1, k)
-    for idx in order[2:]:
-        if idx != k:
-            mesh.insert(idx)
-    return mesh.real_cells()
 
 
 def _certified(cx) -> TriangulationComplex:
@@ -266,8 +233,32 @@ def _planar_rows(points):
 
 
 def _mesh_delaunay_2d(pts, lex, provenance) -> TriangulationComplex:
-    """The eager exact path: the certified mesh of ``_planar_rows``' output."""
-    return _certified(build_complex(pts, _mesh_cells(pts, lex), provenance=provenance))
+    """The exact 2D build of ``_planar_rows``' output, certified: ``_Mesh2D``
+    seeded with the first two points of the serpentine order and the first
+    later point off their line, the rest inserted in that order.  Its real
+    cells in creation order fill the cell set.  Raises
+    ``DegenerateSimplexError`` if all points are collinear and
+    ``NonGenericError`` at the first cocircular in-circle test."""
+    xs, ys = pts[:, 0].tolist(), pts[:, 1].tolist()
+    order = _serpentine_order(pts, lex).tolist()
+    i0, i1 = order[0], order[1]
+    k = next(
+        (
+            m
+            for m in order[2:]
+            if orient2d(xs[i0], ys[i0], xs[i1], ys[i1], xs[m], ys[m]) != 0
+        ),
+        None,
+    )
+    if k is None:
+        raise DegenerateSimplexError("all points are collinear")
+
+    mesh = _Mesh2D(xs, ys)
+    mesh.seed(i0, i1, k)
+    for idx in order[2:]:
+        if idx != k:
+            mesh.insert(idx)
+    return _certified(build_complex(pts, mesh.real_cells(), provenance=provenance))
 
 
 def delaunay_2d(points, *, provenance=None) -> TriangulationComplex:
@@ -275,11 +266,10 @@ def delaunay_2d(points, *, provenance=None) -> TriangulationComplex:
     ``_certified``.
 
     From ``QHULL_MIN_POINTS`` = 32 points on, Qhull proposes the cells
-    (Barber, Dobkin & Huhdanpaa 1996); an accepted proposal leaves its cell
-    set unbuilt, and the first read of it runs the mesh for the frozen
-    order, raising ``NonGenericError`` if a mesh step meets a cocircular
-    4-tuple.  Below 32 points, and whenever the proposal fails a check, the
-    mesh builds eagerly and is certified the same way.
+    (Barber, Dobkin & Huhdanpaa 1996), and the cell set fills from its rows
+    in input order.  Below 32 points, and whenever the proposal fails a
+    check, ``_mesh_delaunay_2d`` builds the cells, in the mesh's creation
+    order, and they are certified the same way.
 
     Raises ``ValueError`` on duplicates, on a NaN or infinite coordinate and
     on an array that is not (n, 2) (both paths, before either runs); from
@@ -294,9 +284,7 @@ def delaunay_2d(points, *, provenance=None) -> TriangulationComplex:
         from scipy.spatial import Delaunay, QhullError
 
         try:
-            return _certified(build_complex(
-                pts, Delaunay(pts).simplices, provenance=provenance,
-                order=functools.partial(_mesh_cells, pts, lex)))
+            return _certified(build_complex(pts, Delaunay(pts).simplices, provenance=provenance))
         except (QhullError, GeometryError):  # no proposal, or one a check rejects
             pass
     return _mesh_delaunay_2d(pts, lex, provenance)

@@ -122,11 +122,17 @@ def density_sequence(
     ball iff its vertices do); the circumball-rule counts are also recorded.
     If the window radius is supplied, the grid must keep 2*q_bound of margin
     so no window-boundary cell is ever counted.  Raises ``ValueError``
-    unless the center has one coordinate per dimension of the complex.
+    unless the center has one finite coordinate per dimension of the
+    complex, and on a ``window_radius`` or ``q_bound`` that is not finite.
     """
     center = np.asarray(center, dtype=float)
     if center.shape != (cx.dim,):
         raise ValueError(f"the center must have {cx.dim} coordinates, not shape {center.shape}")
+    if not np.isfinite(center).all():
+        raise ValueError(f"the center must be finite, not {center.tolist()}")
+    for name, value in (("window_radius", window_radius), ("q_bound", q_bound)):
+        if value is not None and not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, not {value}")
     alphas = np.asarray(alphas, dtype=float)
     if window_radius is not None:
         q = uniform_bound_q(cx) if q_bound is None else float(q_bound)

@@ -89,13 +89,18 @@ class PointSetWindow:
     def load(cls, path) -> "PointSetWindow":
         """One NumPy pass reads the coordinates.  A file it refuses is read
         again line by line, to name the path and the first bad line (or to
-        take what ``float`` takes and NumPy does not, such as ``1_0``)."""
+        take what ``float`` takes and NumPy does not, such as ``1_0``).  The
+        header's r, R and W must be finite and positive."""
         with open(path) as fh:
             head = fh.readline().split()
             try:
                 d, r, R, W = (f(t) for f, t in zip((int, float, float, float), head, strict=True))
             except ValueError:
                 raise ValueError(f'{path} line 1: expected the header "d r R W"') from None
+            for name, value in (("r", r), ("R", R), ("W", W)):
+                if not 0 < value < math.inf:
+                    raise ValueError(
+                        f"{path} line 1: {name} must be finite and positive, not {value}")
             try:
                 with warnings.catch_warnings():  # an empty body is refused below
                     warnings.simplefilter("ignore", UserWarning)

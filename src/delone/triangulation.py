@@ -2,9 +2,9 @@
 
 Cells are sorted vertex-id tuples; ``build_complex`` validates every input in
 one array pass, keeps the cells as an int64 array, and makes the tuple set on
-first read, from its rows or from a deferred source of them (the 2D builder's
-mesh order).  A complex is treated as immutable by readers; the flip
-operations mutate a complex in place and require exclusive access to it.
+first read, from its rows in input order.  A complex is treated as immutable
+by readers; the flip operations mutate a complex in place and require
+exclusive access to it.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import json
 import math
 from collections import Counter, deque
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -65,7 +65,7 @@ class TriangulationComplex:
     _cells_sorted: list | None = field(default=None, repr=False)
     _cells_array: np.ndarray | None = field(default=None, repr=False)
     _rows: list | None = field(default=None, repr=False)
-    _cell_rows: np.ndarray | Callable | None = field(default=None, repr=False)
+    _cell_rows: np.ndarray | None = field(default=None, repr=False)
 
     # -- basic views --------------------------------------------------------
 
@@ -73,19 +73,9 @@ class TriangulationComplex:
     def _cells(self) -> set:
         """The cells as a set of sorted tuples.  ``build_complex`` leaves it
         unbuilt and keeps its validated rows in input order; the first read
-        fills the set from them.  A deferred row source (``build_complex``'s
-        ``order``) is called on that read instead; its rows must list
-        exactly the certified cells."""
+        fills the set from them."""
         if self._cell_set is None:
-            rows = self._cell_rows
-            if callable(rows):
-                rows = np.sort(np.asarray(rows(), dtype=np.int64).reshape(-1, self.dim + 1), axis=1)
-                lex = self._cells_array
-                if rows.shape != lex.shape or not np.array_equal(
-                        rows[np.lexsort(rows.T[::-1])], lex):
-                    raise InvalidComplexError(
-                        "the deferred cell order does not list the certified cells")
-            self._cell_set = set(map(tuple, rows.tolist()))
+            self._cell_set = set(map(tuple, self._cell_rows.tolist()))
             self._cell_rows = None
         return self._cell_set
 
@@ -233,17 +223,13 @@ def build_complex(
     cells: Sequence[Sequence[int]],
     *,
     provenance: dict | None = None,
-    order: Callable | None = None,
 ) -> TriangulationComplex:
     """Build a complex from points and d-cells, checked by
     ``_validated_rows``: every cell is a non-degenerate d-simplex on
     existing points, with integer ids, no cell repeats, and no facet is
     shared by more than two cells (whether the cells tile a convex hull is
     ``certify_tiling``'s question).  The cell set fills on its first read,
-    in input order, or in the order of the rows that ``order``, a deferred
-    row source, returns when called (the set's order fixes
-    ``facet_adjacency`` and ``interior_facets()``); that read raises
-    ``InvalidComplexError`` unless they are exactly the validated cells.
+    in input order, which fixes ``facet_adjacency`` and ``interior_facets()``.
     """
     points = np.asarray(points, dtype=float)
     if points.ndim != 2:
@@ -255,7 +241,7 @@ def build_complex(
         _cell_set=None,
         provenance=provenance or {},
         _cells_array=lex,
-        _cell_rows=rows if order is None else order,
+        _cell_rows=rows,
     )
 
 

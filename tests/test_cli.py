@@ -7,6 +7,7 @@ import os
 import pathlib
 import re
 import stat
+import types
 
 import numpy as np
 import pytest
@@ -253,8 +254,8 @@ def test_counts_on_a_window_too_small_names_the_window(tmp_path, capsys):
 
 
 def test_tri_and_counts_never_run_the_mesh(tmp_path, capsys, monkeypatch):
-    """Qhull proposes the cells of a 2D window; ``_Mesh2D`` runs only when a
-    reader asks for the cell order, once per complex."""
+    """Qhull proposes the cells of a 2D window, and neither the commands nor
+    a reader of the complex's facets runs ``_Mesh2D``."""
     from delone import delaunay
 
     pts = str(tmp_path / "w.pts")
@@ -272,9 +273,43 @@ def test_tri_and_counts_never_run_the_mesh(tmp_path, capsys, monkeypatch):
     assert inserted == []
     window = PointSetWindow.load(pts)
     cx = delaunay.delaunay_of(window.points)
-    cx.interior_facets()
-    cx.interior_facets()
-    assert sorted(inserted) == sorted(set(inserted)) and len(inserted) == window.n_points - 3
+    assert window.n_points >= delaunay.QHULL_MIN_POINTS and cx.interior_facets()
+    assert inserted == []
+
+
+def test_outputs_do_not_depend_on_qhulls_row_order(lattice_complex, tmp_path, capsys, monkeypatch):
+    """From 32 points on, the cell set fills in the order of Qhull's rows.
+    ``tri`` and ``counts`` write the same bytes when Qhull lists its rows
+    reversed and rotated, and ``compare`` builds with the mesh, never
+    asking Qhull."""
+    import scipy.spatial
+
+    pts, _ = lattice_complex
+    files = [str(tmp_path / "w.tri.json"), str(tmp_path / "w.counts.json")]
+
+    def outputs():
+        assert run(capsys, "tri", pts, "--out", files[0])[0] == 0
+        assert run(capsys, "counts", pts, "--out", files[1])[0] == 0
+        return [pathlib.Path(f).read_bytes() for f in files]
+
+    want, qhull, proposed = outputs(), scipy.spatial.Delaunay, []
+
+    def reordered(points):
+        proposed.append(len(points))
+        return types.SimpleNamespace(simplices=np.roll(qhull(points).simplices[::-1], 1, axis=1))
+
+    monkeypatch.setattr(scipy.spatial, "Delaunay", reordered)
+    assert outputs() == want
+    assert len(proposed) == 2 and min(proposed) >= 32
+
+    def refused(points):
+        raise AssertionError("compare asked Qhull for the cells")
+
+    monkeypatch.setattr(scipy.spatial, "Delaunay", refused)
+    code, stdout, _ = run(capsys, "compare", pts, "--F", "F5", "--reverse-flips", "8",
+                          "--seed", "4", "--alpha-min", "5", "--alpha-max", "11",
+                          "--out", str(tmp_path / "cmp.csv"))
+    assert code == 0 and last_json(stdout)["passed"] is True
 
 
 def test_compare_cli(tmp_path, capsys):
@@ -315,6 +350,24 @@ def test_density_cli_rejects_bad_center_and_grid(lattice_complex, tmp_path, caps
                        *itertools.chain(*args.items()), "--out", str(out))
     assert code == 1 and json.loads(err)["error"] == "ValueError"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("extra, message", [
+    (("--center", "nan,0"), "the center must be finite, not [nan, 0.0]"),
+    (("--center", "inf,0"), "the center must be finite, not [inf, 0.0]"),
+    (("--window-radius", "nan"), "window_radius must be finite, not nan"),
+    (("--window-radius", "inf"), "window_radius must be finite, not inf"),
+    (("--window-radius", "16", "--q-bound", "nan"), "q_bound must be finite, not nan"),
+])
+def test_density_cli_refuses_non_finite_window_options(
+        lattice_complex, tmp_path, capsys, extra, message):
+    # a NaN would turn the safe-window guard off, and a NaN center write a zero f_z column
+    _, tri = lattice_complex
+    out = tmp_path / "d.csv"
+    code, _, err = run(capsys, "density", tri, "--F", "F5", "--alpha-min", "3",
+                       "--alpha-max", "6", *extra, "--out", str(out))
+    assert code == 1 and not out.exists()
+    assert json.loads(err) == {"error": "ValueError", "message": message}
 
 
 @pytest.mark.parametrize("center, calls", [
@@ -548,6 +601,12 @@ def test_tri_rejects_a_nan_point_as_bad_input(tmp_path, capsys):
     ("2.0 0.5 1.5 3.0\n0 0\n1 0\n0 1\n", '{path} line 1: expected the header "d r R W"'),
     ("", '{path} line 1: expected the header "d r R W"'),
     ("2 0.5 1.5 3.0\n0 0 0\n1 0 0\n0 1 0\n", "{path} line 2: expected 2 coordinates, got 3"),
+    # a header r <= 0 would fail counts' certificate (exit 3), not the input
+    ("2 -1 1.5 3.0\n0 0\n1 0\n0 1\n", "{path} line 1: r must be finite and positive, not -1.0"),
+    ("2 0 1.5 3.0\n0 0\n1 0\n0 1\n", "{path} line 1: r must be finite and positive, not 0.0"),
+    ("2 0.5 nan 3.0\n0 0\n1 0\n0 1\n", "{path} line 1: R must be finite and positive, not nan"),
+    ("2 0.5 1.5 nan\n0 0\n1 0\n0 1\n", "{path} line 1: W must be finite and positive, not nan"),
+    ("2 0.5 1.5 inf\n0 0\n1 0\n0 1\n", "{path} line 1: W must be finite and positive, not inf"),
 ])
 def test_tri_names_the_bad_line_of_a_point_file(tmp_path, capsys, text, message):
     pts = tmp_path / "bad.pts"

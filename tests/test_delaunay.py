@@ -711,23 +711,12 @@ def test_delaunay_2d_names_one_reversed_edge(monkeypatch):
                         lambda pts: types.SimpleNamespace(simplices=bad_cx.cells_array()))
     seeded = mesh_builds(monkeypatch)
     cx = delaunay_2d(pts)
-    assert len(seeded) == 1 and not callable(cx._cell_rows)  # the eager mesh build
-    assert cx.cells == good.cells and cx.interior_facets() == good.interior_facets()
+    assert len(seeded) == 1
+    want = delaunay._mesh_delaunay_2d(*delaunay._planar_rows(pts), {})
+    assert cx.cells == good.cells and cx.interior_facets() == want.interior_facets()
     monkeypatch.setattr(delaunay._Mesh2D, "real_cells", lambda mesh: bad_cx.cells)
     with pytest.raises(InvalidComplexError, match=re.escape(f"facet {bad[0]} ")):
         delaunay_2d(pts)
-
-
-def test_deferred_order_must_list_the_certified_cells(monkeypatch):
-    pts = lattice_window(2, 12.0, jitter=True, seed=1).points
-    good = delaunay_2d(pts)
-    assert good._cell_set is None
-    wrong = good.cells[1:]
-    monkeypatch.setattr(delaunay._Mesh2D, "real_cells", lambda mesh: wrong)
-    cx = delaunay_2d(pts)
-    assert cx.n_cells == good.n_cells and cx.cells == good.cells
-    with pytest.raises(InvalidComplexError, match="deferred cell order"):
-        cx.interior_facets()
 
 
 def test_qhull_wrong_diagonal_falls_back_to_the_mesh():
@@ -760,15 +749,18 @@ def mesh_builds(monkeypatch):
 
 
 def test_small_inputs_build_with_the_mesh_large_ones_defer_it(monkeypatch):
+    """Below 32 points the mesh builds the cells; from 32 on it is deferred
+    to the fallback, so reading an accepted Qhull build never runs it."""
     seeded = mesh_builds(monkeypatch)
     rng = np.random.default_rng(14)
-    small = delaunay_2d(rng.uniform(size=(delaunay.QHULL_MIN_POINTS - 1, 2)))
-    assert len(seeded) == 1 and not callable(small._cell_rows)
+    pts = rng.uniform(size=(delaunay.QHULL_MIN_POINTS - 1, 2))
+    small = delaunay_2d(pts)
+    assert len(seeded) == 1
+    assert small.cells == build_complex(pts, tuple_mesh_cells(pts)).cells
     pts = rng.uniform(size=(delaunay.QHULL_MIN_POINTS, 2))
     large = delaunay_2d(pts)
-    assert callable(large._cell_rows) and len(seeded) == 1
-    assert large.interior_facets() == build_complex(pts, tuple_mesh_cells(pts)).interior_facets()
-    assert len(seeded) == 2
+    assert large.interior_facets() and large.cells == build_complex(pts, tuple_mesh_cells(pts)).cells
+    assert len(seeded) == 1
 
 
 def scrambles(cx, rng, flips):
@@ -1070,8 +1062,8 @@ def tuple_mesh_cells(points):
 
 
 def flat_mesh_build(points, monkeypatch):
-    """``delaunay_2d(points)`` and the ``real_cells()`` list its cell order
-    comes from (read at once, since large builds defer the mesh)."""
+    """The mesh build ``compare`` runs on ``points`` and the ``real_cells()``
+    list its cell order comes from."""
     real_cells, seen = delaunay._Mesh2D.real_cells, []
 
     def recorded(mesh):
@@ -1080,8 +1072,7 @@ def flat_mesh_build(points, monkeypatch):
 
     with monkeypatch.context() as patch:
         patch.setattr(delaunay._Mesh2D, "real_cells", recorded)
-        cx = delaunay_2d(points)
-        cx.interior_facets()
+        cx = delaunay._mesh_delaunay_2d(*delaunay._planar_rows(points), {})
     assert len(seen) == 1
     return seen[0], cx
 
@@ -1112,20 +1103,6 @@ def test_flat_mesh_matches_tuple_mesh_on_windows(name, monkeypatch):
     got, cx = flat_mesh_build(pts, monkeypatch)
     assert got == want
     assert cx.interior_facets() == build_complex(pts, want).interior_facets()
-
-
-@pytest.mark.parametrize("name", REFERENCE_INPUTS)
-def test_deferred_order_is_the_mesh_order(name, monkeypatch):
-    """Built with the mesh deferred (all but the 20-point input), a complex
-    runs it once, on the first read of its order."""
-    pts = REFERENCE_INPUTS[name]()
-    seeded = mesh_builds(monkeypatch)
-    cx = delaunay_2d(pts)
-    deferred = len(pts) >= delaunay.QHULL_MIN_POINTS
-    assert len(seeded) == (not deferred)
-    assert cx.interior_facets() == build_complex(pts, tuple_mesh_cells(pts)).interior_facets()
-    cx.cells, cx.interior_facets()
-    assert len(seeded) == 1
 
 
 def test_flat_mesh_matches_tuple_mesh_on_battery_sizes(monkeypatch):
@@ -1184,5 +1161,6 @@ def test_flat_mesh_stays_closed_after_every_insertion(monkeypatch):
         inserted.append(q)
 
     monkeypatch.setattr(delaunay._Mesh2D, "insert", checked)
-    delaunay_2d(np.random.default_rng(13).uniform(size=(200, 2))).interior_facets()
+    pts = np.random.default_rng(13).uniform(size=(200, 2))
+    delaunay._mesh_delaunay_2d(*delaunay._planar_rows(pts), {})
     assert len(inserted) == 197

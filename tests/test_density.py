@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from delone.delaunay import delaunay_2d, delaunay_3d
+from delone.delaunay import _mesh_delaunay_2d, _planar_rows, delaunay_2d, delaunay_3d
 from delone.density import (
     analytic_strip_counts,
     built_strip_counts,
@@ -38,8 +38,9 @@ from delone.triangulation import build_complex, is_locally_delaunay, reverse_fli
 
 @pytest.fixture(scope="module")
 def lattice20():
+    """A window and its Delaunay complex, built as ``compare`` builds it."""
     w = lattice_window(2, 20, jitter=True, seed=2)
-    return w, delaunay_2d(w.points)
+    return w, _mesh_delaunay_2d(*_planar_rows(w.points), {})
 
 
 def test_unit_ball_volume():
