@@ -135,9 +135,7 @@ def cmd_density(args) -> dict:
     spec = fun.FunctionalSpec.parse(args.F)
     alphas = density_mod.geometric_grid(args.alpha_min, args.alpha_max, args.ratio)
     center = np.array([float(t) for t in args.center.split(",")]) if args.center else np.zeros(cx.dim)
-    kw = {}
-    if args.window_radius is not None:
-        kw = {"window_radius": args.window_radius, "q_bound": args.q_bound}
+    kw = {"window_radius": args.window_radius, "q_bound": args.q_bound}
     origin_seq = density_mod.density_sequence(cx, spec, np.zeros(cx.dim), alphas, **kw)
     center_seq = (origin_seq if np.array_equal(center, origin_seq.center)
                   else density_mod.density_sequence(cx, spec, center, alphas, **kw))

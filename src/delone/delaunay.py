@@ -1,9 +1,10 @@
 """Delaunay triangulations of finite point sets in 2D and 3D.
 
-Both 2D builds go through one certification, ``_certified``: the cells tile
-the hull, every point is a vertex, and ``first_non_delaunay_facet`` passes
-(one exact in-circle test per interior edge, read from the cell array), so
-by Delaunay's lemma the result is the Delaunay triangulation.  From 32
+Both builders check their input with one function, ``_point_rows``.  Both
+2D builds go through one certification, ``_certified``: the cells tile the
+hull, every point is a vertex, and ``first_non_delaunay_facet`` passes (one
+exact in-circle test per interior edge, read from the cell array), so by
+Delaunay's lemma the result is the Delaunay triangulation.  From 32
 points on, Qhull proposes the cells, and the cell set's order is the order
 of Qhull's rows.  Below 32 points, whenever the proposal fails a check, and
 for ``compare``, an incremental Bowyer-Watson mesh with ghost triangles and
@@ -13,7 +14,8 @@ set's order is the mesh's creation order.
 The 3D builder projects the lower faces of the convex hull of the lifted
 points; the hull combinatorics come from Qhull, while lower-face
 classification and the emptiness verification (sampled above 200 points)
-use exact arithmetic.
+use exact arithmetic.  Only once Qhull refuses the lifted points does an
+exact orientation pass decide whether they are all coplanar.
 """
 
 from __future__ import annotations
@@ -30,14 +32,12 @@ from .errors import (
 )
 from .geometry import (
     Side,
-    _exact_rows,
     _in_sphere_rows,
     _orient_rows,
     in_spheres,
     incircle2d,
     on_open_segment,
     orient2d,
-    orientation,
     orientations,
     points_in_simplices,
     segments_cross,
@@ -53,17 +53,31 @@ from .triangulation import (
 # Qhull proposal only adds cost (at every size: battery legalize trial 1,009 -> 1,098 us)
 QHULL_MIN_POINTS = 32
 
+_MIN_POINTS = {2: (3, "delaunay_2d needs at least 3 planar points"),
+               3: (5, "delaunay_3d needs at least 5 points in R^3")}
+
 
 def _point_rows(points, d) -> np.ndarray:
-    """``points`` as an (n, d) float array.  Raises ``ValueError`` on an
-    array of another shape and on a NaN or infinite coordinate, naming the
-    first bad row; empty input passes, for the callers' count check."""
+    """``points`` as an (n, d) float array, once the input checks of both
+    builders pass, in this order.  Raises ``ValueError`` on an array of
+    another shape and on a NaN or infinite coordinate, naming the first bad
+    row; ``DegenerateSimplexError`` below 3 points in 2D and 5 in 3D;
+    ``ValueError`` on duplicates, naming the first pair in lexicographic
+    order."""
     pts = np.asarray(points, dtype=float)
     if pts.size and (pts.ndim != 2 or pts.shape[1] != d):
         raise ValueError(f"points must form an (n, {d}) array, not one of shape {pts.shape}")
     bad = np.flatnonzero(~np.isfinite(pts).all(axis=-1))
     if len(bad):
         raise ValueError(f"point {int(bad[0])} has a non-finite coordinate: {pts[bad[0]].tolist()}")
+    if len(pts) < _MIN_POINTS[d][0]:
+        raise DegenerateSimplexError(_MIN_POINTS[d][1])
+    lex = np.lexsort(pts.T[::-1])
+    srt = pts[lex]
+    dup = np.flatnonzero((srt[1:] == srt[:-1]).all(axis=1))
+    if len(dup):
+        s, t = lex[dup[0]], lex[dup[0] + 1]
+        raise ValueError(f"duplicate points {int(s)} and {int(t)}")
     return pts
 
 
@@ -181,10 +195,11 @@ class _Mesh2D:
         return [t for t in self.tri.values() if t[2] != g]
 
 
-def _serpentine_order(pts, lex):
+def _serpentine_order(pts):
     """Insertion order with short point-location walks: sweep x in roughly
     sqrt(n) bins, alternating the y direction per bin so consecutive
-    insertions stay spatially adjacent.
+    insertions stay spatially adjacent; below 16 points, or on one vertical
+    line, the lexicographic order.
 
     The order is frozen: it fixes the mesh's creation order, hence the order
     of the cells and of ``interior_facets()``, from which ``compare`` picks
@@ -196,7 +211,7 @@ def _serpentine_order(pts, lex):
     xmin, xmax = float(pts[:, 0].min()), float(pts[:, 0].max())
     span = xmax - xmin
     if span == 0.0 or n < 16:
-        return lex
+        return np.lexsort((pts[:, 1], pts[:, 0]))
     nbins = max(1, math.isqrt(n))
     width = span / nbins
     col = np.minimum(((pts[:, 0] - xmin) / width).astype(np.int64), nbins - 1)
@@ -217,30 +232,16 @@ def _certified(cx) -> TriangulationComplex:
     return cx
 
 
-def _planar_rows(points):
-    """``points`` as (n, 2) rows and their lexicographic order, once the
-    input checks of ``delaunay_2d`` pass."""
-    pts = _point_rows(points, 2)
-    if len(pts) < 3:
-        raise DegenerateSimplexError("delaunay_2d needs at least 3 planar points")
-    lex = np.lexsort((pts[:, 1], pts[:, 0]))
-    srt = pts[lex]
-    dup = np.flatnonzero((srt[1:] == srt[:-1]).all(axis=1))
-    if len(dup):
-        s, t = lex[dup[0]], lex[dup[0] + 1]
-        raise ValueError(f"duplicate points {int(s)} and {int(t)}")
-    return pts, lex
-
-
-def _mesh_delaunay_2d(pts, lex, provenance) -> TriangulationComplex:
-    """The exact 2D build of ``_planar_rows``' output, certified: ``_Mesh2D``
+def _mesh_delaunay_2d(points, provenance) -> TriangulationComplex:
+    """The exact 2D build, certified: once ``_point_rows`` passes, ``_Mesh2D``
     seeded with the first two points of the serpentine order and the first
     later point off their line, the rest inserted in that order.  Its real
     cells in creation order fill the cell set.  Raises
     ``DegenerateSimplexError`` if all points are collinear and
     ``NonGenericError`` at the first cocircular in-circle test."""
+    pts = _point_rows(points, 2)
     xs, ys = pts[:, 0].tolist(), pts[:, 1].tolist()
-    order = _serpentine_order(pts, lex).tolist()
+    order = _serpentine_order(pts).tolist()
     i0, i1 = order[0], order[1]
     k = next(
         (
@@ -271,14 +272,13 @@ def delaunay_2d(points, *, provenance=None) -> TriangulationComplex:
     check, ``_mesh_delaunay_2d`` builds the cells, in the mesh's creation
     order, and they are certified the same way.
 
-    Raises ``ValueError`` on duplicates, on a NaN or infinite coordinate and
-    on an array that is not (n, 2) (both paths, before either runs); from
+    Raises the errors of ``_point_rows`` (both paths, before either runs); from
     the mesh build, ``DegenerateSimplexError`` if all points are collinear,
     ``NonGenericError`` on cocircular 4-tuples met during construction or
     certification, and ``InvalidComplexError`` naming the lexicographically
     first edge that is not locally Delaunay.
     """
-    pts, lex = _planar_rows(points)
+    pts = _point_rows(points, 2)
     provenance = provenance or {}
     if len(pts) >= QHULL_MIN_POINTS:
         from scipy.spatial import Delaunay, QhullError
@@ -287,7 +287,7 @@ def delaunay_2d(points, *, provenance=None) -> TriangulationComplex:
             return _certified(build_complex(pts, Delaunay(pts).simplices, provenance=provenance))
         except (QhullError, GeometryError):  # no proposal, or one a check rejects
             pass
-    return _mesh_delaunay_2d(pts, lex, provenance)
+    return _mesh_delaunay_2d(pts, provenance)
 
 
 # ---------------------------------------------------------------------------
@@ -331,36 +331,18 @@ def verify_empty_circumspheres(
 # 3D construction via the lifted lower hull
 
 
-def _collinear_3d(a, b, c) -> bool:
-    """Exact collinearity of three points in R^3 via the cross-product minors
-    of the integer-scaled rows b - a, c - a."""
-    u, v = _exact_rows((a, b, c))
-    return (
-        u[1] * v[2] == u[2] * v[1]
-        and u[2] * v[0] == u[0] * v[2]
-        and u[0] * v[1] == u[1] * v[0]
-    )
-
-
-def _find_affine_basis_3d(pts) -> bool:
-    """True iff the points affinely span R^3 (greedy, exact, linear scans)."""
-    n = len(pts)
-    if n < 4:
+def _spans_3d(pts) -> bool:
+    """True iff the points affinely span R^3, decided by exact orientation
+    signs.  A point off the line of points 0 and 1 is off it in some
+    coordinate-plane projection; with the first such point k, the points
+    span R^3 iff one lies off the plane of points 0, 1 and k."""
+    line = np.stack(np.broadcast_arrays(pts[0], pts[1], pts), axis=1)
+    planes = line[:, :, [[1, 2], [2, 0], [0, 1]]].transpose(0, 2, 1, 3)
+    off = np.flatnonzero(orientations(planes.reshape(-1, 3, 2)))
+    if not len(off):
         return False
-    base = 0
-    second = next((i for i in range(n) if not np.array_equal(pts[i], pts[base])), None)
-    if second is None:
-        return False
-    third = next(
-        (i for i in range(n) if not _collinear_3d(pts[base], pts[second], pts[i])),
-        None,
-    )
-    if third is None:
-        return False
-    rows = [base, second, third]
-    return any(
-        orientation(pts[rows + [i]]) != 0 for i in range(n) if i not in rows
-    )
+    plane = np.stack(np.broadcast_arrays(*line[off[0] // 3], pts), axis=1)
+    return bool(orientations(plane).any())
 
 
 def _lifted(pts) -> np.ndarray:
@@ -374,7 +356,9 @@ def _lifted(pts) -> np.ndarray:
 def delaunay_3d(points, *, provenance=None) -> TriangulationComplex:
     """Delaunay triangulation of >= 5 generic points in R^3, computed as the
     vertical projection of the lower convex hull of the lifted points and
-    checked by ``verify_empty_circumspheres``."""
+    checked by ``verify_empty_circumspheres``.  Raises ``_point_rows``'
+    errors, and if Qhull refuses the lifted points, ``DegenerateSimplexError``
+    when they are all coplanar, else ``NonGenericError``."""
     cx = _lower_hull_complex(points, provenance)
     verify_empty_circumspheres(cx)
     return cx
@@ -386,18 +370,12 @@ def _lower_hull_complex(points, provenance=None) -> TriangulationComplex:
     from scipy.spatial import ConvexHull, QhullError
 
     pts = _point_rows(points, 3)
-    n = len(pts)
-    if n < 5:
-        raise DegenerateSimplexError("delaunay_3d needs at least 5 points in R^3")
-    if len(np.unique(pts, axis=0)) != n:
-        raise ValueError("duplicate points")
-    if not _find_affine_basis_3d(pts):
-        raise DegenerateSimplexError("all points are coplanar")
-
     lifted = _lifted(pts)
     try:
         hull = ConvexHull(lifted, qhull_options="Qt")
-    except QhullError as exc:
+    except QhullError as exc:  # coplanar points lift to a flat set, which Qhull refuses
+        if not _spans_3d(pts):
+            raise DegenerateSimplexError("all points are coplanar") from exc
         raise NonGenericError(f"lifted hull is degenerate: {exc}") from exc
 
     # the lifted orientation of a facet against a point straight below it is
@@ -414,7 +392,7 @@ def _lower_hull_complex(points, provenance=None) -> TriangulationComplex:
     lower = hull.simplices[live & (ins != -o)]
 
     cx = build_complex(pts, lower, provenance=provenance or {})
-    if len(certify_tiling(cx)) != n:
+    if len(certify_tiling(cx)) != len(pts):
         raise NonGenericError("a point is missing from the lower hull projection")
     return cx
 

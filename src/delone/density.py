@@ -11,7 +11,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .delaunay import _mesh_delaunay_2d, _planar_rows, delaunay_3d
+from .delaunay import _mesh_delaunay_2d, delaunay_3d
 from .errors import GeometryError, WindowError
 from .functionals import FunctionalSpec, eval_batch
 from .generators import (
@@ -123,7 +123,8 @@ def density_sequence(
     If the window radius is supplied, the grid must keep 2*q_bound of margin
     so no window-boundary cell is ever counted.  Raises ``ValueError``
     unless the center has one finite coordinate per dimension of the
-    complex, and on a ``window_radius`` or ``q_bound`` that is not finite.
+    complex, on a ``window_radius`` or ``q_bound`` that is not finite, on a
+    ``q_bound`` <= 0 and on a ``q_bound`` without a ``window_radius``.
     """
     center = np.asarray(center, dtype=float)
     if center.shape != (cx.dim,):
@@ -133,6 +134,10 @@ def density_sequence(
     for name, value in (("window_radius", window_radius), ("q_bound", q_bound)):
         if value is not None and not math.isfinite(value):
             raise ValueError(f"{name} must be finite, not {value}")
+    if q_bound is not None and q_bound <= 0:
+        raise ValueError(f"q_bound must be positive, not {q_bound}")
+    if q_bound is not None and window_radius is None:
+        raise ValueError("q_bound is given without window_radius")
     alphas = np.asarray(alphas, dtype=float)
     if window_radius is not None:
         q = uniform_bound_q(cx) if q_bound is None else float(q_bound)
@@ -691,7 +696,7 @@ def delaunay_minimality_comparison(
     the slack (it grows like alpha^(d-1), so the normalized slack decays like
     1/alpha).  The liminf-tail comparison needs no slack."""
     # the mesh at once: ``perturb_by_reverse_flips`` reads its cell order
-    dcx = _mesh_delaunay_2d(*_planar_rows(window.points), dict(window.provenance))
+    dcx = _mesh_delaunay_2d(window.points, dict(window.provenance))
     q0 = window.R
     tcx, records, quads = perturb_by_reverse_flips(
         dcx, n_flips, window_radius=window.window_radius, q_bound=q0, seed=seed

@@ -79,7 +79,7 @@ def enumerate_triangulations_2d(points):
     points), by a traversal of the flip graph from the certified Delaunay
     triangulation; each flip is checked, so no state is validated again (Lawson
     1977).  Returns a list of TriangulationComplex, Delaunay first, each with
-    its cell set filled in sorted order, as ``build_complex`` fills it."""
+    its cell set filled in sorted order."""
     pts = np.asarray(points, dtype=float)
     if len(pts) > ENUMERATION_LIMIT:
         raise ValueError(f"enumeration is limited to {ENUMERATION_LIMIT} points")

@@ -62,7 +62,6 @@ class TriangulationComplex:
     _adjacency: dict | None = field(default=None, repr=False)
     provenance: dict = field(default_factory=dict)
     _bound_q: float | None = field(default=None, repr=False)
-    _cells_sorted: list | None = field(default=None, repr=False)
     _cells_array: np.ndarray | None = field(default=None, repr=False)
     _rows: list | None = field(default=None, repr=False)
     _cell_rows: np.ndarray | None = field(default=None, repr=False)
@@ -81,12 +80,8 @@ class TriangulationComplex:
 
     @property
     def cells(self) -> list:
-        if self._cells_sorted is None:
-            if self._cells_array is None:
-                self._cells_sorted = sorted(self._cells)
-            else:  # seeded by build_complex, already in order
-                self._cells_sorted = list(map(tuple, self._cells_array.tolist()))
-        return self._cells_sorted
+        """The sorted cells as tuples, read from ``cells_array()``."""
+        return list(map(tuple, self.cells_array().tolist()))
 
     @property
     def n_cells(self) -> int:
@@ -109,7 +104,7 @@ class TriangulationComplex:
     def cells_array(self) -> np.ndarray:
         """The sorted cells as a read-only (m, d+1) int64 array (cached)."""
         if self._cells_array is None:
-            arr = np.array(self.cells, dtype=np.int64).reshape(-1, self.dim + 1)
+            arr = np.array(sorted(self._cells), dtype=np.int64).reshape(-1, self.dim + 1)
             arr.flags.writeable = False
             self._cells_array = arr
         return self._cells_array
@@ -159,7 +154,6 @@ class TriangulationComplex:
 
     def _invalidate(self):
         self._bound_q = None
-        self._cells_sorted = None
         self._cells_array = None
 
     def _add_cell(self, cell: Cell):

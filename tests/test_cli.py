@@ -358,10 +358,14 @@ def test_density_cli_rejects_bad_center_and_grid(lattice_complex, tmp_path, caps
     (("--window-radius", "nan"), "window_radius must be finite, not nan"),
     (("--window-radius", "inf"), "window_radius must be finite, not inf"),
     (("--window-radius", "16", "--q-bound", "nan"), "q_bound must be finite, not nan"),
+    (("--window-radius", "16", "--q-bound", "-5"), "q_bound must be positive, not -5.0"),
+    (("--window-radius", "16", "--q-bound", "0"), "q_bound must be positive, not 0.0"),
+    (("--q-bound", "1"), "q_bound is given without window_radius"),
 ])
 def test_density_cli_refuses_non_finite_window_options(
         lattice_complex, tmp_path, capsys, extra, message):
-    # a NaN would turn the safe-window guard off, and a NaN center write a zero f_z column
+    # a NaN would turn the safe-window guard off, and a NaN center write a zero f_z column;
+    # a negative q bound widened the safe window, and one without a radius went unused
     _, tri = lattice_complex
     out = tmp_path / "d.csv"
     code, _, err = run(capsys, "density", tri, "--F", "F5", "--alpha-min", "3",

@@ -115,6 +115,13 @@ NAN, INF = float("nan"), float("inf")
 SQUARE = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0)]
 CUBE = [(0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0),
         (1.0, 1.0, 1.2)]
+# 40 distinct points on a tilted plane, on an axis plane and on a line; dyadic
+# coordinates keep each set exactly coplanar in floats, so Qhull must refuse it
+UV = np.unique(np.random.default_rng(7).integers(-320, 320, size=(41, 2)), axis=0)[:40] / 32
+T = np.arange(-16, 24) / 4
+COPLANAR = [np.c_[UV, 0.5 * UV[:, 0] - 3 * UV[:, 1] + 1.25],
+            np.c_[UV[:, 0], np.full(40, 2.0), UV[:, 1]],
+            np.c_[1 + T, -2 * T, 3 + T / 2]]
 
 
 @pytest.mark.parametrize("build, points, error, message", [
@@ -140,11 +147,12 @@ CUBE = [(0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0),
      "point 4 has a non-finite coordinate: [0.2, -inf, 0.2]"),
     (delaunay_3d, CUBE[:4], DegenerateSimplexError,
      "delaunay_3d needs at least 5 points in R^3"),
-    (delaunay_3d, CUBE + [CUBE[1]], ValueError, "duplicate points"),
+    (delaunay_3d, CUBE + [CUBE[1]], ValueError, "duplicate points 1 and 5"),
     (delaunay_3d, [(x, x * x, 0.0) for x in range(6)], DegenerateSimplexError,
      "all points are coplanar"),
     (delaunay.delaunay_of, [0.0, 1.0, 2.0], ValueError,
      "only dimensions 2 and 3 are supported, not points of shape (3,)"),
+    *[(delaunay_3d, pts, DegenerateSimplexError, "all points are coplanar") for pts in COPLANAR],
 ])
 def test_bad_point_arrays_raise_typed_errors(build, points, error, message):
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
@@ -244,6 +252,26 @@ def test_delaunay_3d_coplanar_rejected():
     pts[:, 1] = np.arange(6) ** 2
     with pytest.raises(DegenerateSimplexError):
         delaunay_3d(pts)
+
+
+def test_delaunay_3d_spanning_input_refused_by_qhull_is_non_generic(monkeypatch):
+    import scipy.spatial
+
+    def refused(*args, **kwargs):
+        raise scipy.spatial.QhullError("refused")
+
+    def spans(pts):
+        calls.append(len(pts))
+        return spans_3d(pts)
+
+    calls, spans_3d = [], delaunay._spans_3d
+    monkeypatch.setattr(delaunay, "_spans_3d", spans)
+    delaunay_3d(CUBE)
+    assert calls == []  # the span check runs only once Qhull refuses
+    monkeypatch.setattr(scipy.spatial, "ConvexHull", refused)
+    with pytest.raises(NonGenericError, match="^lifted hull is degenerate: refused "):
+        delaunay_3d(CUBE)
+    assert calls == [5]
 
 
 def test_lower_hull_matches_exhaustive_emptiness():
@@ -712,7 +740,7 @@ def test_delaunay_2d_names_one_reversed_edge(monkeypatch):
     seeded = mesh_builds(monkeypatch)
     cx = delaunay_2d(pts)
     assert len(seeded) == 1
-    want = delaunay._mesh_delaunay_2d(*delaunay._planar_rows(pts), {})
+    want = delaunay._mesh_delaunay_2d(pts, {})
     assert cx.cells == good.cells and cx.interior_facets() == want.interior_facets()
     monkeypatch.setattr(delaunay._Mesh2D, "real_cells", lambda mesh: bad_cx.cells)
     with pytest.raises(InvalidComplexError, match=re.escape(f"facet {bad[0]} ")):
@@ -1038,7 +1066,7 @@ def tuple_mesh_cells(points):
     insertion loop as they were when it drove that mesh."""
     pts = np.asarray(points, dtype=float)
     n = len(pts)
-    order = delaunay._serpentine_order(pts, np.lexsort((pts[:, 1], pts[:, 0])))
+    order = delaunay._serpentine_order(pts)
     coords = [tuple(map(float, p)) for p in pts]
     i0, i1 = int(order[0]), int(order[1])
     k = next(
@@ -1072,7 +1100,7 @@ def flat_mesh_build(points, monkeypatch):
 
     with monkeypatch.context() as patch:
         patch.setattr(delaunay._Mesh2D, "real_cells", recorded)
-        cx = delaunay._mesh_delaunay_2d(*delaunay._planar_rows(points), {})
+        cx = delaunay._mesh_delaunay_2d(points, {})
     assert len(seen) == 1
     return seen[0], cx
 
@@ -1162,5 +1190,5 @@ def test_flat_mesh_stays_closed_after_every_insertion(monkeypatch):
 
     monkeypatch.setattr(delaunay._Mesh2D, "insert", checked)
     pts = np.random.default_rng(13).uniform(size=(200, 2))
-    delaunay._mesh_delaunay_2d(*delaunay._planar_rows(pts), {})
+    delaunay._mesh_delaunay_2d(pts, {})
     assert len(inserted) == 197

@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from delone.delaunay import _mesh_delaunay_2d, _planar_rows, delaunay_2d, delaunay_3d
+from delone.delaunay import _mesh_delaunay_2d, delaunay_2d, delaunay_3d
 from delone.density import (
     analytic_strip_counts,
     built_strip_counts,
@@ -40,7 +40,7 @@ from delone.triangulation import build_complex, is_locally_delaunay, reverse_fli
 def lattice20():
     """A window and its Delaunay complex, built as ``compare`` builds it."""
     w = lattice_window(2, 20, jitter=True, seed=2)
-    return w, _mesh_delaunay_2d(*_planar_rows(w.points), {})
+    return w, _mesh_delaunay_2d(w.points, {})
 
 
 def test_unit_ball_volume():

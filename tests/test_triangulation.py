@@ -660,7 +660,7 @@ def test_scalar_predicates_receive_python_floats(monkeypatch):
     window = poisson_delone_window(0.4, 1.5, 10, seed=0)
     build_unbounded_prefix(window, phases=2)
     oracle.noncrossing_triangulations(np.random.default_rng(3).uniform(size=(6, 2)))
-    delaunay._mesh_delaunay_2d(*delaunay._planar_rows(window.points), {})  # compare's build
+    delaunay._mesh_delaunay_2d(window.points, {})  # compare's build
     assert {key for key, n in calls.items() if n} == {
         ("delone.triangulation", "orient2d"),
         ("delone.triangulation", "on_open_segment"),
