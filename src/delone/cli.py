@@ -13,6 +13,8 @@ import argparse
 import functools
 import json
 import math
+import pathlib
+import shlex
 import sys
 
 import numpy as np
@@ -92,15 +94,16 @@ def cmd_gen(args) -> dict:
     else:
         raise ValueError(f"unknown generator {args.kind}")
     window.save(out)
-    report = verify_delone_params(window)
+    # the sampler returns only a window that its last Delone check passed
+    ok = args.kind == "poisson" or verify_delone_params(window).ok
     _write_manifest(out + ".manifest.json", "gen", vars(args) | {"out": out})
     return {
         "out": out,
         "n_points": window.n_points,
         "r": window.r,
         "R": window.R,
-        "delone_ok": report.ok,
-        "ok": report.ok,
+        "delone_ok": ok,
+        "ok": ok,
     }
 
 
@@ -122,6 +125,8 @@ def cmd_tri(args) -> dict:
         ]
         write_text(out + ".fliplog.json", json.dumps({"schema": SCHEMA, "flips": log}))
         return {"out": out, "flips": len(records), "cells": legal.n_cells}
+    if args.pointfile is None:
+        raise ValueError("tri needs a point file or --legalize COMPLEX")
     window = PointSetWindow.load(args.pointfile)
     cx = delaunay_of(window.points, provenance=dict(window.provenance))
     out = args.out or args.pointfile + ".delaunay.json"
@@ -290,6 +295,31 @@ def cmd_oracle(args) -> dict:
     }
 
 
+def cmd_batch(args) -> int:
+    """Run each line of ``args.file`` (``-``: stdin), split by ``shlex`` with
+    ``#`` comments, through ``main`` in this process, writing the bytes that
+    separate runs write.  The first line to exit non-zero (2: argparse refused
+    it) stops the batch, is named in one JSON line on stderr, and its code is
+    returned.  A line that does not split or runs ``batch`` is a ``ValueError``."""
+    text = sys.stdin.read() if args.file == "-" else pathlib.Path(args.file).read_text()
+    for num, line in enumerate(text.splitlines(), 1):
+        try:
+            words = shlex.split(line, comments=True)
+        except ValueError as exc:
+            raise ValueError(f"{args.file} line {num}: {exc}") from None
+        if words[:1] == ["batch"]:
+            raise ValueError(f"{args.file} line {num}: a batch cannot run batch")
+        try:
+            code = main(words) if words else 0
+        except SystemExit as exc:
+            code = exc.code
+        if code:
+            failed = {"batch_line": num, "line": line.strip(), "exit": code}
+            sys.stderr.write(json.dumps(failed) + "\n")
+            return code
+    return 0
+
+
 # ---------------------------------------------------------------------------
 
 
@@ -381,6 +411,9 @@ def build_parser() -> argparse.ArgumentParser:
     o.add_argument("--F", required=True)
     o.add_argument("--out")
 
+    b = sub.add_parser("batch", help="run one command per line in this process")
+    b.add_argument("file", help="one delone command line per line; - reads stdin")
+
     return p
 
 
@@ -393,6 +426,8 @@ def main(argv=None) -> int:
             json.dumps({"error": type(exc).__name__, "message": str(exc)}) + "\n"
         )
         return 1
+    if args.command == "batch":  # each line printed its own summary
+        return summary
     print(json.dumps(summary, sort_keys=True, default=_json_default))
     return 0 if summary.get("ok", True) else 3
 

@@ -397,13 +397,27 @@ def _lower_hull_complex(points, provenance=None) -> TriangulationComplex:
     return cx
 
 
+_last_build: dict = {}  # (shape, bytes) of the points -> (cell rows, cells_array())
+
+
 def delaunay_of(points, *, provenance=None) -> TriangulationComplex:
+    """``delaunay_2d`` or ``delaunay_3d`` by the points' width.  Float64 points of the
+    last build's shape and bytes (-0.0 is not 0.0) get a new complex, with their own
+    provenance, over its read-only cell rows in input order and ``cells_array()``."""
     pts = np.asarray(points, dtype=float)
-    if pts.shape[1:] == (2,):
-        return delaunay_2d(pts, provenance=provenance)
-    if pts.shape[1:] == (3,):
-        return delaunay_3d(pts, provenance=provenance)
-    raise ValueError(f"only dimensions 2 and 3 are supported, not points of shape {pts.shape}")
+    build = {(2,): delaunay_2d, (3,): delaunay_3d}.get(pts.shape[1:])
+    if build is None:
+        raise ValueError(f"only dimensions 2 and 3 are supported, not points of shape {pts.shape}")
+    key = (pts.shape, pts.tobytes())
+    if key in _last_build:
+        rows, lex = _last_build[key]
+        return TriangulationComplex(dim=pts.shape[1], points=pts, _cell_set=None,
+                                    provenance=provenance or {}, _cells_array=lex, _cell_rows=rows)
+    cx = build(pts, provenance=provenance)
+    cx._cell_rows.flags.writeable = False  # neither builder reads the cell set, so they are there
+    _last_build.clear()
+    _last_build[key] = cx._cell_rows, cx.cells_array()
+    return cx
 
 
 # ---------------------------------------------------------------------------

@@ -198,14 +198,24 @@ class TriangulationComplex:
 
     @classmethod
     def from_json(cls, text: str) -> "TriangulationComplex":
-        """The complex ``to_json`` wrote; raises ``InvalidComplexError`` on
-        another schema, missing points or cells, a dimension other than the
-        points' width, or any fault ``build_complex`` finds."""
-        data = json.loads(text)
+        """The complex ``to_json`` wrote; raises ``InvalidComplexError`` on text that is no
+        JSON object, another schema, missing points or cells, points that are not numbers,
+        cells not in a list, a dimension other than the points' width, or a build fault."""
+        try:
+            data = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise InvalidComplexError(f"a complex file must be JSON: {exc}") from None
+        if not isinstance(data, dict):
+            raise InvalidComplexError(f"a complex file is a JSON object, not {type(data).__name__}")
         if data.get("schema") != 1 or not {"points", "cells"} <= data.keys():
             raise InvalidComplexError("a complex file needs schema 1, points and cells, not "
                                       f"schema {data.get('schema')!r} with keys {sorted(data)}")
-        points = np.array(data["points"], dtype=float)
+        if not isinstance(data["cells"], list):
+            raise InvalidComplexError(f"cells must be a list, not {type(data['cells']).__name__}")
+        try:
+            points = np.array(data["points"], dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise InvalidComplexError(f"points must be rows of numbers: {exc}") from None
         if points.ndim != 2 or data.get("dimension") != points.shape[1]:
             raise InvalidComplexError(f"complex file dimension {data.get('dimension')!r} does "
                                       f"not match points of shape {points.shape}")

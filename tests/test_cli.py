@@ -136,20 +136,147 @@ def test_trial_batteries_refuse_fewer_than_one_trial(tmp_path, capsys, command, 
     assert json.loads(err) == {"error": "ValueError", "message": "trials must be positive"}
 
 
-@pytest.mark.parametrize("fault", ["non-integer-id", "dimension"])
-def test_density_on_a_bad_complex_file_exits_1(tmp_path, capsys, fault):
+COMPLEX_FAULTS = ["non-integer-id", "dimension", "not-json", "top-level-list", "cells-not-a-list"]
+
+
+def bad_complex_file(tmp_path, fault):
     data = {"schema": 1, "dimension": 2, "points": [[0, 0], [1, 0], [0, 1], [1, 1]],
             "cells": [[0, 1, 2], [1, 2, 3]]}
     if fault == "dimension":
         data["dimension"] = 3
-    else:
+    elif fault == "non-integer-id":
         data["cells"][1][1] = 2.9  # once read as vertex 2
+    elif fault == "cells-not-a-list":
+        data["cells"] = 5
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps(data))
-    code, stdout, err = run(capsys, "density", str(path), "--F", "AREA", "--alpha-min", "1",
-                            "--alpha-max", "2", "--out", str(tmp_path / "bad.csv"))
+    text = json.dumps([data] if fault == "top-level-list" else data)
+    path.write_text(text[1:] if fault == "not-json" else text)
+    return str(path)
+
+
+@pytest.mark.parametrize("fault", COMPLEX_FAULTS)
+def test_density_on_a_bad_complex_file_exits_1(tmp_path, capsys, fault):
+    code, stdout, err = run(capsys, "density", bad_complex_file(tmp_path, fault), "--F", "AREA",
+                            "--alpha-min", "1", "--alpha-max", "2", "--out", str(tmp_path / "bad.csv"))
     assert code == 1 and stdout == ""
     assert json.loads(err)["error"] == "InvalidComplexError"
+
+
+@pytest.mark.parametrize("fault", COMPLEX_FAULTS)
+def test_tri_legalize_on_a_bad_complex_file_exits_1(tmp_path, capsys, fault):
+    out = tmp_path / "legal.json"
+    code, stdout, err = run(capsys, "tri", "--legalize", bad_complex_file(tmp_path, fault),
+                            "--out", str(out))
+    assert code == 1 and stdout == "" and not out.exists()
+    assert json.loads(err)["error"] == "InvalidComplexError"
+
+
+def test_tri_without_a_point_file_or_legalize_exits_1(tmp_path, capsys):
+    code, stdout, err = run(capsys, "tri", "--out", str(tmp_path / "t.json"))
+    assert code == 1 and stdout == ""
+    assert json.loads(err) == {"error": "ValueError",
+                               "message": "tri needs a point file or --legalize COMPLEX"}
+
+
+@pytest.mark.parametrize("kind", ["lattice", "poisson"])
+def test_gen_runs_the_delone_check_once(tmp_path, capsys, monkeypatch, kind):
+    """``gen poisson`` reports the verdict of the sampler's last check, which
+    passed, instead of checking the window again."""
+    from delone import generators
+
+    checks, check = [], generators._delone_check
+
+    def counted(window):
+        checks.append(window.n_points)
+        return check(window)
+
+    monkeypatch.setattr(generators, "_delone_check", counted)
+    out = tmp_path / "w.pts"
+    code, stdout, _ = run(capsys, "gen", kind, "--W", "10", "--out", str(out))
+    summary = last_json(stdout)
+    assert code == 0 and summary["delone_ok"] is True and summary["ok"] is True
+    assert checks == [summary["n_points"]]
+    assert check(PointSetWindow.load(out))[0].ok
+
+
+# the README pipeline: a 2D lattice, a Poisson window and a 3D lattice
+README_PIPELINE = """\
+# 2D lattice
+gen lattice --d 2 --W 30 --jitter --seed 3 --out lat30.pts
+tri lat30.pts --out lat30.tri.json
+density lat30.tri.json --F F5 --alpha-min 8 --alpha-max 24 --center 3,0 --window-radius 30 --q-bound 0.71 --out density.csv
+compare lat30.pts --F F5 --reverse-flips 50 --seed 4 --out compare.csv
+counts lat30.pts --out lat30.counts.json
+
+gen poisson --r 0.4 --R 1.5 --W 20 --seed 7 --out poisson.pts
+tri poisson.pts --out poisson.tri.json
+counts poisson.pts --out poisson.counts.json
+gen lattice --d 3 --W 7 --jitter --seed 3 --out l3.pts
+tri l3.pts --out l3.json  # 3D
+density l3.json --F FR --alpha-min 1.75 --alpha-max 4.5 --window-radius 7 --q-bound 0.8661 --out l3.density.csv
+counts l3.pts --out l3.counts.json
+"""
+
+
+def test_batch_writes_the_bytes_of_separate_runs(tmp_path, capsys, monkeypatch):
+    """One ``delone batch`` of the README pipeline writes the files and the
+    summaries that its lines write one by one, each with no complex kept
+    from an earlier line (as in a fresh process)."""
+    import shlex
+
+    from delone import delaunay
+
+    (tmp_path / "pipeline.txt").write_text(README_PIPELINE)
+    separate, batch = tmp_path / "separate", tmp_path / "batch"
+    separate.mkdir()
+    batch.mkdir()
+    monkeypatch.chdir(separate)
+    summaries = ""
+    for line in README_PIPELINE.splitlines():
+        if shlex.split(line, comments=True):
+            delaunay._last_build.clear()
+            code, stdout, _ = run(capsys, *shlex.split(line, comments=True))
+            assert code == 0, line
+            summaries += stdout
+    monkeypatch.chdir(batch)
+    assert run(capsys, "batch", str(tmp_path / "pipeline.txt")) == (0, summaries, "")
+    names = sorted(os.listdir(separate))
+    assert names == sorted(os.listdir(batch)) and len(names) == 18
+    for name in names:
+        assert (separate / name).read_bytes() == (batch / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("line, code", [
+    ("tri missing.pts --out m.json", 1),  # FileNotFoundError
+    ("gen lattice --bogus 1", 2),  # argparse
+    ("frobnicate", 2),
+])
+def test_batch_stops_at_the_first_failing_line_and_names_it(tmp_path, capsys, monkeypatch,
+                                                            line, code):
+    monkeypatch.chdir(tmp_path)
+    pathlib.Path("b.txt").write_text(f"gen lattice --W 8 --out a.pts  # runs\n\n{line}\n"
+                                     "gen lattice --W 8 --out c.pts\n")
+    got, stdout, err = run(capsys, "batch", "b.txt")
+    assert got == code and os.path.exists("a.pts") and not os.path.exists("c.pts")
+    assert len(stdout.splitlines()) == 1
+    assert json.loads(err.splitlines()[-1]) == {"batch_line": 3, "line": line, "exit": code}
+
+
+def test_batch_reads_stdin_and_refuses_a_nested_batch(tmp_path, capsys, monkeypatch):
+    import io
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr("sys.stdin", io.StringIO("gen lattice --W 8 --out s.pts\n"))
+    assert run(capsys, "batch", "-")[0] == 0 and os.path.exists("s.pts")
+    pathlib.Path("b.txt").write_text("gen lattice --W 8 --out a.pts\nbatch b.txt\n")
+    code, _, err = run(capsys, "batch", "b.txt")
+    assert code == 1
+    assert json.loads(err) == {"error": "ValueError",
+                               "message": "b.txt line 2: a batch cannot run batch"}
+    pathlib.Path("q.txt").write_text('gen "lattice\n')
+    code, _, err = run(capsys, "batch", "q.txt")
+    assert code == 1
+    assert json.loads(err) == {"error": "ValueError", "message": "q.txt line 1: No closing quotation"}
 
 
 def test_gcheck_cli(tmp_path, capsys):
@@ -280,9 +407,11 @@ def test_tri_and_counts_never_run_the_mesh(tmp_path, capsys, monkeypatch):
 def test_outputs_do_not_depend_on_qhulls_row_order(lattice_complex, tmp_path, capsys, monkeypatch):
     """From 32 points on, the cell set fills in the order of Qhull's rows.
     ``tri`` and ``counts`` write the same bytes when Qhull lists its rows
-    reversed and rotated, and ``compare`` builds with the mesh, never
-    asking Qhull."""
+    reversed and rotated (``tri`` asks Qhull, and ``counts`` reuses its
+    complex), and ``compare`` builds with the mesh, never asking Qhull."""
     import scipy.spatial
+
+    from delone import delaunay
 
     pts, _ = lattice_complex
     files = [str(tmp_path / "w.tri.json"), str(tmp_path / "w.counts.json")]
@@ -299,8 +428,9 @@ def test_outputs_do_not_depend_on_qhulls_row_order(lattice_complex, tmp_path, ca
         return types.SimpleNamespace(simplices=np.roll(qhull(points).simplices[::-1], 1, axis=1))
 
     monkeypatch.setattr(scipy.spatial, "Delaunay", reordered)
+    delaunay._last_build.clear()  # else ``tri`` reuses the first pass's complex
     assert outputs() == want
-    assert len(proposed) == 2 and min(proposed) >= 32
+    assert len(proposed) == 1 and min(proposed) >= 32
 
     def refused(points):
         raise AssertionError("compare asked Qhull for the cells")

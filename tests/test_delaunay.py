@@ -918,6 +918,80 @@ def test_delaunay_2d_certifies_without_the_adjacency_dict():
         assert cx._adjacency is None
 
 
+def _memo_inputs():
+    rng = np.random.default_rng(8)
+    return {"mesh": (rng.uniform(size=(delaunay.QHULL_MIN_POINTS - 1, 2)), delaunay_2d),
+            "qhull": (rng.uniform(size=(200, 2)), delaunay_2d),
+            "fallback": (lattice_window(2, 24.0, jitter=True, seed=301001113).points, delaunay_2d),
+            "3d": (lattice_window(3, 4.0, jitter=True, seed=1).points, delaunay_3d)}
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("delaunay_of built again")
+
+
+@pytest.mark.parametrize("name", ["mesh", "qhull", "fallback", "3d"])
+def test_delaunay_of_reuses_its_last_complex_in_the_same_order(name, monkeypatch):
+    """A call on the same points builds nothing, and its complex has the
+    fresh build's cells, cell-set order and so ``interior_facets()`` order;
+    it carries the caller's points and provenance."""
+    pts, build = _memo_inputs()[name]
+    delaunay._last_build.clear()
+    first = delaunay.delaunay_of(pts, provenance={"pass": 1})
+    fresh = build(pts)
+    monkeypatch.setattr(delaunay, "delaunay_2d", _refuse)
+    monkeypatch.setattr(delaunay, "delaunay_3d", _refuse)
+    again = pts.copy()
+    hit = delaunay.delaunay_of(again, provenance={"pass": 2})
+    assert hit is not first and hit.points is again and hit.provenance == {"pass": 2}
+    assert first.provenance == {"pass": 1}
+    for cx in (first, hit):
+        assert cx.cells == fresh.cells and cx.interior_facets() == fresh.interior_facets()
+        assert list(cx.facet_adjacency.items()) == list(fresh.facet_adjacency.items())
+    assert hit.to_json() == fresh.to_json().replace('"provenance": {}', '"provenance": {"pass": 2}')
+
+
+def test_flips_on_a_reused_complex_leave_the_next_one_intact(monkeypatch):
+    """``reverse_flip`` on the built complex and on a reused one changes
+    neither the kept arrays nor the next call's complex."""
+    pts = jittered_grid_2d(8, seed=3, eta=0.1)
+    delaunay._last_build.clear()
+    fresh = delaunay_2d(pts)
+    for cx in (delaunay.delaunay_of(pts), delaunay.delaunay_of(pts)):
+        flipped = 0
+        for facet in sorted(cx.interior_facets())[::7]:
+            try:
+                reverse_flip(cx, facet)
+                flipped += 1
+            except GeometryError:
+                continue
+        assert flipped and cx.cells != fresh.cells
+        monkeypatch.setattr(delaunay, "delaunay_2d", _refuse)
+        nxt = delaunay.delaunay_of(pts)
+        assert nxt.cells == fresh.cells and nxt.interior_facets() == fresh.interior_facets()
+
+
+def test_delaunay_of_misses_on_a_one_ulp_change_and_on_negative_zero(monkeypatch):
+    """Only the same bytes hit: -0.0 for 0.0 and a 1-ulp move both build anew."""
+    pts = np.random.default_rng(2).uniform(size=(40, 2))
+    pts[0] = 0.0
+    negzero, moved = pts.copy(), pts.copy()
+    negzero[0, 1] = -0.0
+    moved[7, 1] = np.nextafter(moved[7, 1], np.inf)
+    built, build = [], delaunay.delaunay_2d
+
+    def counted(points, **kwargs):
+        built.append(points)
+        return build(points, **kwargs)
+
+    monkeypatch.setattr(delaunay, "delaunay_2d", counted)
+    delaunay._last_build.clear()
+    for call in (pts, pts, negzero, negzero, moved, pts):
+        delaunay.delaunay_of(call)
+    assert [p is q for p, q in zip(built, (pts, negzero, moved, pts))] == [True] * 4
+    assert len(built) == 4
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_local_pass_agrees_with_exhaustive_emptiness(seed):
     rng = np.random.default_rng(seed)

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import json
+import re
 from collections import Counter
 
 import numpy as np
@@ -483,6 +484,21 @@ def test_from_json_refuses_a_file_that_does_not_describe_the_complex(key, value)
         data[key] = value
     with pytest.raises(InvalidComplexError, match=key):
         TriangulationComplex.from_json(json.dumps(data))
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda text: text[1:], "a complex file must be JSON: Extra data"),
+    (lambda text: f"[{text}]", "a complex file is a JSON object, not list"),
+    (lambda text: re.sub(r'"cells": \[.*?\]\]', '"cells": 5', text), "cells must be a list, not int"),
+    (lambda text: re.sub(r'"points": \[.*?\]\]', '"points": "abc"', text),
+     "points must be rows of numbers: could not convert"),
+    (lambda text: re.sub(r'"points": \[\[.*?\]', '"points": [[0.0]', text),
+     "points must be rows of numbers: setting an array element"),
+], ids=["not-json", "top-level-list", "cells-5", "points-text", "ragged-points"])
+def test_from_json_names_text_that_is_not_a_complex(edit, message):
+    text = edit(quad_complex().to_json())
+    with pytest.raises(InvalidComplexError, match="^" + re.escape(message)):
+        TriangulationComplex.from_json(text)
 
 
 def per_float_json(cx):
