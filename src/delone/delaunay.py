@@ -10,7 +10,8 @@ of Qhull's rows.  Below 32 points, whenever the proposal fails a check, and
 for ``compare``, an incremental Bowyer-Watson mesh with ghost triangles and
 exact predicates builds the cells (``_mesh_delaunay_2d``), so non-generic
 input is detected rather than silently mis-triangulated, and the cell
-set's order is the mesh's creation order.
+set's order is the mesh's creation order; a mesh whose cells equal those of
+the build ``delaunay_of`` kept for the same points is not certified again.
 The 3D builder projects the lower faces of the convex hull of the lifted
 points; the hull combinatorics come from Qhull, while lower-face
 classification and the emptiness verification (sampled above 200 points)
@@ -236,9 +237,10 @@ def _mesh_delaunay_2d(points, provenance) -> TriangulationComplex:
     """The exact 2D build, certified: once ``_point_rows`` passes, ``_Mesh2D``
     seeded with the first two points of the serpentine order and the first
     later point off their line, the rest inserted in that order.  Its real
-    cells in creation order fill the cell set.  Raises
-    ``DegenerateSimplexError`` if all points are collinear and
-    ``NonGenericError`` at the first cocircular in-circle test."""
+    cells in creation order fill the cell set.  The certificate is skipped
+    when ``delaunay_of`` kept a build of the same point bytes with an equal
+    ``cells_array()``.  Raises ``DegenerateSimplexError`` if all points are
+    collinear and ``NonGenericError`` at the first cocircular in-circle test."""
     pts = _point_rows(points, 2)
     xs, ys = pts[:, 0].tolist(), pts[:, 1].tolist()
     order = _serpentine_order(pts).tolist()
@@ -259,7 +261,11 @@ def _mesh_delaunay_2d(points, provenance) -> TriangulationComplex:
     for idx in order[2:]:
         if idx != k:
             mesh.insert(idx)
-    return _certified(build_complex(pts, mesh.real_cells(), provenance=provenance))
+    cx = build_complex(pts, mesh.real_cells(), provenance=provenance)
+    kept = _last_build.get((pts.shape, pts.tobytes()))
+    if kept is not None and np.array_equal(kept[1], cx.cells_array()):
+        return cx  # the cells of a certified build of these points
+    return _certified(cx)
 
 
 def delaunay_2d(points, *, provenance=None) -> TriangulationComplex:
@@ -412,7 +418,8 @@ def delaunay_of(points, *, provenance=None) -> TriangulationComplex:
     if key in _last_build:
         rows, lex = _last_build[key]
         return TriangulationComplex(dim=pts.shape[1], points=pts, _cell_set=None,
-                                    provenance=provenance or {}, _cells_array=lex, _cell_rows=rows)
+                                    provenance=provenance or {}, _cells_array=lex, _cell_rows=rows,
+                                    _validated=True)
     cx = build(pts, provenance=provenance)
     cx._cell_rows.flags.writeable = False  # neither builder reads the cell set, so they are there
     _last_build.clear()

@@ -94,11 +94,22 @@ class DensitySequence:
 CSV_HEADER = "alpha,cells_vertexrule,cells_ballrule,sum_F,f_value,f_z_value,gap"
 
 
+# the shape and bytes of the points and cells_array() of the last complex that
+# build_complex validated, with its read-only circumcentres and radii
+_last_geometry: list = []
+
+
 def _cell_geometry(cx: TriangulationComplex):
     cells = cx.cells_array()
     coords = cx.points[cells]
+    key = (cx.points.shape, cx.points.tobytes(), cells.tobytes())
+    if _last_geometry and _last_geometry[0][0] == key:
+        return cells, coords, *_last_geometry[0][1:]
     centers = circumcenters(coords)
     radii = np.linalg.norm(coords[:, 0, :] - centers, axis=1)
+    if cx._validated:  # not a flipped copy, such as compare's perturbed complex
+        centers.flags.writeable = radii.flags.writeable = False
+        _last_geometry[:] = [(key, centers, radii)]
     return cells, coords, centers, radii
 
 

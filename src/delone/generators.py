@@ -7,6 +7,7 @@ packing/covering radii (r, R), and records provenance sufficient to rerun it.
 from __future__ import annotations
 
 import errno
+import io
 import math
 import os
 import stat
@@ -80,50 +81,75 @@ class PointSetWindow:
         return len(self.points)
 
     def save(self, path):
-        """Point-set file: header "d r R W", then one point per line."""
-        rows = np.asarray(self.points, dtype=float).tolist()
-        write_text(path, f"{self.dim} {self.r!r} {self.R!r} {self.window_radius!r}\n"
-                   + "".join(" ".join(map(repr, row)) + "\n" for row in rows))
+        """Point-set file: header "d r R W", then one point per line.  A text
+        that ``load`` would accept, of finite points, is kept with its window."""
+        points = np.asarray(self.points, dtype=float)
+        header = f"{self.dim} {self.r!r} {self.R!r} {self.window_radius!r}"
+        text = header + "\n" + "".join(" ".join(map(repr, row)) + "\n" for row in points.tolist())
+        write_text(path, text)
+        _last_window.clear()
+        try:
+            d, r, R, W = _header(header, path)  # the checks ``load`` makes
+        except ValueError:
+            return
+        if (header.isprintable() and points.ndim == 2 and len(points) and points.shape[1] == d
+                and np.isfinite(points).all()):
+            _last_window[:] = [(text, d, points.copy(), r, R, W)]
 
     @classmethod
     def load(cls, path) -> "PointSetWindow":
-        """One NumPy pass reads the coordinates.  A file it refuses is read
+        """One NumPy pass reads the coordinates.  A text it refuses is read
         again line by line, to name the path and the first bad line (or to
         take what ``float`` takes and NumPy does not, such as ``1_0``).  The
-        header's r, R and W must be finite and positive."""
+        header's r, R and W must be finite and positive.  The file is read
+        once; a text equal to the last one saved or loaded in this process
+        is not parsed again, and its points are a fresh copy."""
         with open(path) as fh:
-            head = fh.readline().split()
-            try:
-                d, r, R, W = (f(t) for f, t in zip((int, float, float, float), head, strict=True))
-            except ValueError:
-                raise ValueError(f'{path} line 1: expected the header "d r R W"') from None
-            for name, value in (("r", r), ("R", R), ("W", W)):
-                if not 0 < value < math.inf:
-                    raise ValueError(
-                        f"{path} line 1: {name} must be finite and positive, not {value}")
-            try:
-                with warnings.catch_warnings():  # an empty body is refused below
-                    warnings.simplefilter("ignore", UserWarning)
-                    points = np.loadtxt(fh, dtype=float, comments=None, ndmin=2)
-            except ValueError:
-                points = None
+            text = fh.read()
+        provenance = {"generator": "file", "path": str(path)}
+        if _last_window and text == _last_window[0][0]:
+            _, d, points, r, R, W = _last_window[0]
+            return cls(dim=d, points=points.copy(), r=r, R=R, window_radius=W,
+                       provenance=provenance)
+        head, _, body = text.partition("\n")
+        d, r, R, W = _header(head, path)
+        try:
+            with warnings.catch_warnings():  # an empty body is refused below
+                warnings.simplefilter("ignore", UserWarning)
+                points = np.loadtxt(io.StringIO(body), dtype=float, comments=None, ndmin=2)
+        except ValueError:
+            points = None
         if points is None or points.shape[1] != d:
             rows = []
-            with open(path) as fh:
-                fh.readline()
-                for num, line in enumerate(fh, 2):
-                    try:
-                        row = list(map(float, line.split()))
-                        if len(row) not in (0, d):
-                            raise ValueError(f"expected {d} coordinates, got {len(row)}")
-                    except ValueError as exc:
-                        raise ValueError(f"{path} line {num}: {exc}") from None
-                    rows += [row] if row else []
+            for num, line in enumerate(io.StringIO(body), 2):
+                try:
+                    row = list(map(float, line.split()))
+                    if len(row) not in (0, d):
+                        raise ValueError(f"expected {d} coordinates, got {len(row)}")
+                except ValueError as exc:
+                    raise ValueError(f"{path} line {num}: {exc}") from None
+                rows += [row] if row else []
             points = np.array(rows)
         if not len(points):
             raise ValueError(f"{path}: no points after the header")
-        return cls(dim=d, points=points, r=r, R=R, window_radius=W,
-                   provenance={"generator": "file", "path": str(path)})
+        _last_window[:] = [(text, d, points.copy(), r, R, W)]
+        return cls(dim=d, points=points, r=r, R=R, window_radius=W, provenance=provenance)
+
+
+# the last point-file text saved or loaded, with d, points, r, R and W as ``load`` parses it
+_last_window: list = []
+
+
+def _header(line, path):
+    """(d, r, R, W) of a point file's first line; r, R and W must be finite and positive."""
+    try:
+        d, r, R, W = (f(t) for f, t in zip((int, float, float, float), line.split(), strict=True))
+    except ValueError:
+        raise ValueError(f'{path} line 1: expected the header "d r R W"') from None
+    for name, value in (("r", r), ("R", R), ("W", W)):
+        if not 0 < value < math.inf:
+            raise ValueError(f"{path} line 1: {name} must be finite and positive, not {value}")
+    return d, r, R, W
 
 
 @dataclass

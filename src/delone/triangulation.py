@@ -4,7 +4,8 @@ Cells are sorted vertex-id tuples; ``build_complex`` validates every input in
 one array pass, keeps the cells as an int64 array, and makes the tuple set on
 first read, from its rows in input order.  A complex is treated as immutable
 by readers; the flip operations mutate a complex in place and require
-exclusive access to it.
+exclusive access to it.  The last complex text written or read in a process
+is kept, so reading the text a process just wrote parses nothing.
 """
 
 from __future__ import annotations
@@ -65,6 +66,7 @@ class TriangulationComplex:
     _cells_array: np.ndarray | None = field(default=None, repr=False)
     _rows: list | None = field(default=None, repr=False)
     _cell_rows: np.ndarray | None = field(default=None, repr=False)
+    _validated: bool = field(default=False, repr=False)  # by build_complex, and no flip since
 
     # -- basic views --------------------------------------------------------
 
@@ -155,6 +157,7 @@ class TriangulationComplex:
     def _invalidate(self):
         self._bound_q = None
         self._cells_array = None
+        self._validated = False
 
     def _add_cell(self, cell: Cell):
         adjacency = self.facet_adjacency  # filled before _cells changes
@@ -186,7 +189,10 @@ class TriangulationComplex:
     # -- serialization -------------------------------------------------------
 
     def to_json(self) -> str:
-        return json.dumps(
+        """The complex file's text.  The text of a complex that ``build_complex``
+        validated and no flip has changed since, with finite points, is kept, so
+        that ``from_json`` of it need not parse it."""
+        text = json.dumps(
             {
                 "schema": 1,
                 "dimension": self.dim,
@@ -195,12 +201,24 @@ class TriangulationComplex:
                 "provenance": self.provenance,
             }
         )
+        _last_json.clear()
+        if self._validated and len(self.points) and np.isfinite(self.points).all():
+            _keep_json(text, self)
+        return text
 
     @classmethod
     def from_json(cls, text: str) -> "TriangulationComplex":
         """The complex ``to_json`` wrote; raises ``InvalidComplexError`` on text that is no
         JSON object, another schema, missing points or cells, points that are not numbers,
-        cells not in a list, a dimension other than the points' width, or a build fault."""
+        cells not in a list, a dimension other than the points' width, a NaN or infinite
+        coordinate, or a build fault.  A text equal to the last one written or read in
+        this process is not parsed again: its complex gets a fresh copy of the points and
+        the cell rows in sorted order, as a parse of that text does."""
+        if _last_json and text == _last_json[0][0]:
+            _, points, lex, provenance = _last_json[0]
+            return cls(dim=points.shape[1], points=points.copy(), _cell_set=None,
+                       provenance=json.loads(provenance) or {}, _cells_array=lex,
+                       _cell_rows=lex, _validated=True)
         try:
             data = json.loads(text)
         except json.JSONDecodeError as exc:
@@ -219,7 +237,21 @@ class TriangulationComplex:
         if points.ndim != 2 or data.get("dimension") != points.shape[1]:
             raise InvalidComplexError(f"complex file dimension {data.get('dimension')!r} does "
                                       f"not match points of shape {points.shape}")
-        return build_complex(points, data["cells"], provenance=data.get("provenance", {}))
+        bad = np.flatnonzero(~np.isfinite(points).all(axis=1))
+        if len(bad):
+            raise InvalidComplexError(
+                f"point {int(bad[0])} has a non-finite coordinate: {points[bad[0]].tolist()}")
+        cx = build_complex(points, data["cells"], provenance=data.get("provenance", {}))
+        _keep_json(text, cx)
+        return cx
+
+
+# the last complex text written or read, with its points, cells_array() and provenance JSON
+_last_json: list = []
+
+
+def _keep_json(text, cx):
+    _last_json[:] = [(text, cx.points.copy(), cx.cells_array(), json.dumps(cx.provenance))]
 
 
 def build_complex(
@@ -246,6 +278,7 @@ def build_complex(
         provenance=provenance or {},
         _cells_array=lex,
         _cell_rows=rows,
+        _validated=True,
     )
 
 

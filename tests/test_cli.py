@@ -136,7 +136,8 @@ def test_trial_batteries_refuse_fewer_than_one_trial(tmp_path, capsys, command, 
     assert json.loads(err) == {"error": "ValueError", "message": "trials must be positive"}
 
 
-COMPLEX_FAULTS = ["non-integer-id", "dimension", "not-json", "top-level-list", "cells-not-a-list"]
+COMPLEX_FAULTS = ["non-integer-id", "dimension", "not-json", "top-level-list", "cells-not-a-list",
+                  "nan-point"]
 
 
 def bad_complex_file(tmp_path, fault):
@@ -148,6 +149,8 @@ def bad_complex_file(tmp_path, fault):
         data["cells"][1][1] = 2.9  # once read as vertex 2
     elif fault == "cells-not-a-list":
         data["cells"] = 5
+    elif fault == "nan-point":
+        data["points"][3][1] = math.nan  # written as NaN
     path = tmp_path / "bad.json"
     text = json.dumps([data] if fault == "top-level-list" else data)
     path.write_text(text[1:] if fault == "not-json" else text)
@@ -216,32 +219,43 @@ tri l3.pts --out l3.json  # 3D
 density l3.json --F FR --alpha-min 1.75 --alpha-max 4.5 --window-radius 7 --q-bound 0.8661 --out l3.density.csv
 counts l3.pts --out l3.counts.json
 """
+# a point file and a complex file rewritten at the same paths from another seed
+# before they are read again, so a stale record would show as other bytes
+REWRITES = """\
+gen lattice --d 2 --W 30 --jitter --seed 5 --out lat30.pts
+tri lat30.pts --out lat30.tri.json
+density lat30.tri.json --F F5 --alpha-min 8 --alpha-max 24 --window-radius 30 --q-bound 0.71 --out density5.csv
+counts lat30.pts --out lat30.5.counts.json
+"""
 
 
 def test_batch_writes_the_bytes_of_separate_runs(tmp_path, capsys, monkeypatch):
-    """One ``delone batch`` of the README pipeline writes the files and the
-    summaries that its lines write one by one, each with no complex kept
-    from an earlier line (as in a fresh process)."""
+    """One ``delone batch`` of the README pipeline and the rewrites writes the
+    files and the summaries that its lines write one by one, each with no
+    point file, complex, cell geometry or build kept from an earlier line (as
+    in a fresh process)."""
     import shlex
 
-    from delone import delaunay
+    from delone import delaunay, generators, triangulation
 
-    (tmp_path / "pipeline.txt").write_text(README_PIPELINE)
+    (tmp_path / "pipeline.txt").write_text(README_PIPELINE + REWRITES)
     separate, batch = tmp_path / "separate", tmp_path / "batch"
     separate.mkdir()
     batch.mkdir()
     monkeypatch.chdir(separate)
     summaries = ""
-    for line in README_PIPELINE.splitlines():
+    for line in (README_PIPELINE + REWRITES).splitlines():
         if shlex.split(line, comments=True):
-            delaunay._last_build.clear()
+            for record in (generators._last_window, triangulation._last_json,
+                           density_mod._last_geometry, delaunay._last_build):
+                record.clear()
             code, stdout, _ = run(capsys, *shlex.split(line, comments=True))
             assert code == 0, line
             summaries += stdout
     monkeypatch.chdir(batch)
     assert run(capsys, "batch", str(tmp_path / "pipeline.txt")) == (0, summaries, "")
     names = sorted(os.listdir(separate))
-    assert names == sorted(os.listdir(batch)) and len(names) == 18
+    assert names == sorted(os.listdir(batch)) and len(names) == 21
     for name in names:
         assert (separate / name).read_bytes() == (batch / name).read_bytes(), name
 
@@ -440,6 +454,32 @@ def test_outputs_do_not_depend_on_qhulls_row_order(lattice_complex, tmp_path, ca
                           "--seed", "4", "--alpha-min", "5", "--alpha-max", "11",
                           "--out", str(tmp_path / "cmp.csv"))
     assert code == 0 and last_json(stdout)["passed"] is True
+
+
+def test_compare_writes_the_same_bytes_with_or_without_the_certificate(tmp_path, capsys,
+                                                                       monkeypatch):
+    """After ``tri`` of the same point file, ``compare``'s mesh skips its
+    certificate; its outputs are the bytes of a certified run."""
+    from delone import delaunay
+
+    pts = str(tmp_path / "w.pts")
+    assert run(capsys, "gen", "lattice", "--W", "16", "--jitter", "--seed", "4",
+               "--out", pts)[0] == 0
+    certified, certify = [], delaunay._certified
+    monkeypatch.setattr(delaunay, "_certified", lambda cx: certified.append(1) or certify(cx))
+    outputs = []
+    for stages in (["compare"], ["tri", "compare"]):
+        delaunay._last_build.clear()
+        for stage in stages:
+            certified.clear()
+            argv = (["tri", pts, "--out", str(tmp_path / "w.json")] if stage == "tri" else
+                    ["compare", pts, "--F", "F5", "--reverse-flips", "8", "--seed", "4",
+                     "--alpha-min", "5", "--alpha-max", "11", "--out", str(tmp_path / "c.csv")])
+            code, stdout, _ = run(capsys, *argv)
+            assert code == 0
+        outputs.append((len(certified), stdout, (tmp_path / "c.csv").read_bytes()))
+    assert [calls for calls, *_ in outputs] == [1, 0]
+    assert outputs[0][1:] == outputs[1][1:]
 
 
 def test_compare_cli(tmp_path, capsys):

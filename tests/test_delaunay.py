@@ -992,6 +992,33 @@ def test_delaunay_of_misses_on_a_one_ulp_change_and_on_negative_zero(monkeypatch
     assert len(built) == 4
 
 
+def test_the_mesh_skips_the_certificate_of_a_kept_build_only(monkeypatch):
+    """``_mesh_delaunay_2d`` certifies unless ``delaunay_of`` kept a build of
+    the same point bytes with an equal ``cells_array()``; either way it
+    returns the same complex."""
+    pts, other = (lattice_window(2, 10.0, jitter=True, seed=s).points for s in (3, 4))
+    certified, certify = [], delaunay._certified
+    monkeypatch.setattr(delaunay, "_certified", lambda cx: certified.append(cx) or certify(cx))
+
+    def mesh():
+        certified.clear()
+        cx = delaunay._mesh_delaunay_2d(pts, {})
+        return cx, len(certified)
+
+    delaunay._last_build.clear()
+    want, calls = mesh()
+    assert calls == 1
+    delaunay.delaunay_of(other)
+    assert mesh()[1] == 1
+    delaunay.delaunay_of(pts)  # what ``tri`` runs
+    got, calls = mesh()
+    assert calls == 0
+    assert got.cells == want.cells and got.interior_facets() == want.interior_facets()
+    rows, lex = delaunay._last_build[(pts.shape, pts.tobytes())]
+    delaunay._last_build[(pts.shape, pts.tobytes())] = rows, lex[1:]  # other cells
+    assert mesh()[1] == 1
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_local_pass_agrees_with_exhaustive_emptiness(seed):
     rng = np.random.default_rng(seed)

@@ -494,7 +494,13 @@ def test_from_json_refuses_a_file_that_does_not_describe_the_complex(key, value)
      "points must be rows of numbers: could not convert"),
     (lambda text: re.sub(r'"points": \[\[.*?\]', '"points": [[0.0]', text),
      "points must be rows of numbers: setting an array element"),
-], ids=["not-json", "top-level-list", "cells-5", "points-text", "ragged-points"])
+    # a null is read as NaN; each is refused before the cells are built
+    *((lambda text, token=token: text.replace("1.1", token, 1),
+       f"point 2 has a non-finite coordinate: [3.2, {value}]")
+      for token, value in (("NaN", "nan"), ("Infinity", "inf"), ("-Infinity", "-inf"),
+                           ("null", "nan"))),
+], ids=["not-json", "top-level-list", "cells-5", "points-text", "ragged-points",
+        "nan-point", "infinite-point", "negative-infinite-point", "null-point"])
 def test_from_json_names_text_that_is_not_a_complex(edit, message):
     text = edit(quad_complex().to_json())
     with pytest.raises(InvalidComplexError, match="^" + re.escape(message)):
