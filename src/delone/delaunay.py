@@ -10,8 +10,7 @@ of Qhull's rows.  Below 32 points, whenever the proposal fails a check, and
 for ``compare``, an incremental Bowyer-Watson mesh with ghost triangles and
 exact predicates builds the cells (``_mesh_delaunay_2d``), so non-generic
 input is detected rather than silently mis-triangulated, and the cell
-set's order is the mesh's creation order; a mesh whose cells equal those of
-the build ``delaunay_of`` kept for the same points is not certified again.
+set's order is the mesh's creation order.
 The 3D builder projects the lower faces of the convex hull of the lifted
 points; the hull combinatorics come from Qhull, while lower-face
 classification and the emptiness verification (sampled above 200 points)
@@ -25,6 +24,7 @@ import math
 
 import numpy as np
 
+from . import memo
 from .errors import (
     DegenerateSimplexError,
     GeometryError,
@@ -237,10 +237,9 @@ def _mesh_delaunay_2d(points, provenance) -> TriangulationComplex:
     """The exact 2D build, certified: once ``_point_rows`` passes, ``_Mesh2D``
     seeded with the first two points of the serpentine order and the first
     later point off their line, the rest inserted in that order.  Its real
-    cells in creation order fill the cell set.  The certificate is skipped
-    when ``delaunay_of`` kept a build of the same point bytes with an equal
-    ``cells_array()``.  Raises ``DegenerateSimplexError`` if all points are
-    collinear and ``NonGenericError`` at the first cocircular in-circle test."""
+    cells in creation order fill the cell set.  Raises
+    ``DegenerateSimplexError`` if all points are collinear and
+    ``NonGenericError`` at the first cocircular in-circle test."""
     pts = _point_rows(points, 2)
     xs, ys = pts[:, 0].tolist(), pts[:, 1].tolist()
     order = _serpentine_order(pts).tolist()
@@ -261,11 +260,7 @@ def _mesh_delaunay_2d(points, provenance) -> TriangulationComplex:
     for idx in order[2:]:
         if idx != k:
             mesh.insert(idx)
-    cx = build_complex(pts, mesh.real_cells(), provenance=provenance)
-    kept = _last_build.get((pts.shape, pts.tobytes()))
-    if kept is not None and np.array_equal(kept[1], cx.cells_array()):
-        return cx  # the cells of a certified build of these points
-    return _certified(cx)
+    return _certified(build_complex(pts, mesh.real_cells(), provenance=provenance))
 
 
 def delaunay_2d(points, *, provenance=None) -> TriangulationComplex:
@@ -403,27 +398,25 @@ def _lower_hull_complex(points, provenance=None) -> TriangulationComplex:
     return cx
 
 
-_last_build: dict = {}  # (shape, bytes) of the points -> (cell rows, cells_array())
-
-
 def delaunay_of(points, *, provenance=None) -> TriangulationComplex:
     """``delaunay_2d`` or ``delaunay_3d`` by the points' width.  Float64 points of the
     last build's shape and bytes (-0.0 is not 0.0) get a new complex, with their own
-    provenance, over its read-only cell rows in input order and ``cells_array()``."""
+    provenance, over its read-only cell rows in input order and ``cells_array()``
+    (``memo`` kind ``"build"``)."""
     pts = np.asarray(points, dtype=float)
     build = {(2,): delaunay_2d, (3,): delaunay_3d}.get(pts.shape[1:])
     if build is None:
         raise ValueError(f"only dimensions 2 and 3 are supported, not points of shape {pts.shape}")
     key = (pts.shape, pts.tobytes())
-    if key in _last_build:
-        rows, lex = _last_build[key]
+    kept = memo.get("build", key)
+    if kept is not None:
+        rows, lex = kept
         return TriangulationComplex(dim=pts.shape[1], points=pts, _cell_set=None,
                                     provenance=provenance or {}, _cells_array=lex, _cell_rows=rows,
                                     _validated=True)
     cx = build(pts, provenance=provenance)
     cx._cell_rows.flags.writeable = False  # neither builder reads the cell set, so they are there
-    _last_build.clear()
-    _last_build[key] = cx._cell_rows, cx.cells_array()
+    memo.keep("build", key, (cx._cell_rows, cx.cells_array()))
     return cx
 
 

@@ -11,6 +11,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import memo
 from .delaunay import _mesh_delaunay_2d, delaunay_3d
 from .errors import GeometryError, WindowError
 from .functionals import FunctionalSpec, eval_batch
@@ -94,22 +95,21 @@ class DensitySequence:
 CSV_HEADER = "alpha,cells_vertexrule,cells_ballrule,sum_F,f_value,f_z_value,gap"
 
 
-# the shape and bytes of the points and cells_array() of the last complex that
-# build_complex validated, with its read-only circumcentres and radii
-_last_geometry: list = []
-
-
 def _cell_geometry(cx: TriangulationComplex):
+    """Cells, their vertex coordinates, circumcentres and circumradii.  Those of
+    the last ``validated`` complex are kept, read-only, by the shape and bytes
+    of its points and ``cells_array()``."""
     cells = cx.cells_array()
     coords = cx.points[cells]
     key = (cx.points.shape, cx.points.tobytes(), cells.tobytes())
-    if _last_geometry and _last_geometry[0][0] == key:
-        return cells, coords, *_last_geometry[0][1:]
+    kept = memo.get("geometry", key)
+    if kept is not None:
+        return cells, coords, *kept
     centers = circumcenters(coords)
     radii = np.linalg.norm(coords[:, 0, :] - centers, axis=1)
-    if cx._validated:  # not a flipped copy, such as compare's perturbed complex
+    if cx.validated:  # not a flipped copy, such as compare's perturbed complex
         centers.flags.writeable = radii.flags.writeable = False
-        _last_geometry[:] = [(key, centers, radii)]
+        memo.keep("geometry", key, (centers, radii))
     return cells, coords, centers, radii
 
 

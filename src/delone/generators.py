@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import memo
 from .errors import InvalidComplexError, SamplerError
 from .geometry import TAU_GEO
 from .triangulation import TriangulationComplex, build_complex
@@ -87,14 +88,14 @@ class PointSetWindow:
         header = f"{self.dim} {self.r!r} {self.R!r} {self.window_radius!r}"
         text = header + "\n" + "".join(" ".join(map(repr, row)) + "\n" for row in points.tolist())
         write_text(path, text)
-        _last_window.clear()
+        memo.drop("window")
         try:
             d, r, R, W = _header(header, path)  # the checks ``load`` makes
         except ValueError:
             return
         if (header.isprintable() and points.ndim == 2 and len(points) and points.shape[1] == d
                 and np.isfinite(points).all()):
-            _last_window[:] = [(text, d, points.copy(), r, R, W)]
+            memo.keep("window", text, (d, points.copy(), r, R, W))
 
     @classmethod
     def load(cls, path) -> "PointSetWindow":
@@ -102,13 +103,14 @@ class PointSetWindow:
         again line by line, to name the path and the first bad line (or to
         take what ``float`` takes and NumPy does not, such as ``1_0``).  The
         header's r, R and W must be finite and positive.  The file is read
-        once; a text equal to the last one saved or loaded in this process
-        is not parsed again, and its points are a fresh copy."""
+        once; a text equal to the last one ``save`` wrote in this process is
+        not parsed again, and its points are a fresh copy."""
         with open(path) as fh:
             text = fh.read()
         provenance = {"generator": "file", "path": str(path)}
-        if _last_window and text == _last_window[0][0]:
-            _, d, points, r, R, W = _last_window[0]
+        kept = memo.get("window", text)
+        if kept is not None:
+            d, points, r, R, W = kept
             return cls(dim=d, points=points.copy(), r=r, R=R, window_radius=W,
                        provenance=provenance)
         head, _, body = text.partition("\n")
@@ -132,12 +134,7 @@ class PointSetWindow:
             points = np.array(rows)
         if not len(points):
             raise ValueError(f"{path}: no points after the header")
-        _last_window[:] = [(text, d, points.copy(), r, R, W)]
         return cls(dim=d, points=points, r=r, R=R, window_radius=W, provenance=provenance)
-
-
-# the last point-file text saved or loaded, with d, points, r, R and W as ``load`` parses it
-_last_window: list = []
 
 
 def _header(line, path):

@@ -4,8 +4,8 @@ Cells are sorted vertex-id tuples; ``build_complex`` validates every input in
 one array pass, keeps the cells as an int64 array, and makes the tuple set on
 first read, from its rows in input order.  A complex is treated as immutable
 by readers; the flip operations mutate a complex in place and require
-exclusive access to it.  The last complex text written or read in a process
-is kept, so reading the text a process just wrote parses nothing.
+exclusive access to it.  The last complex text ``to_json`` wrote is kept
+(``memo``), so reading the text a process just wrote parses nothing.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from . import memo
 from .errors import (
     DegenerateSimplexError,
     InvalidComplexError,
@@ -69,6 +70,11 @@ class TriangulationComplex:
     _validated: bool = field(default=False, repr=False)  # by build_complex, and no flip since
 
     # -- basic views --------------------------------------------------------
+
+    @property
+    def validated(self) -> bool:
+        """True while the cells are those ``build_complex`` checked: no flip since."""
+        return self._validated
 
     @property
     def _cells(self) -> set:
@@ -189,9 +195,8 @@ class TriangulationComplex:
     # -- serialization -------------------------------------------------------
 
     def to_json(self) -> str:
-        """The complex file's text.  The text of a complex that ``build_complex``
-        validated and no flip has changed since, with finite points, is kept, so
-        that ``from_json`` of it need not parse it."""
+        """The complex file's text.  The text of a ``validated`` complex with
+        finite points is kept, so that ``from_json`` of it need not parse it."""
         text = json.dumps(
             {
                 "schema": 1,
@@ -201,9 +206,11 @@ class TriangulationComplex:
                 "provenance": self.provenance,
             }
         )
-        _last_json.clear()
         if self._validated and len(self.points) and np.isfinite(self.points).all():
-            _keep_json(text, self)
+            memo.keep("complex", text, (self.points.copy(), self.cells_array(),
+                                        json.dumps(self.provenance)))
+        else:
+            memo.drop("complex")
         return text
 
     @classmethod
@@ -211,11 +218,12 @@ class TriangulationComplex:
         """The complex ``to_json`` wrote; raises ``InvalidComplexError`` on text that is no
         JSON object, another schema, missing points or cells, points that are not numbers,
         cells not in a list, a dimension other than the points' width, a NaN or infinite
-        coordinate, or a build fault.  A text equal to the last one written or read in
+        coordinate, or a build fault.  A text equal to the last one ``to_json`` wrote in
         this process is not parsed again: its complex gets a fresh copy of the points and
-        the cell rows in sorted order, as a parse of that text does."""
-        if _last_json and text == _last_json[0][0]:
-            _, points, lex, provenance = _last_json[0]
+        the cell rows in sorted order, the file's order, as a parse of that text does."""
+        kept = memo.get("complex", text)
+        if kept is not None:
+            points, lex, provenance = kept
             return cls(dim=points.shape[1], points=points.copy(), _cell_set=None,
                        provenance=json.loads(provenance) or {}, _cells_array=lex,
                        _cell_rows=lex, _validated=True)
@@ -241,17 +249,7 @@ class TriangulationComplex:
         if len(bad):
             raise InvalidComplexError(
                 f"point {int(bad[0])} has a non-finite coordinate: {points[bad[0]].tolist()}")
-        cx = build_complex(points, data["cells"], provenance=data.get("provenance", {}))
-        _keep_json(text, cx)
-        return cx
-
-
-# the last complex text written or read, with its points, cells_array() and provenance JSON
-_last_json: list = []
-
-
-def _keep_json(text, cx):
-    _last_json[:] = [(text, cx.points.copy(), cx.cells_array(), json.dumps(cx.provenance))]
+        return build_complex(points, data["cells"], provenance=data.get("provenance", {}))
 
 
 def build_complex(

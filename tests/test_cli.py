@@ -236,7 +236,7 @@ def test_batch_writes_the_bytes_of_separate_runs(tmp_path, capsys, monkeypatch):
     in a fresh process)."""
     import shlex
 
-    from delone import delaunay, generators, triangulation
+    from delone import memo
 
     (tmp_path / "pipeline.txt").write_text(README_PIPELINE + REWRITES)
     separate, batch = tmp_path / "separate", tmp_path / "batch"
@@ -246,9 +246,7 @@ def test_batch_writes_the_bytes_of_separate_runs(tmp_path, capsys, monkeypatch):
     summaries = ""
     for line in (README_PIPELINE + REWRITES).splitlines():
         if shlex.split(line, comments=True):
-            for record in (generators._last_window, triangulation._last_json,
-                           density_mod._last_geometry, delaunay._last_build):
-                record.clear()
+            memo.clear()
             code, stdout, _ = run(capsys, *shlex.split(line, comments=True))
             assert code == 0, line
             summaries += stdout
@@ -425,7 +423,7 @@ def test_outputs_do_not_depend_on_qhulls_row_order(lattice_complex, tmp_path, ca
     complex), and ``compare`` builds with the mesh, never asking Qhull."""
     import scipy.spatial
 
-    from delone import delaunay
+    from delone import memo
 
     pts, _ = lattice_complex
     files = [str(tmp_path / "w.tri.json"), str(tmp_path / "w.counts.json")]
@@ -442,7 +440,7 @@ def test_outputs_do_not_depend_on_qhulls_row_order(lattice_complex, tmp_path, ca
         return types.SimpleNamespace(simplices=np.roll(qhull(points).simplices[::-1], 1, axis=1))
 
     monkeypatch.setattr(scipy.spatial, "Delaunay", reordered)
-    delaunay._last_build.clear()  # else ``tri`` reuses the first pass's complex
+    memo.clear()  # else ``tri`` reuses the first pass's complex
     assert outputs() == want
     assert len(proposed) == 1 and min(proposed) >= 32
 
@@ -454,32 +452,6 @@ def test_outputs_do_not_depend_on_qhulls_row_order(lattice_complex, tmp_path, ca
                           "--seed", "4", "--alpha-min", "5", "--alpha-max", "11",
                           "--out", str(tmp_path / "cmp.csv"))
     assert code == 0 and last_json(stdout)["passed"] is True
-
-
-def test_compare_writes_the_same_bytes_with_or_without_the_certificate(tmp_path, capsys,
-                                                                       monkeypatch):
-    """After ``tri`` of the same point file, ``compare``'s mesh skips its
-    certificate; its outputs are the bytes of a certified run."""
-    from delone import delaunay
-
-    pts = str(tmp_path / "w.pts")
-    assert run(capsys, "gen", "lattice", "--W", "16", "--jitter", "--seed", "4",
-               "--out", pts)[0] == 0
-    certified, certify = [], delaunay._certified
-    monkeypatch.setattr(delaunay, "_certified", lambda cx: certified.append(1) or certify(cx))
-    outputs = []
-    for stages in (["compare"], ["tri", "compare"]):
-        delaunay._last_build.clear()
-        for stage in stages:
-            certified.clear()
-            argv = (["tri", pts, "--out", str(tmp_path / "w.json")] if stage == "tri" else
-                    ["compare", pts, "--F", "F5", "--reverse-flips", "8", "--seed", "4",
-                     "--alpha-min", "5", "--alpha-max", "11", "--out", str(tmp_path / "c.csv")])
-            code, stdout, _ = run(capsys, *argv)
-            assert code == 0
-        outputs.append((len(certified), stdout, (tmp_path / "c.csv").read_bytes()))
-    assert [calls for calls, *_ in outputs] == [1, 0]
-    assert outputs[0][1:] == outputs[1][1:]
 
 
 def test_compare_cli(tmp_path, capsys):

@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from delone import delaunay
+from delone import delaunay, memo
 from delone.delaunay import (
     delaunay_2d,
     delaunay_3d,
@@ -936,7 +936,7 @@ def test_delaunay_of_reuses_its_last_complex_in_the_same_order(name, monkeypatch
     fresh build's cells, cell-set order and so ``interior_facets()`` order;
     it carries the caller's points and provenance."""
     pts, build = _memo_inputs()[name]
-    delaunay._last_build.clear()
+    memo.clear()
     first = delaunay.delaunay_of(pts, provenance={"pass": 1})
     fresh = build(pts)
     monkeypatch.setattr(delaunay, "delaunay_2d", _refuse)
@@ -955,7 +955,7 @@ def test_flips_on_a_reused_complex_leave_the_next_one_intact(monkeypatch):
     """``reverse_flip`` on the built complex and on a reused one changes
     neither the kept arrays nor the next call's complex."""
     pts = jittered_grid_2d(8, seed=3, eta=0.1)
-    delaunay._last_build.clear()
+    memo.clear()
     fresh = delaunay_2d(pts)
     for cx in (delaunay.delaunay_of(pts), delaunay.delaunay_of(pts)):
         flipped = 0
@@ -985,38 +985,11 @@ def test_delaunay_of_misses_on_a_one_ulp_change_and_on_negative_zero(monkeypatch
         return build(points, **kwargs)
 
     monkeypatch.setattr(delaunay, "delaunay_2d", counted)
-    delaunay._last_build.clear()
+    memo.clear()
     for call in (pts, pts, negzero, negzero, moved, pts):
         delaunay.delaunay_of(call)
     assert [p is q for p, q in zip(built, (pts, negzero, moved, pts))] == [True] * 4
     assert len(built) == 4
-
-
-def test_the_mesh_skips_the_certificate_of_a_kept_build_only(monkeypatch):
-    """``_mesh_delaunay_2d`` certifies unless ``delaunay_of`` kept a build of
-    the same point bytes with an equal ``cells_array()``; either way it
-    returns the same complex."""
-    pts, other = (lattice_window(2, 10.0, jitter=True, seed=s).points for s in (3, 4))
-    certified, certify = [], delaunay._certified
-    monkeypatch.setattr(delaunay, "_certified", lambda cx: certified.append(cx) or certify(cx))
-
-    def mesh():
-        certified.clear()
-        cx = delaunay._mesh_delaunay_2d(pts, {})
-        return cx, len(certified)
-
-    delaunay._last_build.clear()
-    want, calls = mesh()
-    assert calls == 1
-    delaunay.delaunay_of(other)
-    assert mesh()[1] == 1
-    delaunay.delaunay_of(pts)  # what ``tri`` runs
-    got, calls = mesh()
-    assert calls == 0
-    assert got.cells == want.cells and got.interior_facets() == want.interior_facets()
-    rows, lex = delaunay._last_build[(pts.shape, pts.tobytes())]
-    delaunay._last_build[(pts.shape, pts.tobytes())] = rows, lex[1:]  # other cells
-    assert mesh()[1] == 1
 
 
 @pytest.mark.parametrize("seed", range(4))
