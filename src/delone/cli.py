@@ -34,7 +34,7 @@ from .generators import (
     verify_delone_params,
     write_text,
 )
-from .oracle import enumerate_triangulations_2d, min_sum_triangulation
+from .oracle import enumerate_triangulations_2d, min_sum_triangulation, run_g_trials
 from .triangulation import TriangulationComplex, legalize_to_delaunay
 
 SCHEMA = 1
@@ -154,26 +154,26 @@ def cmd_density(args) -> dict:
     }
 
 
-def cmd_flipcheck(args) -> dict:
-    spec = fun.FunctionalSpec.parse(args.F)
-    report = fun.run_flip_trials(spec, args.trials, seed=args.seed, d=args.d)
-    out = args.out or "flipcheck.json"
+def _write_report(args, report, default: str) -> dict:
+    """Write a trial battery's report as JSON; the summary both batteries print."""
+    out = args.out or default
     write_text(out, json.dumps({"schema": SCHEMA} | report.to_dict()))
     return {"out": out, "violations": report.violations, "passed": report.passed,
             "ok": report.passed}
 
 
-def cmd_gcheck(args) -> dict:
-    from .oracle import run_g_trials
+def cmd_flipcheck(args) -> dict:
+    spec = fun.FunctionalSpec.parse(args.F)
+    return _write_report(args, fun.run_flip_trials(spec, args.trials, seed=args.seed, d=args.d),
+                         "flipcheck.json")
 
+
+def cmd_gcheck(args) -> dict:
     spec = fun.FunctionalSpec.parse(args.F)
     lo, _, hi = args.n.partition("..")
     n_range = (int(lo), int(hi or lo))
-    report = run_g_trials(spec, args.trials, n_range=n_range, seed=args.seed)
-    out = args.out or "gcheck.json"
-    write_text(out, json.dumps({"schema": SCHEMA} | report.to_dict()))
-    return {"out": out, "violations": report.violations,
-            "passed": report.passed, "ok": report.passed}
+    return _write_report(args, run_g_trials(spec, args.trials, n_range=n_range, seed=args.seed),
+                         "gcheck.json")
 
 
 def _strip_blocks(args, spec):

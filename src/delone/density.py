@@ -14,10 +14,11 @@ import numpy as np
 from . import memo
 from .delaunay import _mesh_delaunay_2d, delaunay_3d
 from .errors import GeometryError, WindowError
-from .functionals import FunctionalSpec, eval_batch
+from .functionals import FunctionalSpec, eval_batch, inequality_tolerance
 from .generators import (
     PointSetWindow,
     StripConfig,
+    _sum_left,
     _triangle_area_from_sides,
     displaced_lattice_point,
     distorted_cubic_window,
@@ -731,8 +732,8 @@ def delaunay_minimality_comparison(
     t_cells = tcx.cells_array()
     t_dd = np.linalg.norm(tcx.points[t_cells], axis=2).max(axis=1)
     t_dist = dict(zip(map(tuple, t_cells.tolist()), t_dd.tolist()))
-    quad_d_vals = [(max(t_dist[c] for c in qd["t_cells"]), sum(d_value[c] for c in qd["d_cells"]))
-                   for qd in quads]
+    quad_d_vals = [(max(t_dist[c] for c in qd["t_cells"]),
+                    _sum_left(d_value[c] for c in qd["d_cells"])) for qd in quads]
 
     vd = unit_ball_volume(2)
     bracket1 = np.zeros(len(alphas))
@@ -740,7 +741,7 @@ def delaunay_minimality_comparison(
     slack = np.zeros(len(alphas))
     for i, alpha in enumerate(alphas):
         sum_unflipped = float(d_f[unflipped_mask & (d_dist <= alpha)].sum())
-        sum_quads = sum(val for reach, val in quad_d_vals if reach <= alpha)
+        sum_quads = _sum_left(val for reach, val in quad_d_vals if reach <= alpha)
         sum_dprime = sum_unflipped + sum_quads
         sum_t = float(f_t.sums[i])
         sum_d = float(f_d.sums[i])
@@ -749,9 +750,9 @@ def delaunay_minimality_comparison(
         slack[i] = max(0.0, sum_d - sum_dprime) / (vd * alpha**2)
 
     diff = f_d.values - f_t.values
-    scale = np.abs(f_d.values) + np.abs(f_t.values) + 1.0
-    passed = bool((diff <= slack + 1e-9 * scale).all())
-    strict = bool((diff <= 1e-9 * scale).all())
+    tol = inequality_tolerance(f_d.values, f_t.values)
+    passed = bool((diff <= slack + tol).all())
+    strict = bool((diff <= tol).all())
     return ComparisonReport(
         functional=str(spec),
         alphas=alphas,

@@ -206,21 +206,22 @@ class ClassReport:
         }
 
 
-def inequality_tolerance(left: float, right: float) -> float:
+def inequality_tolerance(left, right):
+    """The one slack of every check that the Delaunay side is at most the
+    other side; of floats or of NumPy arrays."""
     return (abs(left) + abs(right) + 1.0) * 1e-9
+
+
+def _check(sum_d: float, sum_t: float) -> CheckResult:
+    """The inequality's one verdict on a Delaunay sum and the other sum."""
+    passed = sum_d <= sum_t + inequality_tolerance(sum_d, sum_t)
+    return CheckResult(bool(passed), float(sum_t - sum_d), sum_d, sum_t)
 
 
 def check_flip_inequality(spec: FunctionalSpec, dcx, tcx) -> CheckResult:
     """The flip inequality on a pair from ``radon_two_triangulations``: the sum
     over the Delaunay triangulation ``dcx`` must not exceed that over ``tcx``."""
-    sum_d, sum_t = _paired_sums(spec, dcx, tcx)
-    tol = inequality_tolerance(sum_d, sum_t)
-    return CheckResult(
-        passed=bool(sum_d <= sum_t + tol),
-        margin=float(sum_t - sum_d),
-        sum_delaunay=sum_d,
-        sum_other=sum_t,
-    )
+    return _check(*_paired_sums(spec, dcx, tcx))
 
 
 def check_g_inequality(spec: FunctionalSpec, t_prime, dcx) -> CheckResult:
@@ -228,14 +229,7 @@ def check_g_inequality(spec: FunctionalSpec, t_prime, dcx) -> CheckResult:
     Delaunay triangulation of Y, to the underlying space of T' must not
     exceed the sum over T'.  Raises ``ValueError`` when T' is not a complex
     on the points of ``dcx``."""
-    sum_d, sum_t = _paired_sums(spec, restrict_delaunay(dcx, t_prime), t_prime)
-    tol = inequality_tolerance(sum_d, sum_t)
-    return CheckResult(
-        passed=bool(sum_d <= sum_t + tol),
-        margin=float(sum_t - sum_d),
-        sum_delaunay=sum_d,
-        sum_other=sum_t,
-    )
+    return _check(*_paired_sums(spec, restrict_delaunay(dcx, t_prime), t_prime))
 
 
 def sample_admissible_simplex(rng, r: float, q: float, d: int):
@@ -304,13 +298,18 @@ def run_flip_trials(
     whether it runs alone or within a longer range."""
     if trials < 1:
         raise ValueError("trials must be positive")
-    violations = 0
-    witness = None
-    worst = math.inf
-    for i in range(start, start + trials):
-        rng = stream_rng(seed, f"flip-trial-{i}")
-        pts, (dcx, tcx) = random_radon_pair(rng, d)
-        res = check_flip_inequality(spec, dcx, tcx)
+    draws = (random_radon_pair(stream_rng(seed, f"flip-trial-{i}"), d)
+             for i in range(start, start + trials))
+    results = ((pts, check_flip_inequality(spec, *pair)) for pts, pair in draws)
+    return _trial_report(spec, trials, results, d=d)
+
+
+def _trial_report(spec: FunctionalSpec, trials: int, results, **notes) -> ClassReport:
+    """A battery's report from its (points, CheckResult) per trial, in draw
+    order: the violations, the first violation's points as the witness, and
+    the smallest margin as the first note, before ``notes``."""
+    violations, witness, worst = 0, None, math.inf
+    for pts, res in results:
         worst = min(worst, res.margin)
         if not res.passed:
             violations += 1
@@ -321,5 +320,5 @@ def run_flip_trials(
         trials=trials,
         violations=violations,
         witness=witness,
-        notes={"min_margin": worst, "d": d},
+        notes={"min_margin": worst, **notes},
     )

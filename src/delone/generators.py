@@ -7,8 +7,10 @@ packing/covering radii (r, R), and records provenance sufficient to rerun it.
 from __future__ import annotations
 
 import errno
+import functools
 import io
 import math
+import operator
 import os
 import stat
 import warnings
@@ -85,7 +87,7 @@ class PointSetWindow:
         """Point-set file: header "d r R W", then one point per line.  A text
         that ``load`` would accept, of finite points, is kept with its window."""
         points = np.asarray(self.points, dtype=float)
-        header = f"{self.dim} {self.r!r} {self.R!r} {self.window_radius!r}"
+        header = f"{int(self.dim)} {float(self.r)!r} {float(self.R)!r} {float(self.window_radius)!r}"
         text = header + "\n" + "".join(" ".join(map(repr, row)) + "\n" for row in points.tolist())
         write_text(path, text)
         memo.drop("window")
@@ -505,6 +507,12 @@ def _triangle_area_from_sides(sides) -> float:
     return math.sqrt(val)
 
 
+def _sum_left(values):
+    """``values`` added left to right: the built-in ``sum`` compensates float
+    rounding since Python 3.12, so its outputs differ between versions."""
+    return functools.reduce(operator.add, values, 0)
+
+
 def block_strip_kinds(cfg: StripConfig, j: int) -> list:
     """Strip kinds of block j, ordered away from the center."""
     m = cfg.block_sizes[j - 1]
@@ -528,10 +536,10 @@ def strip_layout(cfg: StripConfig, k: int):
     center = block_strip_kinds(cfg, 1)
     kinds = list(reversed(upper)) + center + upper
 
-    half_center = sum(geo[kd][1] for kd in center) / 2.0
+    half_center = _sum_left(geo[kd][1] for kd in center) / 2.0
     alphas = [half_center]
     for j in range(2, k + 1):
-        alphas.append(alphas[-1] + sum(geo[kd][1] for kd in block_strip_kinds(cfg, j)))
+        alphas.append(alphas[-1] + _sum_left(geo[kd][1] for kd in block_strip_kinds(cfg, j)))
 
     y = -alphas[-1]
     strips = []

@@ -14,7 +14,8 @@ import numpy as np
 
 from .delaunay import delaunay_2d
 from .errors import DegenerateSimplexError, InvalidComplexError, NonGenericError
-from .functionals import ClassReport, FunctionalSpec, check_g_inequality, complex_sum
+from .functionals import (FunctionalSpec, _trial_report, check_g_inequality, complex_sum,
+                          inequality_tolerance)
 from .generators import stream_rng
 from .geometry import (
     measures,
@@ -180,49 +181,36 @@ def run_g_trials(spec: FunctionalSpec, trials: int, *, n_range=(5, 8), seed: int
     if not 3 <= lo <= hi <= ENUMERATION_LIMIT:
         raise ValueError(f"n_range {lo}..{hi} must satisfy 3 <= lo <= hi <= {ENUMERATION_LIMIT}")
     rng = stream_rng(seed, "g-trials")
-    violations = 0
-    witness = None
-    worst = math.inf
-    done = 0
-    while done < trials:
-        n = int(rng.integers(lo, hi + 1))
-        pts = rng.uniform(size=(n, 2)) * 4.0
-        try:
-            tris = enumerate_triangulations_2d(pts)
-        except NonGenericError:
-            continue
-        pick = tris[int(rng.integers(len(tris)))]
-        cells = list(pick.cells)
-        if rng.random() < 0.5:
-            subset = [c for c in cells if not tris[0].has_cell(c)]
-            if subset:
-                cells = subset
-        region = TriangulationComplex(2, pts, set(cells))  # a subset of pick's cells is valid
-        res = check_g_inequality(spec, region, tris[0])
-        worst = min(worst, res.margin)
-        if not res.passed:
-            violations += 1
-            if witness is None:
-                witness = pts.tolist()
-        done += 1
-    return ClassReport(
-        functional=str(spec),
-        trials=trials,
-        violations=violations,
-        witness=witness,
-        notes={"min_margin": worst, "n_range": list(n_range)},
-    )
+
+    def draws():  # endless; the report reads the first ``trials``
+        while True:
+            n = int(rng.integers(lo, hi + 1))
+            pts = rng.uniform(size=(n, 2)) * 4.0
+            try:
+                tris = enumerate_triangulations_2d(pts)
+            except NonGenericError:
+                continue
+            pick = tris[int(rng.integers(len(tris)))]
+            cells = list(pick.cells)
+            if rng.random() < 0.5:
+                subset = [c for c in cells if not tris[0].has_cell(c)]
+                if subset:
+                    cells = subset
+            region = TriangulationComplex(2, pts, set(cells))  # a subset of pick's cells is valid
+            yield pts, check_g_inequality(spec, region, tris[0])
+
+    return _trial_report(spec, trials, itertools.islice(draws(), trials), n_range=list(n_range))
 
 
 def min_sum_triangulation(tris, spec: FunctionalSpec):
     """Argmin of the functional sum over the triangulations ``tris`` of a
     point set, as listed by ``enumerate_triangulations_2d``.
 
-    Returns (best complex, best sum, number of ties); ties are counted within
-    the relative inequality tolerance."""
+    Returns (best complex, best sum, number of ties); a tie is a sum within
+    ``inequality_tolerance(best, 0.0)`` of the best."""
     sums = [complex_sum(spec, cx) for cx in tris]
     best = min(sums)
-    tol = (abs(best) + 1.0) * 1e-9
+    tol = inequality_tolerance(best, 0.0)
     ties = sum(1 for s in sums if s <= best + tol)
     return tris[int(np.argmin(sums))], float(best), ties
 

@@ -127,6 +127,33 @@ def test_flipcheck_cli(tmp_path, capsys):
     assert report["trials"] == 40 and report["passed"] is True
 
 
+FC_WITNESS = ("[[0.8995977959166565, 0.5619468620985577, 0.7168373475395349], "
+              "[0.35828139355655364, 0.017023727657043297, 0.45555621869369856], "
+              "[0.6279429097388475, 0.6974528275500885, 0.8596431639089931], "
+              "[0.17545374402505554, 0.6699361422488682, 0.2777580620494967], "
+              "[0.3293490532010417, 0.9659364001012728, 0.8888953016777466]]")
+
+
+@pytest.mark.parametrize("argv, code, text", [
+    (["flipcheck", "--F", "F1", "--d", "3", "--trials", "5", "--seed", "0"], 3,
+     '{"schema": 1, "functional": "F1:c1=1.0", "trials": 5, "violations": 3, '
+     f'"passed": false, "witness": {FC_WITNESS}, "e_hat": null, "E_hat": null, '
+     '"notes": {"min_margin": -0.36757398493558646, "d": 3}}'),
+    (["gcheck", "--F", "FE", "--trials", "3", "--n", "5..8", "--seed", "3"], 0,
+     '{"schema": 1, "functional": "FE", "trials": 3, "violations": 0, "passed": true, '
+     '"witness": null, "e_hat": null, "E_hat": null, '
+     '"notes": {"min_margin": 0.7960189872748539, "n_range": [5, 8]}}'),
+], ids=["flipcheck", "gcheck"])
+def test_trial_battery_reports_are_pinned(tmp_path, capsys, argv, code, text):
+    """The exact bytes both batteries write, and their summary."""
+    out = tmp_path / "report.json"
+    got, stdout, _ = run(capsys, *argv, "--out", str(out))
+    report = json.loads(text)
+    assert got == code and out.read_text() == text
+    assert last_json(stdout) == {"out": str(out), "violations": report["violations"],
+                                 "passed": report["passed"], "ok": report["passed"]}
+
+
 @pytest.mark.parametrize("command", ["flipcheck", "gcheck"])
 @pytest.mark.parametrize("trials", ["0", "-3"])
 def test_trial_batteries_refuse_fewer_than_one_trial(tmp_path, capsys, command, trials):

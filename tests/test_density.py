@@ -1,3 +1,4 @@
+import builtins
 import itertools
 import math
 import re
@@ -5,6 +6,7 @@ import re
 import numpy as np
 import pytest
 
+from delone import density, generators
 from delone.delaunay import _mesh_delaunay_2d, delaunay_2d, delaunay_3d
 from delone.density import (
     analytic_strip_counts,
@@ -31,6 +33,7 @@ from delone.generators import (
     lattice_window,
     poisson_delone_window,
     stream_rng,
+    strip_layout,
 )
 from delone.geometry import circumradii, measure
 from delone.triangulation import build_complex, is_locally_delaunay, reverse_flip
@@ -202,6 +205,41 @@ def test_delaunay_minimality_comparison(lattice20):
     assert rep.passed
     assert rep.flips_applied == 15
     assert (rep.bracket_subcomplex >= -1e-9).all()
+
+
+def _exact_sum(values, start=0):
+    """The built-in ``sum``, but floats added exactly rounded: a stand-in for
+    the compensated float ``sum`` of Python 3.12 and later."""
+    values = list(values)
+    if any(isinstance(v, float) for v in values):
+        return math.fsum([start, *values])
+    return builtins.sum(values, start)
+
+
+def test_strip_alphas_do_not_depend_on_how_sum_adds_floats(monkeypatch):
+    """The README's ``strips`` pair, whose block sums differ between the
+    built-in ``sum`` of Python 3.11 and 3.12: every alpha is added left to
+    right, so ``sum`` is never asked."""
+    delta, top, L = compatible_isoceles(1.0, 0.5236, 1.6, 0.6283)
+    cfg = StripConfig(delta=delta, top=top, shared=L, block_sizes=[3, 7, 31, 127], extent=2)
+    want = strip_layout(cfg, 4)[1]
+    monkeypatch.setattr(generators, "sum", _exact_sum, raising=False)
+    assert strip_layout(cfg, 4)[1] == want
+
+
+def test_compare_does_not_depend_on_how_sum_adds_floats(monkeypatch):
+    w = poisson_delone_window(0.5, 1.5, 26, seed=2)
+    alphas = geometric_grid(26 / 4, 26 - 4 * 1.5)
+
+    def columns():
+        rep = delaunay_minimality_comparison(w, FunctionalSpec("F5"), 50, alphas, seed=4)
+        return [rep.f_delaunay, rep.f_perturbed, rep.bracket_subcomplex,
+                rep.bracket_boundary, rep.slack]
+
+    want = columns()
+    monkeypatch.setattr(density, "sum", _exact_sum, raising=False)
+    for got, col in zip(columns(), want):
+        assert got.tobytes() == col.tobytes()
 
 
 def test_reverse_flips_never_consume_cells_of_earlier_flips():

@@ -388,12 +388,17 @@ def test_poisson_window_pinned(r, R, W, seed, n_points, digest):
 
 def test_pointset_file_roundtrip(tmp_path):
     w = lattice_window(2, 4, jitter=True, seed=1)
-    path = tmp_path / "w.pts"
-    w.save(path)
-    back = PointSetWindow.load(path)
-    assert back.dim == w.dim
-    assert back.r == w.r and back.R == w.R and back.window_radius == w.window_radius
-    assert np.array_equal(back.points, w.points)  # repr round-trip is exact
+    # NumPy scalars for d, r, R and W write the header of the Python numbers
+    scalars = PointSetWindow(np.int64(2), w.points, np.float64(w.r), np.float64(w.R),
+                             np.float64(w.window_radius))
+    for name, window in (("w.pts", w), ("scalars.pts", scalars)):
+        path = tmp_path / name
+        window.save(path)
+        back = PointSetWindow.load(path)
+        assert back.dim == w.dim
+        assert back.r == w.r and back.R == w.R and back.window_radius == w.window_radius
+        assert np.array_equal(back.points, w.points)  # repr round-trip is exact
+    assert (tmp_path / "scalars.pts").read_bytes() == (tmp_path / "w.pts").read_bytes()
 
 
 def save_by_point(window, path):

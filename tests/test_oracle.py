@@ -1,4 +1,6 @@
+import dataclasses
 import itertools
+import json
 import math
 
 import numpy as np
@@ -192,28 +194,55 @@ def test_flip_onto_an_existing_edge_raises(monkeypatch):
         enumerate_triangulations_2d(pts)
 
 
-# (spec, seed, n_range) -> (violations, min_margin) of three g-trials, recorded
-# when each trial still triangulated its points twice
+# (spec, seed, n_range) -> (violations, min_margin, witness) of three g-trials,
+# recorded when each trial still triangulated its points twice.  No 2D
+# functional (F1 to F6 at several exponents, FR, FE, AREA) violates the
+# subcomplex inequality within 50 trials of seeds 0-9, so every witness is None.
 G_TRIALS = {
-    ("FE", 3, (5, 8)): (0, 0.7960189872748539),
-    ("FE", 4, (5, 8)): (0, 0.029672893478825943),
-    ("FE", 5, (4, 6)): (0, 0.0),
-    ("FE", 8, (7, 9)): (0, 0.31237115761588363),
-    ("FR", 3, (5, 8)): (0, 9.552227847298248),
-    ("FR", 4, (5, 8)): (0, 0.35607472174591104),
-    ("FR", 5, (4, 6)): (0, 0.0),
-    ("FR", 8, (7, 9)): (0, 3.748453891390593),
-    ("F5", 3, (5, 8)): (0, 9.552227847298248),
-    ("F5", 4, (5, 8)): (0, 0.35607472174591104),
-    ("F5", 5, (4, 6)): (0, 0.0),
-    ("F5", 8, (7, 9)): (0, 3.748453891390593),
+    ("FE", 3, (5, 8)): (0, 0.7960189872748539, None),
+    ("FE", 4, (5, 8)): (0, 0.029672893478825943, None),
+    ("FE", 5, (4, 6)): (0, 0.0, None),
+    ("FE", 8, (7, 9)): (0, 0.31237115761588363, None),
+    ("FR", 3, (5, 8)): (0, 9.552227847298248, None),
+    ("FR", 4, (5, 8)): (0, 0.35607472174591104, None),
+    ("FR", 5, (4, 6)): (0, 0.0, None),
+    ("FR", 8, (7, 9)): (0, 3.748453891390593, None),
+    ("F5", 3, (5, 8)): (0, 9.552227847298248, None),
+    ("F5", 4, (5, 8)): (0, 0.35607472174591104, None),
+    ("F5", 5, (4, 6)): (0, 0.0, None),
+    ("F5", 8, (7, 9)): (0, 3.748453891390593, None),
 }
 
 
 @pytest.mark.parametrize("spec, seed, n_range", list(G_TRIALS))
 def test_g_trials_are_unchanged(spec, seed, n_range):
+    """The whole report, keys in the order ``gcheck`` writes them."""
+    violations, margin, witness = G_TRIALS[spec, seed, n_range]
     report = run_g_trials(FunctionalSpec(spec), 3, n_range=n_range, seed=seed)
-    assert (report.violations, report.notes["min_margin"]) == G_TRIALS[spec, seed, n_range]
+    assert json.dumps(report.to_dict()) == json.dumps({
+        "functional": spec, "trials": 3, "violations": violations,
+        "passed": violations == 0, "witness": witness, "e_hat": None, "E_hat": None,
+        "notes": {"min_margin": margin, "n_range": list(n_range)},
+    })
+
+
+def test_g_trials_count_violations_and_keep_the_first_witness(monkeypatch):
+    """No functional violates the subcomplex inequality (see ``G_TRIALS``), so
+    a check that fails every trial but the first stands in for one."""
+    points, margins = [], []
+    check = oracle.check_g_inequality
+
+    def failing(spec, region, dcx):
+        res = check(spec, region, dcx)
+        points.append(region.points.tolist())
+        margins.append(res.margin)
+        return dataclasses.replace(res, passed=len(points) == 1)
+
+    monkeypatch.setattr(oracle, "check_g_inequality", failing)
+    report = run_g_trials(FunctionalSpec("FE"), 5, seed=3)
+    assert len(points) == 5
+    assert report.violations == 4 and report.witness == points[1]
+    assert report.notes == {"min_margin": min(margins), "n_range": [5, 8]}
 
 
 def test_delaunay_appears_exactly_once():
