@@ -424,6 +424,10 @@ def delaunay_of(points, *, provenance=None) -> TriangulationComplex:
 # Radon two-triangulations of d+2 points
 
 
+# the vertex tuples of the d+2 leave-one-out simplices, d = 2 and 3
+_LEAVE_ONE_OUT = {n: [tuple(j for j in range(n) if j != i) for i in range(n)] for n in (4, 5)}
+
+
 def radon_split(points):
     """Split the non-degenerate d-simplices spanned by d+2 generic points in
     convex position into the Delaunay triangulation and the other one.
@@ -443,13 +447,13 @@ def radon_split(points):
     if n != d + 2 or d not in (2, 3):
         raise ValueError("radon_two_triangulations needs exactly d+2 points in R^2 or R^3")
     p = pts.tolist()
-    rests = [[j for j in range(n) if j != i] for i in range(n)]
-    lam = [(-1) ** i * _orient_rows(p[:i] + p[i + 1:]) for i in range(n)]
+    rests = _LEAVE_ONE_OUT[n]
+    lam = [(-1) ** i * _orient_rows([p[j] for j in rest]) for i, rest in enumerate(rests)]
     lower, upper = [], []
     for i, rest in enumerate(rests):
         if lam[i] == 0:
             raise NonGenericError(f"points without {i} are affinely degenerate")
-        if all(lam[i] * lam[j] <= 0 for j in rest):
+        if lam.count(lam[i]) == 1:  # no other lam_j has lam_i's sign
             raise ValueError(
                 f"point {i} lies inside the convex hull of the others"
             )
@@ -457,11 +461,10 @@ def radon_split(points):
             side0 = _in_sphere_rows(p[1:], p[0])
             if side0 == Side.ON:
                 raise NonGenericError(f"all {n} points are cospherical")
-        cell = tuple(rest)
         if side0 * lam[i] * lam[0] == Side.OUTSIDE:
-            lower.append(cell)
+            lower.append(rest)
         else:
-            upper.append(cell)
+            upper.append(rest)
     return lower, upper
 
 

@@ -185,8 +185,6 @@ class ClassReport:
     trials: int
     violations: int
     witness: list | None = None
-    e_hat: float | None = None
-    E_hat: float | None = None
     notes: dict = field(default_factory=dict)
 
     @property
@@ -200,8 +198,6 @@ class ClassReport:
             "violations": self.violations,
             "passed": self.passed,
             "witness": self.witness,
-            "e_hat": self.e_hat,
-            "E_hat": self.E_hat,
             "notes": self.notes,
         }
 

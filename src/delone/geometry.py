@@ -23,9 +23,21 @@ from .errors import DegenerateSimplexError
 TAU_GEO = 1e-9
 
 # A filtered determinant whose magnitude is below _FILTER_EPS times the
-# Hadamard-style row bound is re-evaluated exactly.  Naive cofactor expansion
-# of an n <= 5 matrix has a relative error well below 1e-13, so 1e-11 leaves
-# two orders of magnitude of safety.
+# product of its rows' absolute sums is re-evaluated exactly.  Why that bounds
+# the error (forward analysis as in Shewchuk, DCG 1997; u = 2^-53): a cofactor
+# expansion is a signed sum of products taking one entry from each row, so
+# the sum of the products' magnitudes is at most the product of the row sums.
+# Along each product, every rounding multiplies by some 1 + e, |e| <= u.  The
+# float-translated 3x3 expansion (``_det3`` on rows p_i - p_0) rounds each
+# product at most 8 times: once per translated entry (3), then 5 times in the
+# expansion.  The lifted 4x4 expansion (``_det4`` on lifted rows about p_0)
+# rounds each at most 17 times: 3 translated entries, 5 in the lifted entry
+# (the translation twice, as it is squared, the square and two additions of
+# non-negative terms) and 9 in the expansion.  So the float determinant lies within gamma_17 = 17u/(1 - 17u)
+# < 1.9e-15 times the row-sum product of the exact one, whose sign is the
+# predicate's.  Rounding of the row sums and of the bound itself adds a few u
+# more, so 1e-11 keeps a factor of over 5000.  Products below 2^-1022 fall
+# outside this relative model; _UNDERFLOW_EPS covers them.
 _FILTER_EPS = 1e-11
 
 # A product below 2^-1022 errs by up to 2^-1075 absolute, which the relative
@@ -136,6 +148,8 @@ def _orient_rows(p) -> int:
     if len(p) == 3:
         (ax, ay), (bx, by), (cx, cy) = p
         return orient2d(ax, ay, bx, by, cx, cy)
+    if len(p) == 4:
+        return _orient3d(p)
     rows = [[x - b for x, b in zip(row, p[0])] for row in p[1:]]
     return _filtered_det_sign(rows, lambda: _exact_rows(p))
 
@@ -202,9 +216,7 @@ def _in_sphere_rows(p, q) -> Side:
         (ax, ay), (bx, by), (cx, cy) = p
         s = incircle2d(ax, ay, bx, by, cx, cy, *q)  # positive inside
     else:
-        rows = [*p[1:], q]
-        s = -_filtered_det_sign(_lifted_rows(rows, p[0]),
-                                lambda: _exact_lifted_rows(rows, p[0]))
+        s = _insphere3d(p, q)
     # index -1 picks OUTSIDE
     return (Side.ON, Side.INSIDE, Side.OUTSIDE)[s * orient]
 
@@ -346,13 +358,15 @@ def inradius_2d(triangle) -> float:
     return float(2.0 * area / (a + b + c))
 
 
-# 2D predicates on Python floats: the incremental builder calls them directly,
-# and the one scalar path (``_orient_rows``/``_in_sphere_rows``) routes d = 2
-# through them and d = 3, 4 through ``_filtered_det_sign`` on the same floats.
-# All evaluate the batched pass's expansion, ``_filter_tol`` bound and integer
-# fallback, so the signs agree.  On np.float64 scalars instead of Python floats
-# a call takes 5-6x longer (orient2d 5.3 against 0.9 us, incircle2d 8.0 against
-# 1.5 us; CPython 3.11, NumPy 2.4, one core of a 2-vCPU VM).
+# Scalar predicates on Python floats.  The incremental builder calls the 2D
+# ones directly, and the one scalar path (``_orient_rows``/``_in_sphere_rows``)
+# routes d = 2 through ``orient2d``/``incircle2d``, d = 3 through
+# ``_orient3d``/``_insphere3d``, and the d = 4 orientation through
+# ``_filtered_det_sign``.  Each kernel writes out the batched pass's expansion
+# and ``_filter_tol`` bound and falls back to the same integer rows, so the
+# signs agree.  On np.float64 scalars instead of Python floats a call takes
+# 5-6x longer (orient2d 5.3 against 0.9 us, incircle2d 8.0 against 1.5 us;
+# CPython 3.11, NumPy 2.4, one core of a 2-vCPU VM).
 
 def orient2d(ax, ay, bx, by, cx, cy) -> int:
     ux, uy = bx - ax, by - ay
@@ -393,6 +407,62 @@ def incircle2d(ax, ay, bx, by, cx, cy, qx, qy) -> int:
     if -_INF < det < -tol:
         return -1
     return _exact_sign(_exact_lifted_rows(((ax, ay), (bx, by), (cx, cy)), (qx, qy)))
+
+
+def _orient3d(p) -> int:
+    """``orientation`` of four rows of Python floats: ``_det3`` of the rows
+    p_i - p_0, written out."""
+    (ox, oy, oz), (ax, ay, az), (bx, by, bz), (cx, cy, cz) = p
+    a0, a1, a2 = ax - ox, ay - oy, az - oz
+    b0, b1, b2 = bx - ox, by - oy, bz - oz
+    c0, c1, c2 = cx - ox, cy - oy, cz - oz
+    det = (a0 * (b1 * c2 - b2 * c1)
+           - a1 * (b0 * c2 - b2 * c0)
+           + a2 * (b0 * c1 - b1 * c0))
+    sa = abs(a0) + abs(a1) + abs(a2)
+    sb = abs(b0) + abs(b1) + abs(b2)
+    sc = abs(c0) + abs(c1) + abs(c2)
+    tol = (_FILTER_EPS * (sa * sb * sc)
+           + _UNDERFLOW_EPS * ((1.0 + sa) * (1.0 + sb) * (1.0 + sc)))
+    if tol < det < _INF:
+        return 1
+    if -_INF < det < -tol:
+        return -1
+    return _exact_sign(_exact_rows(p))
+
+
+def _insphere3d(p, q) -> int:
+    """Sign of the in-sphere determinant of four rows p and a point q of
+    Python floats, positive iff q is strictly inside the sphere through a
+    positively oriented p: minus ``_det4`` of the lifted rows of p_1, p_2,
+    p_3, q about p_0, written out."""
+    (ox, oy, oz), (ax, ay, az), (bx, by, bz), (cx, cy, cz) = p
+    qx, qy, qz = q
+    a0, a1, a2 = ax - ox, ay - oy, az - oz
+    b0, b1, b2 = bx - ox, by - oy, bz - oz
+    c0, c1, c2 = cx - ox, cy - oy, cz - oz
+    d0, d1, d2 = qx - ox, qy - oy, qz - oz
+    a3 = a0 * a0 + a1 * a1 + a2 * a2
+    b3 = b0 * b0 + b1 * b1 + b2 * b2
+    c3 = c0 * c0 + c1 * c1 + c2 * c2
+    d3 = d0 * d0 + d1 * d1 + d2 * d2
+    s01, s02, s03 = c0 * d1 - c1 * d0, c0 * d2 - c2 * d0, c0 * d3 - c3 * d0
+    s12, s13, s23 = c1 * d2 - c2 * d1, c1 * d3 - c3 * d1, c2 * d3 - c3 * d2
+    det = (a0 * (b1 * s23 - b2 * s13 + b3 * s12)
+           - a1 * (b0 * s23 - b2 * s03 + b3 * s02)
+           + a2 * (b0 * s13 - b1 * s03 + b3 * s01)
+           - a3 * (b0 * s12 - b1 * s02 + b2 * s01))
+    sa = abs(a0) + abs(a1) + abs(a2) + a3
+    sb = abs(b0) + abs(b1) + abs(b2) + b3
+    sc = abs(c0) + abs(c1) + abs(c2) + c3
+    sd = abs(d0) + abs(d1) + abs(d2) + d3
+    tol = (_FILTER_EPS * (sa * sb * sc * sd)
+           + _UNDERFLOW_EPS * ((1.0 + sa) * (1.0 + sb) * (1.0 + sc) * (1.0 + sd)))
+    if tol < det < _INF:
+        return -1
+    if -_INF < det < -tol:
+        return 1
+    return -_exact_sign(_exact_lifted_rows([*p[1:], q], p[0]))
 
 
 def on_open_segment(a, b, q) -> bool:

@@ -137,11 +137,11 @@ FC_WITNESS = ("[[0.8995977959166565, 0.5619468620985577, 0.7168373475395349], "
 @pytest.mark.parametrize("argv, code, text", [
     (["flipcheck", "--F", "F1", "--d", "3", "--trials", "5", "--seed", "0"], 3,
      '{"schema": 1, "functional": "F1:c1=1.0", "trials": 5, "violations": 3, '
-     f'"passed": false, "witness": {FC_WITNESS}, "e_hat": null, "E_hat": null, '
+     f'"passed": false, "witness": {FC_WITNESS}, '
      '"notes": {"min_margin": -0.36757398493558646, "d": 3}}'),
     (["gcheck", "--F", "FE", "--trials", "3", "--n", "5..8", "--seed", "3"], 0,
      '{"schema": 1, "functional": "FE", "trials": 3, "violations": 0, "passed": true, '
-     '"witness": null, "e_hat": null, "E_hat": null, '
+     '"witness": null, '
      '"notes": {"min_margin": 0.7960189872748539, "n_range": [5, 8]}}'),
 ], ids=["flipcheck", "gcheck"])
 def test_trial_battery_reports_are_pinned(tmp_path, capsys, argv, code, text):

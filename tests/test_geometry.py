@@ -19,7 +19,9 @@ from delone.geometry import (
     _exact_rows,
     _exact_sign,
     _filtered_det_sign,
+    _insphere3d,
     _lifted_rows,
+    _orient3d,
     area_via_circumradius,
     centroid,
     circumcenters,
@@ -850,3 +852,90 @@ def test_det4_equals_loop_over_minors_on_floats_ints_and_columns():
 def test_predicates_name_their_supported_dimensions(predicate, args):
     with pytest.raises(ValueError, match=r"d = 2\.\.4|d = 2 or 3"):
         predicate(*args)
+
+
+# ---------------------------------------------------------------------------
+# the 3D scalar kernels against the NumPy pass and the integer rows
+
+# integer points on the sphere of radius 9 about the origin: the signed
+# permutations of the Pythagorean quadruples (0, 0, 9), (1, 4, 8), (4, 4, 7)
+# and (3, 6, 6)
+SPHERE9 = np.array([p for p in itertools.product(range(-9, 10), repeat=3)
+                    if sum(x * x for x in p) == 81], dtype=float)
+
+
+def kernel_stack(family, rng, scale, m=200):
+    """An (m, 5, 3) stack of four simplex vertices and a query point each,
+    times ``scale``, a power of two, so exact zeros stay exact."""
+    if family == "uniform":
+        pts = rng.uniform(-1.0, 1.0, size=(m, 5, 3))
+    elif family == "grid":  # coplanar and cospherical stacks: exact zeros
+        pts = rng.integers(-2, 3, size=(m, 5, 3)).astype(float)
+    elif family == "mixed":  # each point at its own exponent
+        exps = rng.choice([-1000, -600, -300, 0, 300, 600], size=(m, 5, 1))
+        pts = rng.uniform(-1.0, 1.0, size=(m, 5, 3)) * 2.0 ** exps
+    else:  # five distinct points of one sphere, moved by an integer vector
+        pick = np.argsort(rng.random((m, len(SPHERE9))), axis=1)[:, :5]
+        pts = SPHERE9[pick] + rng.integers(-50, 50, size=(m, 1, 3))
+    if family == "near":  # half the simplices coplanar before the move below
+        half = m // 2
+        w = rng.integers(-2, 3, size=(half, 2, 1))
+        pts[:half, 3] = pts[:half, 0] + (w * (pts[:half, 1:3] - pts[:half, :1])).sum(axis=1)
+    pts = pts * scale
+    if family == "one_ulp":
+        pts = nudge_one_coordinate(rng, pts)
+    if family == "near":  # one coordinate moved by 2^-45 .. 2^-5: about the filter's bound
+        rows, i, j = np.arange(m), rng.integers(5, size=m), rng.integers(3, size=m)
+        pts[rows, i, j] += rng.choice([-1.0, 1.0], size=m) * scale * 2.0 ** rng.integers(-45, -4, size=m)
+    return pts
+
+
+FAMILIES = ["uniform", "grid", "cospherical", "one_ulp", "near"]
+
+
+def exact_calls(run):
+    """What ``run()`` returns, and the integer rows it hands ``_exact_sign``,
+    in order."""
+    calls = []
+
+    def recording(rows):
+        calls.append(rows)
+        return _exact_sign(rows)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(geometry, "_exact_sign", recording)
+        return run(), calls
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # NumPy overflow to inf
+@pytest.mark.parametrize("family, scale", [
+    *((family, scale) for family in FAMILIES for scale in (1.0, 2.0 ** -997, 2.0 ** 997)),
+    ("mixed", 1.0),
+], ids=str)
+def test_3d_scalar_kernels_match_the_numpy_pass_and_integer_rows(family, scale):
+    """``_orient3d`` and ``_insphere3d`` give the signs of the integer rows and
+    of the NumPy pass, and their filter sends the same rows to integers."""
+    rng = np.random.default_rng([*FAMILIES, "mixed"].index(family))
+    stack = kernel_stack(family, rng, scale)
+    simp, q = stack[:, :4], stack[:, 4]
+    rows, qs = simp.tolist(), q.tolist()
+    want = [integer_orientation(s) for s in rows]
+    got, scalar_calls = exact_calls(lambda: [_orient3d(s) for s in rows])
+    batched, batched_calls = exact_calls(lambda: orientations(simp).tolist())
+    assert got == batched == want
+    assert scalar_calls == batched_calls
+    keep = [k for k, o in enumerate(want) if o]
+    sides = [integer_side(rows[k], qs[k]) for k in keep]
+    got, scalar_calls = exact_calls(lambda: [_insphere3d(rows[k], qs[k]) for k in keep])
+    batched, batched_calls = exact_calls(lambda: in_spheres(simp[keep], q[keep]).tolist())
+    assert [s * want[k] for s, k in zip(got, keep)] == batched == sides
+    assert scalar_calls == [c for c in batched_calls if len(c) == 4]  # not the orientations
+    if scale != 1.0:  # products underflow below the floor or overflow to inf
+        assert len(scalar_calls) == len(keep)
+    if family in ("grid", "cospherical"):
+        assert 0 in sides and len(scalar_calls) >= sides.count(0)
+    if family == "grid":
+        assert 0 in want
+    if family in ("one_ulp", "near"):
+        assert {Side.INSIDE, Side.OUTSIDE} <= set(sides)
+    assert len(keep) >= 8  # the NumPy pass, not the row-by-row loop

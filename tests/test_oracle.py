@@ -221,7 +221,7 @@ def test_g_trials_are_unchanged(spec, seed, n_range):
     report = run_g_trials(FunctionalSpec(spec), 3, n_range=n_range, seed=seed)
     assert json.dumps(report.to_dict()) == json.dumps({
         "functional": spec, "trials": 3, "violations": violations,
-        "passed": violations == 0, "witness": witness, "e_hat": None, "E_hat": None,
+        "passed": violations == 0, "witness": witness,
         "notes": {"min_margin": margin, "n_range": list(n_range)},
     })
 
