@@ -33,7 +33,7 @@ from .errors import (
 )
 from .geometry import (
     Side,
-    _in_sphere_rows,
+    _insphere3d,
     _orient_rows,
     in_spheres,
     incircle2d,
@@ -437,7 +437,8 @@ def radon_split(points):
     The signs lam_i = (-1)^i orientation(S_i) are those of the points'
     affine dependence (their Radon circuit): p_i lies in the closed hull of
     the others iff lam_i lam_j <= 0 for every j != i.  All d+2 lifted points
-    share one determinant, so side(S_i, p_i) = side(S_0, p_0) lam_i lam_0.
+    share one determinant, whose sign s is the in-sphere kernel's on S_0 and
+    p_0, so side(S_i, p_i) = s lam_i (s lam_0 is side(S_0, p_0)).
     Raises at the first i whose S_i is degenerate (``NonGenericError``) or
     whose p_i lies in the hull of the others (``ValueError``), and at i = 0
     if all points are cospherical (``NonGenericError``).
@@ -457,11 +458,11 @@ def radon_split(points):
             raise ValueError(
                 f"point {i} lies inside the convex hull of the others"
             )
-        if i == 0:
-            side0 = _in_sphere_rows(p[1:], p[0])
-            if side0 == Side.ON:
+        if i == 0:  # positive iff p_0 lies inside a positively oriented S_0's sphere
+            s = incircle2d(*p[1], *p[2], *p[3], *p[0]) if d == 2 else _insphere3d(p[1:], p[0])
+            if s == 0:
                 raise NonGenericError(f"all {n} points are cospherical")
-        if side0 * lam[i] * lam[0] == Side.OUTSIDE:
+        if s * lam[i] == Side.OUTSIDE:
             lower.append(rest)
         else:
             upper.append(rest)

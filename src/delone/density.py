@@ -20,7 +20,6 @@ from .generators import (
     StripConfig,
     _sum_left,
     _triangle_area_from_sides,
-    displaced_lattice_point,
     distorted_cubic_window,
     stream_rng,
     strip_block_triangulation,
@@ -547,44 +546,54 @@ def distorted_cube_report(W: float) -> CubeReport:
     pts = window.points
     # the corners within norm W - CUBE_MARGIN; the stacked 1x3 @ 3x1 products
     # take NumPy's vector-dot path, so each norm is np.linalg.norm(p) bit for bit
-    norms = np.sqrt((pts[:, None, :] @ pts[:, :, None])[:, 0, 0]).tolist()
-    inner = {p: idx for idx, (p, norm) in enumerate(zip(map(tuple, pts.tolist()), norms))
-             if norm <= W - CUBE_MARGIN}
-    cells = cx.cells
-    incident = {}
-    for pos, cell in enumerate(cells):
-        for v in cell:
-            incident.setdefault(v, []).append(pos)
+    inner = np.sqrt((pts[:, None, :] @ pts[:, :, None])[:, 0, 0]) <= W - CUBE_MARGIN
+    # a point's lattice index (i, j, k): x = i, y = j, and z lies within 1/2 of k
+    lattice = np.column_stack([pts[:, :2], np.rint(pts[:, 2])]).astype(np.int64)
+    n = int(math.ceil(W))
+    side = 2 * n  # cubes (i, j, k) in [-n, n)^3; inner corners lie in (-n, n)^3
+    occupied = np.zeros((side + 1,) * 3, dtype=bool)
+    occupied[tuple((lattice[inner] + n).T)] = True
+    shifts = list(itertools.product((0, 1), repeat=3))
+    interior = np.logical_and.reduce(
+        [occupied[a:a + side, b:b + side, c:c + side] for a, b, c in shifts]).ravel()
+    cubes = np.flatnonzero(interior)  # in (i, j, k) lexicographic order
+
+    # A tetrahedron of inner points lies in the cubes whose corner box holds
+    # it: per axis, the lower corner is its lowest index, or one below when it
+    # is flat in that axis, so a tetrahedron flat in k lies in two cubes.
+    cells = cx.cells_array()
+    corners = lattice[cells]
+    lo, hi = corners.min(axis=1), corners.max(axis=1)
+    pos = np.flatnonzero(inner[cells].all(axis=1) & (hi - lo <= 1).all(axis=1))
+    ids = [np.ravel_multi_index(tuple((np.where(s, hi[pos] - 1, lo[pos]) + n).T), (side,) * 3)
+           for s in np.array(shifts, dtype=bool)]
+    cube_of, pos_of = np.divmod(np.unique(np.concatenate(ids) * len(cells) + np.tile(pos, 8)),
+                                len(cells))
+    held = interior[cube_of]
+    cube_of, pos_of = cube_of[held], pos_of[held]
+    rank = np.searchsorted(cubes, cube_of)
+    n_tets = np.bincount(rank, minlength=len(cubes))
+    # the flat tents: a tetrahedron flat in k at the cube's bottom (0) or top (1) level
+    level = np.where(hi[pos_of, 2] == lo[pos_of, 2], lo[pos_of, 2] - (cube_of % side - n), -1)
+    tents = np.full((2, len(cubes)), -1)
+    for h in (0, 1):
+        tents[h, rank[level == h]] = pos_of[level == h]
     # The vertex order fixes the last bits of each volume, which the CSV
     # prints in full: keep each cell's frozenset order.
-    volumes = measures(cx.points[[list(frozenset(c)) for c in cells]]).tolist()
+    used = np.unique(pos_of)
+    vols = measures(cx.points[[list(frozenset(c)) for c in cells[used].tolist()]]).tolist()
+    volume = dict(zip(used.tolist(), vols))
 
-    n = int(math.ceil(W))
     rows = []
     all_seven = True
     worst = 0.0
-    min_vol = math.inf
-    for i, j, k in itertools.product(range(-n, n), repeat=3):
-        ids = []  # corners in (di, dj, dk) order: even positions at level k
-        for di, dj, dk in itertools.product((0, 1), repeat=3):
-            idx = inner.get(displaced_lattice_point(i + di, j + dj, k + dk))
-            if idx is None:
-                break
-            ids.append(idx)
-        if len(ids) < 8:
-            continue
-        corner_set = set(ids)
-        found = sorted({pos for v in ids for pos in incident.get(v, ())
-                        if corner_set.issuperset(cells[pos])})
-        vol = {frozenset(cells[pos]): volumes[pos] for pos in found}
-        if vol:
-            min_vol = min(min_vol, min(vol.values()))
-        vb = vol.get(frozenset(ids[0::2]), math.nan)
-        vt = vol.get(frozenset(ids[1::2]), math.nan)
+    ijk = (np.column_stack(np.unravel_index(cubes, (side,) * 3)) - n).tolist()
+    for (i, j, k), count, b, t in zip(ijk, n_tets.tolist(), *tents.tolist()):
+        vb, vt = volume.get(b, math.nan), volume.get(t, math.nan)
         want_b = (2.0 / 3.0) / (2 + abs(k))
         want_t = (2.0 / 3.0) / (2 + abs(k + 1))
-        rows.append((i, j, k, len(found), vb, vt, want_b, want_t))
-        if len(found) != 7:
+        rows.append((i, j, k, count, vb, vt, want_b, want_t))
+        if count != 7:
             all_seven = False
         if not math.isnan(vb):
             worst = max(worst, abs(vb - want_b))
@@ -600,7 +609,7 @@ def distorted_cube_report(W: float) -> CubeReport:
         n_interior_cubes=len(rows),
         all_seven=all_seven,
         tent_volume_max_error=worst,
-        min_interior_volume=float(min_vol),
+        min_interior_volume=float(min(vols, default=math.inf)),
         rows=rows,
     )
 

@@ -276,9 +276,14 @@ def lattice_window(d: int, W: float, *, jitter: bool = False, seed: int = 0) -> 
                           provenance=prov)
 
 
+def _displaced_height(i, j, k):
+    """The third coordinate of lattice point (i, j, k), on ints or int arrays."""
+    return k + (1 - 2 * ((i + j) % 2)) / (2 + abs(k))
+
+
 def displaced_lattice_point(i: int, j: int, k: int) -> tuple:
     """Where the distorted cubic lattice sends (i, j, k)."""
-    return (float(i), float(j), k + ((-1) ** (i + j)) / (2 + abs(k)))
+    return (float(i), float(j), _displaced_height(i, j, k))
 
 
 def distorted_cubic_window(W: float) -> PointSetWindow:
@@ -289,18 +294,15 @@ def distorted_cubic_window(W: float) -> PointSetWindow:
     if W < 3:
         raise ValueError("W must be at least 3")
     n = int(math.ceil(W)) + 1
-    pts = []
-    for i in range(-n, n + 1):
-        for j in range(-n, n + 1):
-            for k in range(-n, n + 1):
-                p = displaced_lattice_point(i, j, k)
-                if p[0] * p[0] + p[1] * p[1] + p[2] * p[2] <= W * W:
-                    pts.append(p)
+    axis = np.arange(-n, n + 1)
+    i, j, k = (g.ravel() for g in np.meshgrid(axis, axis, axis, indexing="ij"))
+    pts = np.column_stack([i, j, _displaced_height(i, j, k)])
+    pts = pts[pts[:, 0] * pts[:, 0] + pts[:, 1] * pts[:, 1] + pts[:, 2] * pts[:, 2] <= W * W]
     # vertical neighbours at k=0 are 1 - (1/2 - 1/3) = 5/6 apart, the minimum
     r = 5.0 / 12.0
     R = math.sqrt(3) / 2.0 + 0.5
     return PointSetWindow(
-        dim=3, points=np.array(pts), r=r, R=R, window_radius=float(W),
+        dim=3, points=pts, r=r, R=R, window_radius=float(W),
         provenance={"generator": "distorted_cubic", "W": W,
                     "displacement": "(-1)^(i+j) / (2+|k|) on the third axis"},
     )

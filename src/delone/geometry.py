@@ -2,9 +2,9 @@
 
 Sign predicates (orientation, in-sphere) are evaluated with a floating-point
 filter backed by exact integer arithmetic, so combinatorial decisions are
-never wrong.  Every finite float is an integer times a power of two, so the
-coordinates entering one determinant, times their largest denominator D, are
-exact Python ints.  That scales each coordinate column by D > 0 and the lifted
+never wrong.  Every finite float is a 53-bit integer times a power of two, so
+the coordinates entering one determinant, times one power of two D, are exact
+Python ints.  That scales each coordinate column by D > 0 and the lifted
 column of the in-sphere determinant by D^2 > 0, which leaves its sign as it
 was.  Metric quantities (volumes, radii) are plain floating point and are
 compared with the relative tolerance ``TAU_GEO``.
@@ -98,48 +98,56 @@ def _filter_tol(rows):
     return _FILTER_EPS * bound + _UNDERFLOW_EPS * floor
 
 
-def _exact_sign(rows) -> int:
-    det = _DETS[len(rows)](rows)
-    return (det > 0) - (det < 0)
+def _exact_signs(stack) -> np.ndarray:
+    """Exact determinant signs of an (m, n, d) stack of points, each matrix's
+    rows p_i - p_0 (n = d + 1, an orientation) or those rows lifted by
+    |p_i - p_0|^2 (n = d + 2, an in-sphere test), in one integer pass.
+    ``np.frexp`` writes each coordinate as a 53-bit integer times 2^e, so
+    scaling a matrix by 2^-e_min, its smallest e, makes every coordinate an
+    exact Python int.  One ``_DETS`` expansion then runs over object columns
+    holding every matrix of the stack."""
+    pts = np.asarray(stack, dtype=float)
+    if not np.isfinite(pts).all():
+        raise ValueError("exact predicates need finite coordinates")
+    _, n, d = pts.shape
+    mant, exp = np.frexp(pts)
+    ints = (mant * 2.0 ** 53).astype(np.int64).astype(object)
+    coords = ints << (exp - exp.min(axis=(1, 2), keepdims=True)).astype(object)
+    rows = coords[:, 1:] - coords[:, :1]
+    if n == d + 2:
+        rows = np.concatenate([rows, (rows * rows).sum(axis=2, keepdims=True)], axis=2)
+    det = _DETS[n - 1](list(rows.transpose(1, 2, 0)))
+    return np.sign(det).astype(np.int64)
 
 
-def _scaled(pts):
-    """The coordinates of ``pts`` times their largest denominator, a power of
-    two, as exact ints."""
-    ratios = [[float(x).as_integer_ratio() for x in p] for p in pts]
-    scale = max(den for p in ratios for _, den in p)
-    return [[num * (scale // den) for num, den in p] for p in ratios]
+def _exact_sign(pts) -> int:
+    """``_exact_signs`` on one matrix of points: the scalar kernels' fallback."""
+    return int(_exact_signs([pts])[0])
 
 
-def _exact_rows(pts):
-    """Rows p_i - p_0 of a simplex over exact ints: the coordinates scaled by
-    one power of two D.  Each of the d rows scales by D, so the determinant
-    scales by D^d > 0 and keeps its sign."""
-    base, *rest = _scaled(pts)
-    return [[x - b for x, b in zip(p, base)] for p in rest]
-
-
-def _filtered_det_sign(rows_float, rows_exact) -> int:
+def _filtered_det_sign(rows_float, pts) -> int:
     """Sign of det(rows), exact.
 
-    ``rows_float`` are float rows used for the fast path; ``rows_exact`` is a
-    zero-argument callable producing a matrix of exact ints whose
-    determinant has the same sign.
+    ``rows_float`` are float rows used for the fast path; ``pts`` are the
+    points whose integer rows (see ``_exact_signs``) have a determinant of
+    the same sign.
     """
     det = _DETS[len(rows_float)](rows_float)
     if _filter_tol(rows_float) < abs(det) < _INF:  # overflow goes exact too
         return 1 if det > 0 else -1
-    return _exact_sign(rows_exact())
+    return _exact_sign(pts)
 
 
-def _filtered_det_signs(rows, exact_rows) -> np.ndarray:
+def _filtered_det_signs(rows, pts) -> np.ndarray:
     """Batched ``_filtered_det_sign``: ``rows`` hold NumPy columns (one entry
-    per matrix) and ``exact_rows(k)`` gives matrix k over exact ints."""
+    per matrix) and ``pts`` is the (m, n, d) stack of the matrices' points.
+    Every matrix the filter cannot certify goes to one ``_exact_signs`` call."""
     det = _DETS[len(rows)](rows)
     signs = np.sign(det).astype(np.int64)
     size = np.abs(det)
-    for k in np.flatnonzero(~((_filter_tol(rows) < size) & (size < _INF))):
-        signs[k] = _exact_sign(exact_rows(k))
+    flagged = ~((_filter_tol(rows) < size) & (size < _INF))
+    if flagged.any():
+        signs[flagged] = _exact_signs(pts[flagged])
     return signs
 
 
@@ -151,7 +159,7 @@ def _orient_rows(p) -> int:
     if len(p) == 4:
         return _orient3d(p)
     rows = [[x - b for x, b in zip(row, p[0])] for row in p[1:]]
-    return _filtered_det_sign(rows, lambda: _exact_rows(p))
+    return _filtered_det_sign(rows, p)
 
 
 def orientation(simplex) -> int:
@@ -182,7 +190,7 @@ def orientations(stack) -> np.ndarray:
     if m < 8:
         return np.array([_orient_rows(s) for s in pts.tolist()], dtype=np.int64)
     rows = [list(row) for row in (pts[:, 1:] - pts[:, :1]).transpose(1, 2, 0)]
-    return _filtered_det_signs(rows, lambda k: _exact_rows(pts[k]))
+    return _filtered_det_signs(rows, pts)
 
 
 def _lifted_rows(pts, origin):
@@ -191,14 +199,6 @@ def _lifted_rows(pts, origin):
     formula."""
     diffs = [[x - y for x, y in zip(p, origin)] for p in pts]
     return [diff + [sum(x * x for x in diff)] for diff in diffs]
-
-
-def _exact_lifted_rows(pts, origin):
-    """The lifted rows of ``pts`` about ``origin``, all scaled to exact ints
-    by one power of two D: the coordinate columns scale by D, the lifted
-    column by D^2, so the sign is kept."""
-    *pts, origin = _scaled([*pts, origin])
-    return _lifted_rows(pts, origin)
 
 
 # The in-sphere determinant of a simplex p_0..p_d and a point q takes the
@@ -245,9 +245,9 @@ def in_spheres(simplices, points) -> np.ndarray:
     orient = orientations(simp)
     if not orient.all():
         raise DegenerateSimplexError("in_spheres: degenerate simplex")
-    others = np.concatenate([simp[:, 1:], q[:, None]], axis=1)
-    rows = _lifted_rows(others.transpose(1, 2, 0), simp[:, 0].T)
-    signs = _filtered_det_signs(rows, lambda k: _exact_lifted_rows(others[k], simp[k, 0]))
+    full = np.concatenate([simp, q[:, None]], axis=1)
+    rows = _lifted_rows(full[:, 1:].transpose(1, 2, 0), simp[:, 0].T)
+    signs = _filtered_det_signs(rows, full)
     return -signs * orient
 
 
@@ -363,7 +363,7 @@ def inradius_2d(triangle) -> float:
 # routes d = 2 through ``orient2d``/``incircle2d``, d = 3 through
 # ``_orient3d``/``_insphere3d``, and the d = 4 orientation through
 # ``_filtered_det_sign``.  Each kernel writes out the batched pass's expansion
-# and ``_filter_tol`` bound and falls back to the same integer rows, so the
+# and ``_filter_tol`` bound and hands ``_exact_signs`` a stack of one, so the
 # signs agree.  On np.float64 scalars instead of Python floats a call takes
 # 5-6x longer (orient2d 5.3 against 0.9 us, incircle2d 8.0 against 1.5 us;
 # CPython 3.11, NumPy 2.4, one core of a 2-vCPU VM).
@@ -380,7 +380,7 @@ def orient2d(ax, ay, bx, by, cx, cy) -> int:
         return 1
     if det < -tol:
         return -1
-    return _exact_sign(_exact_rows(((ax, ay), (bx, by), (cx, cy))))
+    return _exact_sign(((ax, ay), (bx, by), (cx, cy)))
 
 
 def incircle2d(ax, ay, bx, by, cx, cy, qx, qy) -> int:
@@ -406,7 +406,7 @@ def incircle2d(ax, ay, bx, by, cx, cy, qx, qy) -> int:
         return 1
     if -_INF < det < -tol:
         return -1
-    return _exact_sign(_exact_lifted_rows(((ax, ay), (bx, by), (cx, cy)), (qx, qy)))
+    return _exact_sign(((qx, qy), (ax, ay), (bx, by), (cx, cy)))
 
 
 def _orient3d(p) -> int:
@@ -428,7 +428,7 @@ def _orient3d(p) -> int:
         return 1
     if -_INF < det < -tol:
         return -1
-    return _exact_sign(_exact_rows(p))
+    return _exact_sign(p)
 
 
 def _insphere3d(p, q) -> int:
@@ -462,7 +462,7 @@ def _insphere3d(p, q) -> int:
         return -1
     if -_INF < det < -tol:
         return 1
-    return -_exact_sign(_exact_lifted_rows([*p[1:], q], p[0]))
+    return -_exact_sign([*p, q])
 
 
 def on_open_segment(a, b, q) -> bool:

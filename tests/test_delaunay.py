@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from delone import delaunay, memo
+from delone import delaunay, geometry, memo
 from delone.delaunay import (
     delaunay_2d,
     delaunay_3d,
@@ -389,6 +389,28 @@ def test_radon_split_matches_scalar_split(d):
     for shape in ((3, 2), (3, 1), (6, 4)):  # wrong count, R^1, R^4
         with pytest.raises(ValueError, match="exactly d\\+2 points in R\\^2 or R\\^3"):
             radon_split(np.zeros(shape))
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_radon_split_orients_each_leave_one_out_simplex_once(d):
+    """An accepted split takes d+2 orientations: the in-sphere side of S_0
+    reads its orientation from lam_0 instead of orienting S_0 again."""
+    kernel = {2: "orient2d", 3: "_orient3d"}[d]
+    calls = []
+
+    def counting(*args, _kernel=getattr(geometry, kernel)):
+        calls.append(args)
+        return _kernel(*args)
+
+    accepted = 0
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(geometry, kernel, counting)
+        for pts in radon_inputs(d, seed=80 + d, count=200):
+            calls.clear()
+            if isinstance(split_outcome(radon_split, pts)[0], list):
+                accepted += 1
+                assert len(calls) == d + 2
+    assert accepted > 50
 
 
 def built_radon_pair(points):

@@ -441,7 +441,7 @@ def cube_report_by_full_scan(W, interior_margin=2.0):
     return rows, all_seven, min_vol
 
 
-@pytest.mark.parametrize("W", [4.0, 6.0])
+@pytest.mark.parametrize("W", [4.0, 5.0, 6.0])  # 5: an odd window
 def test_distorted_cube_report_matches_full_scan(W):
     rep = distorted_cube_report(W)
     rows, all_seven, min_vol = cube_report_by_full_scan(W)

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import itertools
 import math
 
 import numpy as np
@@ -202,6 +203,21 @@ def test_distorted_cubic_points():
     assert displaced_lattice_point(0, 0, 0) == (0.0, 0.0, 0.5)
     assert displaced_lattice_point(1, 0, 0) == (1.0, 0.0, -0.5)
     assert displaced_lattice_point(0, 0, 3) == (0.0, 0.0, 3.2)
+
+
+@pytest.mark.parametrize("W", [3, 4.5, 5.0, 6])
+def test_distorted_cubic_window_equals_the_triple_loop(W):
+    """Reference: every lattice point in (i, j, k) order, displaced by
+    (-1)^(i+j) / (2 + |k|) in Python floats, kept within norm W."""
+    n = int(math.ceil(W)) + 1
+    want = []
+    for i, j, k in itertools.product(range(-n, n + 1), repeat=3):
+        p = (float(i), float(j), k + ((-1) ** (i + j)) / (2 + abs(k)))
+        assert displaced_lattice_point(i, j, k) == p
+        if p[0] * p[0] + p[1] * p[1] + p[2] * p[2] <= W * W:
+            want.append(p)
+    got = distorted_cubic_window(W).points
+    assert got.dtype == np.float64 and got.tobytes() == np.array(want).tobytes()
 
 
 def test_distorted_cubic_window_verifies():

@@ -7,17 +7,18 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from delone import geometry
+from scipy.spatial import ConvexHull
+
+from delone import delaunay, geometry
 from delone.delaunay import delaunay_2d, delaunay_3d, verify_empty_circumspheres
 from delone.errors import DegenerateSimplexError
-from delone.generators import lattice_window
+from delone.generators import distorted_cubic_window, lattice_window
 from delone.geometry import (
     Side,
     _det3,
     _det4,
-    _exact_lifted_rows,
-    _exact_rows,
     _exact_sign,
+    _exact_signs,
     _filtered_det_sign,
     _insphere3d,
     _lifted_rows,
@@ -530,7 +531,7 @@ def determinant_orientation(simplex) -> int:
     """Reference: ``_filtered_det_sign`` on the NumPy-built rows p_i - p_0."""
     pts = np.asarray(simplex, dtype=float)
     rows = [[float(x - y) for x, y in zip(p, pts[0])] for p in pts[1:]]
-    return _filtered_det_sign(rows, lambda: _exact_rows(pts))
+    return _filtered_det_sign(rows, pts)
 
 
 def determinant_side(simplex, q) -> int:
@@ -538,7 +539,7 @@ def determinant_side(simplex, q) -> int:
     orientation (positive-inside in even dimension)."""
     pts, q = np.asarray(simplex, dtype=float), np.asarray(q, dtype=float)
     rows = _lifted_rows(pts.tolist(), q.tolist())
-    s = _filtered_det_sign(rows, lambda: _exact_lifted_rows(pts, q))
+    s = _filtered_det_sign(rows, np.vstack([q, pts]))
     return s * determinant_orientation(pts)
 
 
@@ -590,12 +591,13 @@ def test_batched_metrics_equal_scalar_loops(d):
 
 def integer_orientation(simplex) -> int:
     """Sign of the integer-scaled rows p_i - p_0, no float filter."""
-    return _exact_sign(_exact_rows(simplex))
+    return _exact_sign(simplex)
 
 
 def integer_side(simplex, q) -> int:
-    """``Side`` value from the integer-scaled lifted rows, no float filter."""
-    lifted = _exact_sign(_exact_lifted_rows(simplex, q))
+    """``Side`` value from the integer-scaled rows lifted about q, no float
+    filter."""
+    lifted = _exact_sign(np.vstack([q, simplex]))
     return lifted * integer_orientation(simplex) * (-1) ** len(q)
 
 
@@ -699,18 +701,10 @@ def test_3d_emptiness_check_of_a_jittered_lattice_takes_no_integer_in_sphere():
     """Sliver cells against far vertices: about q every row is long and the
     filter bound loose, and 738 of the three windows' ~6,000 sampled pairs
     went to integers."""
-    calls = []
-
-    def counting(rows):
-        calls.append(len(rows))
-        return _exact_sign(rows)
-
-    for seed in (1, 2, 3):
-        cx = delaunay_3d(lattice_window(3, 7, jitter=True, seed=seed).points)
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(geometry, "_exact_sign", counting)
-            verify_empty_circumspheres(cx)
-    assert calls.count(4) == 0  # 4 x 4 lifted rows; 3 x 3 are orientations
+    complexes = [delaunay_3d(lattice_window(3, 7, jitter=True, seed=seed).points)
+                 for seed in (1, 2, 3)]
+    _, calls = exact_calls(lambda: [verify_empty_circumspheres(cx) for cx in complexes])
+    assert [len(c) for c in calls].count(5) == 0  # 4 vertices and q; 4 are orientations
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # NumPy overflow to inf
@@ -756,7 +750,12 @@ def test_predicates_exact_on_extreme_exponents_both_paths():
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # NumPy overflow to inf
 @pytest.mark.parametrize("simplex, want", [
-    # a cofactor product overflows to -inf while the row bound stays finite
+    # a cofactor product overflows to -inf, and so does the bound: its
+    # underflow floor's product of (1 + row sums) overflows first.  Every
+    # partial product of an expansion is at most that floor's product, so once
+    # the bound is finite the determinant overflows only within rounding of
+    # the largest float, and the kernels' ``det < _INF`` guards are all but
+    # unreachable; this case reaches integers through the bound.
     ([[1e-160, 0.0, 1e-300], [2.2250738585072014e-308, -TINY, 1e-300],
       [1e300, 1e-160, 1e300], [1e150, 0.1, 1e-300]], 1),
     # products below 2^-1022 lose the relative accuracy the filter assumes
@@ -767,6 +766,11 @@ def test_filter_sends_overflow_and_underflow_to_the_exact_path(simplex, want):
     assert fraction_orientation(simplex) == want
     assert orientation(simplex) == want
     assert orientations(np.array([simplex] * 8)).tolist() == [want] * 8
+    # among filtered rows, the integer stage sees this one matrix alone, its
+    # entries ~2,000 binary orders apart in the first case
+    got, calls = exact_calls(lambda: orientations(np.array([UNIT_TET] * 7 + [simplex])).tolist())
+    assert got == [1] * 7 + [want]
+    assert calls == [simplex]
 
 
 def nudge_one_coordinate(rng, pts):
@@ -894,16 +898,16 @@ FAMILIES = ["uniform", "grid", "cospherical", "one_ulp", "near"]
 
 
 def exact_calls(run):
-    """What ``run()`` returns, and the integer rows it hands ``_exact_sign``,
-    in order."""
+    """What ``run()`` returns, and the matrices of points that reach the
+    integer stage ``_exact_signs``, in order, as lists."""
     calls = []
 
-    def recording(rows):
-        calls.append(rows)
-        return _exact_sign(rows)
+    def recording(stack):
+        calls.extend(np.asarray(stack, dtype=float).tolist())
+        return _exact_signs(stack)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(geometry, "_exact_sign", recording)
+        patch.setattr(geometry, "_exact_signs", recording)
         return run(), calls
 
 
@@ -914,7 +918,7 @@ def exact_calls(run):
 ], ids=str)
 def test_3d_scalar_kernels_match_the_numpy_pass_and_integer_rows(family, scale):
     """``_orient3d`` and ``_insphere3d`` give the signs of the integer rows and
-    of the NumPy pass, and their filter sends the same rows to integers."""
+    of the NumPy pass, and their filter sends the same matrices to integers."""
     rng = np.random.default_rng([*FAMILIES, "mixed"].index(family))
     stack = kernel_stack(family, rng, scale)
     simp, q = stack[:, :4], stack[:, 4]
@@ -929,7 +933,7 @@ def test_3d_scalar_kernels_match_the_numpy_pass_and_integer_rows(family, scale):
     got, scalar_calls = exact_calls(lambda: [_insphere3d(rows[k], qs[k]) for k in keep])
     batched, batched_calls = exact_calls(lambda: in_spheres(simp[keep], q[keep]).tolist())
     assert [s * want[k] for s, k in zip(got, keep)] == batched == sides
-    assert scalar_calls == [c for c in batched_calls if len(c) == 4]  # not the orientations
+    assert scalar_calls == [c for c in batched_calls if len(c) == 5]  # not the orientations
     if scale != 1.0:  # products underflow below the floor or overflow to inf
         assert len(scalar_calls) == len(keep)
     if family in ("grid", "cospherical"):
@@ -939,3 +943,55 @@ def test_3d_scalar_kernels_match_the_numpy_pass_and_integer_rows(family, scale):
     if family in ("one_ulp", "near"):
         assert {Side.INSIDE, Side.OUTSIDE} <= set(sides)
     assert len(keep) >= 8  # the NumPy pass, not the row-by-row loop
+
+
+# ---------------------------------------------------------------------------
+# the integer stage on stacks the filter flags in part
+
+
+def partly_flagged_stack(family, rng, m=120):
+    """A (k, 5, 3) stack of four simplex vertices and a query each: half of
+    them uniform points the filter certifies, half from ``family`` (m rows,
+    or every lifted-hull facet of the cube), which the filter flags in whole
+    or in part, in shuffled order."""
+    if family == "cube":  # the lifted hull's facets, with vertical ones among them
+        pts = distorted_cubic_window(4).points
+        facets = pts[ConvexHull(delaunay._lifted(pts), qhull_options="Qt").simplices]
+        special = np.concatenate([facets, pts[rng.integers(len(pts), size=(len(facets), 1))]], axis=1)
+    elif family == "signed_zero":
+        special = rng.choice([-0.0, 0.0, 1.0, -1.0], size=(m, 5, 3))
+    else:  # integer grids: exact zeros, scaled by a power of two
+        scale = {"grid": 1.0, "subnormal": TINY, "big": 2.0 ** 997, "small": 2.0 ** -997}[family]
+        special = rng.integers(-2, 3, size=(m, 5, 3)) * scale
+    stack = np.concatenate([rng.uniform(-1.0, 1.0, size=(len(special), 5, 3)), special])
+    return stack[rng.permutation(len(stack))]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # NumPy overflow to inf
+@pytest.mark.parametrize("family, d", [
+    ("cube", 3), *((f, d) for f in ("grid", "signed_zero", "subnormal", "big", "small") for d in (2, 3))])
+def test_partly_flagged_stacks_match_scalar_predicates_and_fractions(family, d):
+    rng = np.random.default_rng([d, len(family)])
+    stack = partly_flagged_stack(family, rng)[:, :d + 2, :d]
+    simp, q = stack[:, :d + 1], stack[:, d + 1]
+    rows = simp.tolist()
+    want = [fraction_orientation(s) for s in rows]
+    got, calls = exact_calls(lambda: orientations(simp).tolist())
+    assert got == [orientation(s) for s in rows] == [integer_orientation(s) for s in rows] == want
+    assert 0 < len(calls) < len(rows) and 0 in want
+    keep = [k for k, o in enumerate(want) if o]
+    sides = [fraction_side(rows[k], q[k].tolist()) for k in keep]
+    got, calls = exact_calls(lambda: in_spheres(simp[keep], q[keep]).tolist())
+    assert got == [in_sphere(rows[k], q[k]) for k in keep] == sides
+    assert got == [integer_side(rows[k], q[k]) for k in keep]
+    assert [len(c) for c in calls].count(d + 2) > 0  # some in-sphere tests went to integers
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # NumPy arithmetic on inf and nan
+def test_integer_stage_refuses_non_finite_coordinates():
+    for simplex in ([(0.0, 0.0), (1.0, 0.0), (math.inf, 0.0)],
+                    [(0.0, 0.0), (1.0, 0.0), (math.nan, 1.0)]):
+        with pytest.raises(ValueError, match="finite coordinates"):
+            orientation(simplex)
+        with pytest.raises(ValueError, match="finite coordinates"):
+            orientations(np.array([TRI_345] * 7 + [simplex]))
