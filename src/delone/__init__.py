@@ -38,12 +38,10 @@ from .errors import (
 from .functionals import (
     ClassReport,
     FunctionalSpec,
-    check_ecal_bounds,
     check_flip_inequality,
     check_g_inequality,
     complex_sum,
     eval_batch,
-    eval_functional,
     fe_lifted_volume,
     run_flip_trials,
 )
@@ -55,7 +53,6 @@ from .generators import (
     lattice_window,
     poisson_delone_window,
     strip_block_triangulation,
-    triangles_compatible,
     verify_delone_params,
 )
 from .geometry import (
@@ -63,11 +60,9 @@ from .geometry import (
     Side,
     TAU_GEO,
     area_via_circumradius,
-    centroid,
     circumradius,
     circumsphere,
     in_sphere,
-    inradius_2d,
     lift,
     measure,
     orientation,

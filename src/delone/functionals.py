@@ -1,4 +1,5 @@
-"""Simplex functionals and the empirical class-membership checkers.
+"""Simplex functionals, the flip and subcomplex inequality checks and their
+randomized trial batteries.
 
 Kinds (triangle edge lengths a, b, c; circumradius rho; area/volume A):
 
@@ -20,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .delaunay import radon_two_triangulations, restrict_delaunay
-from .errors import DegenerateSimplexError, SamplerError
+from .errors import DegenerateSimplexError
 from .generators import stream_rng
 from .geometry import circumcenters, measures, orientation
 
@@ -142,16 +143,6 @@ def eval_batch(spec: FunctionalSpec, coords) -> np.ndarray:
     raise AssertionError(kind)
 
 
-def eval_functional(spec: FunctionalSpec, simplex) -> float:
-    """Evaluate the functional on one simplex; raises on degenerate input
-    where the kind needs an inscribed or circumscribed sphere."""
-    coords = np.asarray(simplex, dtype=float)
-    needs_nondegenerate = ("F1", "F2", "F3", "F4", "F6")
-    if spec.kind in needs_nondegenerate and orientation(coords) == 0:
-        raise DegenerateSimplexError(f"{spec.kind} is undefined on degenerate simplices")
-    return float(eval_batch(spec, coords)[0])
-
-
 def complex_sum(spec: FunctionalSpec, cx) -> float:
     if not cx.n_cells:
         return 0.0
@@ -226,47 +217,6 @@ def check_g_inequality(spec: FunctionalSpec, t_prime, dcx) -> CheckResult:
     exceed the sum over T'.  Raises ``ValueError`` when T' is not a complex
     on the points of ``dcx``."""
     return _check(*_paired_sums(spec, restrict_delaunay(dcx, t_prime), t_prime))
-
-
-def sample_admissible_simplex(rng, r: float, q: float, d: int):
-    """A random d-simplex with all edges >= 2r and circumradius <= q, sampled
-    by placing vertices on a circumscribed sphere and rejecting, 4000 tries."""
-    rho_min = 2 * r / math.sqrt(3) if d == 2 else 2 * r * math.sqrt(3.0 / 8.0)
-    if rho_min > q:
-        raise SamplerError(f"no admissible simplex: need circumradius >= {rho_min} > q={q}")
-    for _ in range(4000):
-        rho = rng.uniform(rho_min, q)
-        dirs = rng.normal(size=(d + 1, d))
-        dirs /= np.linalg.norm(dirs, axis=1)[:, None]
-        simplex = rho * dirs
-        ok = True
-        for i in range(d + 1):
-            for j in range(i + 1, d + 1):
-                if np.linalg.norm(simplex[i] - simplex[j]) < 2 * r:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok and orientation(simplex) != 0:
-            return simplex
-    raise SamplerError("admissible-simplex sampler starved (r too close to q)")
-
-
-def check_ecal_bounds(
-    spec: FunctionalSpec, r: float, q: float, d: int, samples: int, seed: int = 0
-):
-    """Observed min and max of the functional over random admissible
-    simplices (edges >= 2r, circumradius <= q)."""
-    if samples < 1:
-        raise ValueError("samples must be positive")
-    rng = stream_rng(seed, "ecal")
-    stack = np.stack(
-        [sample_admissible_simplex(rng, r, q, d) for _ in range(samples)]
-    )
-    vals = eval_batch(spec, stack)
-    if not np.isfinite(vals).all():
-        raise SamplerError("functional returned a non-finite value on an admissible simplex")
-    return float(vals.min()), float(vals.max())
 
 
 # ---------------------------------------------------------------------------

@@ -22,10 +22,9 @@ import numpy as np
 from . import memo
 from .errors import InvalidComplexError, SamplerError
 from .geometry import TAU_GEO
-from .triangulation import TriangulationComplex, build_complex
+from .triangulation import build_complex
 
 JITTER_SCALE = 1e-6  # jitter magnitude as a fraction of r
-COMPATIBILITY_TOL = 1e-12  # relative slack of the edge match and the angle tests
 _PROBE_SLAB = 1 << 16  # nodes per slab, and stencil entries per chunk, of the Delone check
 
 
@@ -414,43 +413,13 @@ def poisson_delone_window(r: float, R: float, W: float, seed: int = 0) -> PointS
 # compatible triangles and strips
 
 
-def triangle_angles(sides) -> np.ndarray:
-    """Interior angles opposite each of the three sides."""
-    a, b, c = sides
-    def ang(s, p, q):
-        return math.acos(max(-1.0, min(1.0, (p * p + q * q - s * s) / (2 * p * q))))
-    return np.array([ang(a, b, c), ang(b, a, c), ang(c, a, b)])
-
-
-def triangles_compatible(sides1, sides2, shared: float) -> bool:
-    """Compatibility of two triangles glued along an edge of length ``shared``:
-    the two angles opposite the shared edge sum to less than pi and the four
-    angles adjacent to it are acute.  This is exactly the condition for the
-    glued strips to be locally Delaunay everywhere except between two strips
-    of the second kind."""
-    tol = COMPATIBILITY_TOL
-    out = []
-    for sides in (sides1, sides2):
-        sides = sorted(sides)
-        match = [i for i, s in enumerate(sides) if abs(s - shared) <= tol * max(1.0, shared)]
-        if not match:
-            return False
-        angles = triangle_angles(sides)
-        i = match[0]
-        out.append((angles[i], [angles[j] for j in range(3) if j != i]))
-    (th1, rest1), (th2, rest2) = out
-    if th1 + th2 >= math.pi - tol:
-        return False
-    return all(x < math.pi / 2 - tol for x in rest1 + rest2)
-
-
 def compatible_isoceles(a: float, phi: float, c: float, psi: float):
     """Isoceles pair (L, L, a) and (L, L, c) with L = 1.05 * max(a/(2cos phi),
     c/(2cos psi)); the shared strip edge is L.
 
     Returns (delta_sides, top_sides, L).  Note the returned pair is only
-    Delaunay-compatible when both apex angles stay acute (L > max(a, c)/sqrt 2);
-    ``triangles_compatible`` reports the strict condition.
+    Delaunay-compatible when both apex angles stay acute (L > max(a, c)/sqrt 2),
+    which nothing here checks.
     """
     if a <= 0 or c <= 0:
         raise ValueError("edge lengths must be positive")

@@ -87,8 +87,8 @@ _DETS = {2: _det2, 3: _det3, 4: _det4}
 def _filter_tol(rows):
     """The filter's error bound for det(rows): _FILTER_EPS times the product
     of the rows' absolute sums plus _UNDERFLOW_EPS times the product of
-    (1 + each sum).  Works on float rows and on rows of NumPy columns (one
-    entry per matrix of a stack), so scalar and batched predicates share it.
+    (1 + each sum), over rows of NumPy columns (one entry per matrix of a
+    stack); the scalar kernels write the same bound out.
     """
     bound = floor = 1.0
     for row in rows:
@@ -125,22 +125,9 @@ def _exact_sign(pts) -> int:
     return int(_exact_signs([pts])[0])
 
 
-def _filtered_det_sign(rows_float, pts) -> int:
-    """Sign of det(rows), exact.
-
-    ``rows_float`` are float rows used for the fast path; ``pts`` are the
-    points whose integer rows (see ``_exact_signs``) have a determinant of
-    the same sign.
-    """
-    det = _DETS[len(rows_float)](rows_float)
-    if _filter_tol(rows_float) < abs(det) < _INF:  # overflow goes exact too
-        return 1 if det > 0 else -1
-    return _exact_sign(pts)
-
-
 def _filtered_det_signs(rows, pts) -> np.ndarray:
-    """Batched ``_filtered_det_sign``: ``rows`` hold NumPy columns (one entry
-    per matrix) and ``pts`` is the (m, n, d) stack of the matrices' points.
+    """Exact signs of det(rows): ``rows`` hold NumPy columns (one entry per
+    matrix) and ``pts`` is the (m, n, d) stack of the matrices' points.
     Every matrix the filter cannot certify goes to one ``_exact_signs`` call."""
     det = _DETS[len(rows)](rows)
     signs = np.sign(det).astype(np.int64)
@@ -152,14 +139,14 @@ def _filtered_det_signs(rows, pts) -> np.ndarray:
 
 
 def _orient_rows(p) -> int:
-    """``orientation`` on d+1 rows of Python floats, the one scalar path."""
+    """``orientation`` on d+1 rows of Python floats, the one scalar path;
+    d = 4 has no written-out kernel and takes ``orientations``' NumPy pass."""
     if len(p) == 3:
         (ax, ay), (bx, by), (cx, cy) = p
         return orient2d(ax, ay, bx, by, cx, cy)
     if len(p) == 4:
         return _orient3d(p)
-    rows = [[x - b for x, b in zip(row, p[0])] for row in p[1:]]
-    return _filtered_det_sign(rows, p)
+    return int(orientations([p])[0])
 
 
 def orientation(simplex) -> int:
@@ -179,15 +166,15 @@ def orientations(stack) -> np.ndarray:
 
     The batched form of ``orientation``: every determinant is evaluated in
     NumPy with the same cofactor expansion and filter, and only the rows the
-    filter cannot certify are re-evaluated in integer arithmetic.  Stacks
-    of fewer than 8 rows go row by row through the scalar kernel on Python
-    floats, which costs less than the fixed cost of the NumPy pass.
+    filter cannot certify are re-evaluated in integer arithmetic.  For d = 2
+    and 3, stacks of fewer than 8 rows go row by row through the scalar kernels
+    on Python floats, which cost less than the fixed cost of the NumPy pass.
     """
     pts = np.asarray(stack, dtype=float)
     m, n, d = pts.shape
     if n != d + 1 or not 2 <= d <= 4:
         raise ValueError(f"orientations needs an (m, d+1, d) stack, d = 2..4, got {pts.shape}")
-    if m < 8:
+    if m < 8 and d < 4:
         return np.array([_orient_rows(s) for s in pts.tolist()], dtype=np.int64)
     rows = [list(row) for row in (pts[:, 1:] - pts[:, :1]).transpose(1, 2, 0)]
     return _filtered_det_signs(rows, pts)
@@ -340,33 +327,15 @@ def lift(p) -> np.ndarray:
     return np.concatenate([p, [float(p @ p)]])
 
 
-def centroid(simplex) -> np.ndarray:
-    return np.asarray(simplex, dtype=float).mean(axis=0)
-
-
-def inradius_2d(triangle) -> float:
-    """Inradius of a non-degenerate triangle: area / semiperimeter."""
-    pts = np.asarray(triangle, dtype=float)
-    if pts.shape != (3, 2):
-        raise ValueError("inradius_2d needs a triangle in the plane")
-    area = measure(pts)
-    if area == 0.0:
-        raise DegenerateSimplexError("degenerate triangle has no inradius")
-    a = np.linalg.norm(pts[1] - pts[2])
-    b = np.linalg.norm(pts[0] - pts[2])
-    c = np.linalg.norm(pts[0] - pts[1])
-    return float(2.0 * area / (a + b + c))
-
-
 # Scalar predicates on Python floats.  The incremental builder calls the 2D
 # ones directly, and the one scalar path (``_orient_rows``/``_in_sphere_rows``)
-# routes d = 2 through ``orient2d``/``incircle2d``, d = 3 through
-# ``_orient3d``/``_insphere3d``, and the d = 4 orientation through
-# ``_filtered_det_sign``.  Each kernel writes out the batched pass's expansion
-# and ``_filter_tol`` bound and hands ``_exact_signs`` a stack of one, so the
-# signs agree.  On np.float64 scalars instead of Python floats a call takes
-# 5-6x longer (orient2d 5.3 against 0.9 us, incircle2d 8.0 against 1.5 us;
-# CPython 3.11, NumPy 2.4, one core of a 2-vCPU VM).
+# routes d = 2 through ``orient2d``/``incircle2d`` and d = 3 through
+# ``_orient3d``/``_insphere3d``; the d = 4 orientation has no kernel and takes
+# the NumPy pass of ``orientations``.  Each kernel writes out that pass's
+# expansion and ``_filter_tol`` bound and hands ``_exact_signs`` a stack of
+# one, so the signs agree.  On np.float64 scalars instead of Python floats a
+# call takes 5-6x longer (orient2d 5.3 against 0.9 us, incircle2d 8.0 against
+# 1.5 us; CPython 3.11, NumPy 2.4, one core of a 2-vCPU VM).
 
 def orient2d(ax, ay, bx, by, cx, cy) -> int:
     ux, uy = bx - ax, by - ay

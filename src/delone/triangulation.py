@@ -63,7 +63,6 @@ class TriangulationComplex:
     _cell_set: set | None = field(repr=False)
     _adjacency: dict | None = field(default=None, repr=False)
     provenance: dict = field(default_factory=dict)
-    _bound_q: float | None = field(default=None, repr=False)
     _cells_array: np.ndarray | None = field(default=None, repr=False)
     _rows: list | None = field(default=None, repr=False)
     _cell_rows: np.ndarray | None = field(default=None, repr=False)
@@ -97,9 +96,6 @@ class TriangulationComplex:
 
     def has_cell(self, cell: Cell) -> bool:
         return tuple(sorted(cell)) in self._cells
-
-    def cell_coords(self, cell: Cell) -> np.ndarray:
-        return self.points[list(cell)]
 
     @property
     def point_rows(self) -> list:
@@ -138,15 +134,8 @@ class TriangulationComplex:
     def interior_facets(self) -> list:
         return [f for f, cs in self.facet_adjacency.items() if len(cs) == 2]
 
-    def boundary_facets(self) -> list:
-        return [f for f, cs in self.facet_adjacency.items() if len(cs) == 1]
-
     def facet_cells(self, facet: Facet) -> list:
         return list(self.facet_adjacency.get(tuple(sorted(facet)), ()))
-
-    def opposite_vertices(self, facet: Facet) -> list:
-        facet = tuple(sorted(facet))
-        return [sum(cell) - sum(facet) for cell in self.facet_adjacency[facet]]
 
     def copy(self) -> "TriangulationComplex":
         return TriangulationComplex(
@@ -161,7 +150,6 @@ class TriangulationComplex:
     # -- mutation (exclusive access) ----------------------------------------
 
     def _invalidate(self):
-        self._bound_q = None
         self._cells_array = None
         self._validated = False
 
@@ -217,7 +205,8 @@ class TriangulationComplex:
     def from_json(cls, text: str) -> "TriangulationComplex":
         """The complex ``to_json`` wrote; raises ``InvalidComplexError`` on text that is no
         JSON object, another schema, missing points or cells, points that are not numbers,
-        cells not in a list, a dimension other than the points' width, a NaN or infinite
+        cells not in a list, a provenance that is not a JSON object (a missing or null one
+        reads as {}), a dimension other than the points' width, a NaN or infinite
         coordinate, or a build fault.  A text equal to the last one ``to_json`` wrote in
         this process is not parsed again: its complex gets a fresh copy of the points and
         the cell rows in sorted order, the file's order, as a parse of that text does."""
@@ -238,6 +227,10 @@ class TriangulationComplex:
                                       f"schema {data.get('schema')!r} with keys {sorted(data)}")
         if not isinstance(data["cells"], list):
             raise InvalidComplexError(f"cells must be a list, not {type(data['cells']).__name__}")
+        provenance = {} if data.get("provenance") is None else data["provenance"]
+        if not isinstance(provenance, dict):
+            raise InvalidComplexError(
+                f"provenance must be a JSON object, not {type(provenance).__name__}")
         try:
             points = np.array(data["points"], dtype=float)
         except (TypeError, ValueError) as exc:
@@ -249,7 +242,7 @@ class TriangulationComplex:
         if len(bad):
             raise InvalidComplexError(
                 f"point {int(bad[0])} has a non-finite coordinate: {points[bad[0]].tolist()}")
-        return build_complex(points, data["cells"], provenance=data.get("provenance", {}))
+        return build_complex(points, data["cells"], provenance=provenance)
 
 
 def build_complex(
@@ -563,10 +556,8 @@ def legalize_to_delaunay(cx: TriangulationComplex):
 
 
 def uniform_bound_q(cx: TriangulationComplex) -> float:
-    """Maximum circumradius over all cells (cached)."""
-    if cx._bound_q is None:
-        cx._bound_q = float(cx.cell_circumradii().max()) if cx.n_cells else 0.0
-    return cx._bound_q
+    """Maximum circumradius over all cells."""
+    return float(cx.cell_circumradii().max()) if cx.n_cells else 0.0
 
 
 # ---------------------------------------------------------------------------

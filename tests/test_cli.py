@@ -164,7 +164,7 @@ def test_trial_batteries_refuse_fewer_than_one_trial(tmp_path, capsys, command, 
 
 
 COMPLEX_FAULTS = ["non-integer-id", "dimension", "not-json", "top-level-list", "cells-not-a-list",
-                  "nan-point"]
+                  "nan-point", "provenance-int", "provenance-list"]
 
 
 def bad_complex_file(tmp_path, fault):
@@ -178,6 +178,10 @@ def bad_complex_file(tmp_path, fault):
         data["cells"] = 5
     elif fault == "nan-point":
         data["points"][3][1] = math.nan  # written as NaN
+    elif fault == "provenance-int":
+        data["provenance"] = 5
+    elif fault == "provenance-list":
+        data["provenance"] = [1, 2]
     path = tmp_path / "bad.json"
     text = json.dumps([data] if fault == "top-level-list" else data)
     path.write_text(text[1:] if fault == "not-json" else text)

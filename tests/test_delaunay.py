@@ -506,7 +506,7 @@ def exact_restriction(D, region):
     """Reference: the cells of D whose exact area equals the exact area they
     share with the region cells (which have disjoint interiors)."""
     def exact(cx, cell):
-        return [tuple(map(Fraction, p)) for p in cx.cell_coords(cell).tolist()]
+        return [tuple(map(Fraction, p)) for p in cx.points[list(cell)].tolist()]
 
     rtris = [exact(region, c) for c in region.cells]
     kept = []
@@ -601,7 +601,7 @@ def first_bad_pair_scalar(cx, *, exhaustive_limit=200, samples=2000, seed=0):
             if v not in cell:
                 pairs.append((cell, v))
     for cell, v in pairs:
-        side = in_sphere(cx.cell_coords(cell), cx.points[v])
+        side = in_sphere(cx.points[list(cell)], cx.points[v])
         if side != Side.OUTSIDE:
             return side, v, cell
     return None
@@ -722,7 +722,7 @@ def test_distorted_cube_ties_lie_outside_the_report_region(W, ties):
 def test_delaunay_3d_distorted_cube_single_cell_facets_lie_on_the_hull(W):
     pts = distorted_cubic_window(W).points
     cx = delaunay_3d(pts)
-    facets = np.array(cx.boundary_facets())
+    facets = np.array([f for f, cs in cx.facet_adjacency.items() if len(cs) == 1])
     n = len(pts)
     # each single-cell facet against every point: all on one closed side
     stack = np.concatenate([np.repeat(pts[facets][:, None], n, axis=1),
@@ -1249,7 +1249,8 @@ def test_hull_edge_points_take_the_open_segment_branch(monkeypatch):
     monkeypatch.setattr(delaunay, "on_open_segment", recorded)
     cx = delaunay_2d(hull_edge_points())
     assert True in hits
-    assert {(17, 19), (18, 19)} <= {tuple(sorted(f)) for f in cx.boundary_facets()}
+    boundary = {tuple(sorted(f)) for f, cs in cx.facet_adjacency.items() if len(cs) == 1}
+    assert {(17, 19), (18, 19)} <= boundary
 
 
 @pytest.mark.parametrize("points", [

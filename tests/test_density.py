@@ -24,7 +24,7 @@ from delone.density import (
     unit_ball_volume,
 )
 from delone.errors import GeometryError, NonGenericError, WindowError
-from delone.functionals import FunctionalSpec
+from delone.functionals import FunctionalSpec, eval_batch
 from delone.generators import (
     StripConfig,
     compatible_isoceles,
@@ -117,14 +117,12 @@ def test_density_sum_matches_direct_scan(lattice20):
     spec = FunctionalSpec("F5")
     seq = density_sequence(cx, spec, (0, 0), np.array([alpha]),
                            window_radius=w.window_radius, q_bound=w.R)
-    from delone.functionals import eval_functional
-
     direct = 0.0
     count = 0
     for cell in cx.cells:
-        coords = cx.cell_coords(cell)
+        coords = cx.points[list(cell)]
         if (np.linalg.norm(coords, axis=1) <= alpha).all():
-            direct += eval_functional(spec, coords)
+            direct += float(eval_batch(spec, coords)[0])
             count += 1
     assert seq.cell_counts[0] == count
     assert seq.sums[0] == pytest.approx(direct, rel=1e-12)
@@ -269,15 +267,12 @@ def test_main_theorem_zero_flips_equal(lattice20):
 
 
 def test_density_bounded_by_certificate_product(lattice20):
-    # f(T, alpha) never exceeds (observed max of F on admissible simplices)
+    # f(T, alpha) never exceeds (the max of F over the complex's cells)
     # times the concrete cell-count certificate
-    from delone.functionals import check_ecal_bounds
-
     w, cx = lattice20
     cert = count_certificate(w, cx)
-    _, e_max = check_ecal_bounds(
-        FunctionalSpec("F5"), w.r, cert.q_interior, 2, samples=500, seed=7
-    )
+    cell_values = eval_batch(FunctionalSpec("F5"), cx.points[cx.cells_array()])
+    e_min, e_max = float(cell_values.min()), float(cell_values.max())
     alphas = geometric_grid(5, 17, 1.2)
     seq = density_sequence(cx, FunctionalSpec("F5"), (0, 0), alphas,
                            window_radius=w.window_radius, q_bound=w.R)
@@ -286,9 +281,6 @@ def test_density_bounded_by_certificate_product(lattice20):
     assert (seq.values <= cap / (math.pi * alphas**2)).all()
     # and from below: every point of the shrunken ball is a vertex of some
     # contained cell, so the count certificate floors the density too
-    e_min, _ = check_ecal_bounds(
-        FunctionalSpec("F5"), w.r, cert.q_interior, 2, samples=500, seed=7
-    )
     lower_cells = ((alphas - 2 * cert.q_interior - w.R) / w.R) ** 2
     assert (seq.values >= e_min * lower_cells / (math.pi * alphas**2) - 1e-12).all()
 
@@ -303,8 +295,6 @@ def test_center_gap_bounded_by_annulus_sum(lattice20):
     gaps, _, seq0, seqz = center_invariance_gap(
         cx, spec, z, alphas, window_radius=w.window_radius, q_bound=w.R
     )
-    from delone.functionals import eval_batch
-
     coords = cx.points[cx.cells_array()]
     fvals = eval_batch(spec, coords)
     dist0 = np.linalg.norm(coords, axis=2).max(axis=1)

@@ -6,17 +6,15 @@ import numpy as np
 import pytest
 
 from delone.delaunay import delaunay_2d, radon_split, restrict_delaunay
-from delone.errors import DegenerateSimplexError, SamplerError
+from delone.errors import DegenerateSimplexError
 from delone.functionals import (
     ClassReport,
     _paired_sums,
     FunctionalSpec,
-    check_ecal_bounds,
     check_flip_inequality,
     check_g_inequality,
     complex_sum,
     eval_batch,
-    eval_functional,
     fe_lifted_volume,
     random_radon_pair,
     run_flip_trials,
@@ -42,19 +40,20 @@ def test_parse_grammar():
 
 
 def test_eval_reference_values():
-    assert eval_functional(FunctionalSpec("F5"), TRI_345) == pytest.approx(300.0)
-    assert eval_functional(FunctionalSpec("F3"), [(0, 0), (3, 0), (0, 4)]) == pytest.approx(-1.0)
-    assert eval_functional(FunctionalSpec("AREA"), TRI_345) == pytest.approx(6.0)
-    assert eval_functional(FunctionalSpec("F1", c1=2.0), TRI_345) == pytest.approx(6.25)
-    assert eval_functional(FunctionalSpec("F4"), TRI_345) == pytest.approx(50.0 / 6.0)
+    assert float(eval_batch(FunctionalSpec("F5"), TRI_345)[0]) == pytest.approx(300.0)
+    tri = [(0, 0), (3, 0), (0, 4)]
+    assert float(eval_batch(FunctionalSpec("F3"), tri)[0]) == pytest.approx(-1.0)
+    assert float(eval_batch(FunctionalSpec("AREA"), TRI_345)[0]) == pytest.approx(6.0)
+    assert float(eval_batch(FunctionalSpec("F1", c1=2.0), TRI_345)[0]) == pytest.approx(6.25)
+    assert float(eval_batch(FunctionalSpec("F4"), TRI_345)[0]) == pytest.approx(50.0 / 6.0)
     eq = [(0, 0), (1, 0), (0.5, math.sqrt(3) / 2)]
-    assert eval_functional(FunctionalSpec("F6"), eq) == pytest.approx(0.0, abs=1e-18)
+    assert float(eval_batch(FunctionalSpec("F6"), eq)[0]) == pytest.approx(0.0, abs=1e-18)
 
 
 def test_fe_345():
     assert fe_lifted_volume(TRI_345) == pytest.approx(25.0, rel=1e-12)
-    assert eval_functional(FunctionalSpec("FE"), TRI_345) == pytest.approx(25.0)
-    assert eval_functional(FunctionalSpec("FR"), TRI_345) == pytest.approx(300.0)
+    assert float(eval_batch(FunctionalSpec("FE"), TRI_345)[0]) == pytest.approx(25.0)
+    assert float(eval_batch(FunctionalSpec("FR"), TRI_345)[0]) == pytest.approx(300.0)
 
 
 def test_fr_is_constant_multiple_of_fe():
@@ -92,23 +91,18 @@ def test_all_kinds_rigid_motion_invariant():
             moved = simplex @ q.T + rng.normal(scale=4.0, size=d)
             for kind in kinds:
                 spec = FunctionalSpec(kind)
-                a = eval_functional(spec, simplex)
-                b = eval_functional(spec, moved)
+                a = float(eval_batch(spec, simplex)[0])
+                b = float(eval_batch(spec, moved)[0])
                 assert b == pytest.approx(a, rel=1e-8, abs=1e-12), kind
 
 
 def test_dimension_validity():
     tet = np.eye(4)[:, :3] * 1.0
     with pytest.raises(ValueError):
-        eval_functional(FunctionalSpec("F3"), tet)
+        eval_batch(FunctionalSpec("F3"), tet)
     with pytest.raises(ValueError):
-        eval_functional(FunctionalSpec("F5"), tet)
-    assert eval_functional(FunctionalSpec("FR"), tet) > 0
-
-
-def test_f4_degenerate_raises():
-    with pytest.raises(DegenerateSimplexError):
-        eval_functional(FunctionalSpec("F4"), [(0, 0), (1, 0), (2, 0)])
+        eval_batch(FunctionalSpec("F5"), tet)
+    assert float(eval_batch(FunctionalSpec("FR"), tet)[0]) > 0
 
 
 @pytest.mark.parametrize("kind", ["F1", "F2", "F6"])
@@ -118,29 +112,6 @@ def test_circumcenter_kinds_raise_degenerate_on_float_singular_triangle(kind):
            [0.424040095722155, 0.9302947717081502]]
     with pytest.raises(DegenerateSimplexError):
         eval_batch(FunctionalSpec(kind), [tri])
-
-
-def test_ecal_bounds_area():
-    r, q = 0.5, 1.0
-    e_hat, E_hat = check_ecal_bounds(FunctionalSpec("AREA"), r, q, 2, samples=400, seed=1)
-    assert e_hat >= 2 * r**3 / q - 1e-12  # area lower bound from spacing
-    assert E_hat <= (2 * q) ** 2  # generous covering-ball bound
-    assert e_hat <= E_hat
-
-
-def test_ecal_bounds_circumradius():
-    e_hat, E_hat = check_ecal_bounds(FunctionalSpec("F1"), 0.5, 1.0, 2, samples=200, seed=2)
-    assert E_hat <= 1.0 + 1e-12
-
-
-def test_ecal_bounds_3d():
-    e_hat, E_hat = check_ecal_bounds(FunctionalSpec("FR"), 0.4, 1.2, 3, samples=100, seed=3)
-    assert 0 < e_hat <= E_hat
-
-
-def test_ecal_sampler_starves():
-    with pytest.raises(SamplerError):
-        check_ecal_bounds(FunctionalSpec("AREA"), 0.99, 1.0, 2, samples=5, seed=0)
 
 
 def test_flip_inequality_f5_small_battery():
@@ -313,7 +284,7 @@ def test_complex_sum_matches_loop():
     pts = rng.uniform(size=(10, 2))
     cx = delaunay_2d(pts)
     spec = FunctionalSpec("F5")
-    manual = sum(eval_functional(spec, cx.cell_coords(c)) for c in cx.cells)
+    manual = sum(float(eval_batch(spec, cx.points[list(c)])[0]) for c in cx.cells)
     assert complex_sum(spec, cx) == pytest.approx(manual, rel=1e-12)
 
 

@@ -25,8 +25,6 @@ from delone.generators import (
     stream_rng,
     strip_block_triangulation,
     strip_layout,
-    triangle_angles,
-    triangles_compatible,
     verify_delone_params,
 )
 
@@ -479,21 +477,6 @@ def test_compatible_isoceles_domain():
         compatible_isoceles(-1.0, math.pi / 6, 1.0, math.pi / 6)
 
 
-def test_triangles_compatible_strict():
-    # both apex angles acute: valid strip pair
-    delta, top, L = compatible_isoceles(1.0, math.pi / 4, 1.2, math.pi / 4)
-    assert triangles_compatible(delta, top, L)
-    # obtuse apex of the narrow triangle breaks the four-acute condition
-    delta2, top2, L2 = compatible_isoceles(1.0, math.pi / 6, 1.6, math.pi / 5)
-    assert not triangles_compatible(delta2, top2, L2)
-
-
-def test_triangle_angles_sum():
-    ang = triangle_angles((3.0, 4.0, 5.0))
-    assert ang.sum() == pytest.approx(math.pi)
-    assert ang[2] == pytest.approx(math.pi / 2)  # opposite the hypotenuse
-
-
 def valid_cfg(blocks, extent=6):
     delta, top, L = compatible_isoceles(1.0, math.pi / 4, 1.2, math.pi / 4)
     return StripConfig(delta=delta, top=top, shared=L, block_sizes=blocks,
@@ -534,7 +517,7 @@ def test_strip_block_triangulation_all_wide():
     # every triangle congruent to the wide triangle
     want = sorted(cfg.delta)
     for cell in cx.cells:
-        got = sorted(edge_lengths(cx.cell_coords(cell)))
+        got = sorted(edge_lengths(cx.points[list(cell)]))
         assert got == pytest.approx(want, rel=1e-9)
 
 

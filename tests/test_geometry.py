@@ -19,19 +19,17 @@ from delone.geometry import (
     _det4,
     _exact_sign,
     _exact_signs,
-    _filtered_det_sign,
+    _filtered_det_signs,
     _insphere3d,
     _lifted_rows,
     _orient3d,
     area_via_circumradius,
-    centroid,
     circumcenters,
     circumradii,
     circumradius,
     circumsphere,
     in_sphere,
     in_spheres,
-    inradius_2d,
     lift,
     measure,
     measures,
@@ -236,17 +234,9 @@ def test_lift_exact_on_graph():
         assert lp[-1] == float(p @ p)  # bit-exact by construction
 
 
-def test_inradius_345():
-    assert inradius_2d([(0, 0), (3, 0), (0, 4)]) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_centroid():
-    assert centroid(TRI_345) == pytest.approx([4 / 3, 1.0], abs=1e-12)
-
-
 def test_equilateral_centroid_is_circumcenter():
     tri = np.array([(0, 0), (1, 0), (0.5, math.sqrt(3) / 2)])
-    assert np.linalg.norm(centroid(tri) - circumsphere(tri).center) < 1e-12
+    assert np.linalg.norm(tri.mean(axis=0) - circumsphere(tri).center) < 1e-12
 
 
 def test_rigid_motion_invariance():
@@ -527,19 +517,27 @@ def test_in_spheres_exact_on_rows_both_paths():
     assert in_spheres(np.zeros((0, 3, 2)), np.zeros((0, 2))).tolist() == []
 
 
+def stack_of_one_sign(rows, pts) -> int:
+    """The generic ``_DETS`` expansion, ``_filter_tol`` bound and integer
+    stage of ``_filtered_det_signs`` on one matrix: float ``rows`` become
+    one-entry columns, ``pts`` a stack of one."""
+    columns = [[np.array([x]) for x in row] for row in rows]
+    return int(_filtered_det_signs(columns, np.asarray(pts, dtype=float)[None])[0])
+
+
 def determinant_orientation(simplex) -> int:
-    """Reference: ``_filtered_det_sign`` on the NumPy-built rows p_i - p_0."""
+    """Reference: the generic determinant of the NumPy-built rows p_i - p_0."""
     pts = np.asarray(simplex, dtype=float)
     rows = [[float(x - y) for x, y in zip(p, pts[0])] for p in pts[1:]]
-    return _filtered_det_sign(rows, pts)
+    return stack_of_one_sign(rows, pts)
 
 
 def determinant_side(simplex, q) -> int:
-    """Reference: ``_filtered_det_sign`` on the lifted rows, times the
+    """Reference: the generic determinant of the lifted rows, times the
     orientation (positive-inside in even dimension)."""
     pts, q = np.asarray(simplex, dtype=float), np.asarray(q, dtype=float)
     rows = _lifted_rows(pts.tolist(), q.tolist())
-    s = _filtered_det_sign(rows, np.vstack([q, pts]))
+    s = stack_of_one_sign(rows, np.vstack([q, pts]))
     return s * determinant_orientation(pts)
 
 
@@ -574,7 +572,7 @@ def test_2d_scalar_predicates_exact_zero_on_and_one_ulp():
 def test_batched_metrics_equal_scalar_loops(d):
     window = lattice_window(d, 6.0 if d == 2 else 3.0, jitter=True, seed=5)
     cx = (delaunay_2d if d == 2 else delaunay_3d)(window.points)
-    coords = [cx.cell_coords(c) for c in cx.cells]
+    coords = [cx.points[list(c)] for c in cx.cells]
     assert np.array_equal(cx.cell_measures(), [measure(s) for s in coords])
     assert np.array_equal(measures(coords), [measure(s) for s in coords])
     spheres = [circumsphere(s) for s in coords]

@@ -83,7 +83,7 @@ def test_build_complex_quad():
     cx = quad_complex()
     assert cx.n_cells == 2
     assert len(cx.interior_facets()) == 1
-    assert len(cx.boundary_facets()) == 4
+    assert len([f for f, cs in cx.facet_adjacency.items() if len(cs) == 1]) == 4
 
 
 def test_build_complex_nonmanifold():
@@ -131,7 +131,7 @@ def test_coverage_scan_reaches_every_chunk():
     cx = delaunay_2d(inner)
     ring = rng.uniform(0, 2 * np.pi, size=1000)
     outer = 1.8 * np.c_[np.cos(ring), np.sin(ring)] + 0.5
-    pts = np.vstack([inner, outer, [cx.cell_coords(cx.cells[-1]).mean(axis=0)]])
+    pts = np.vstack([inner, outer, [cx.points[list(cx.cells[-1])].mean(axis=0)]])
     assert len(outer) > (1 << 16) // cx.n_cells
     certify_tiling(build_complex(pts[:-1], cx.cells))
     with pytest.raises(InvalidComplexError, match=f"^point {len(pts) - 1} lies"):
@@ -203,7 +203,7 @@ def test_is_locally_delaunay_against_in_sphere_oracle():
         # direct oracle: opposite vertex against the in_sphere classification
         c0, c1 = cx.facet_cells(facet)
         (v,) = set(c1) - set(facet)
-        side = in_sphere(cx.cell_coords(c0), cx.points[v])
+        side = in_sphere(cx.points[list(c0)], cx.points[v])
         assert results[diag] == (side == Side.OUTSIDE)
     assert sorted(results.values()) == [False, True]
 
@@ -211,7 +211,7 @@ def test_is_locally_delaunay_against_in_sphere_oracle():
 def test_is_locally_delaunay_boundary_raises():
     cx = quad_complex()
     with pytest.raises(InvalidComplexError):
-        is_locally_delaunay(cx, cx.boundary_facets()[0])
+        is_locally_delaunay(cx, next(f for f, cs in cx.facet_adjacency.items() if len(cs) == 1))
 
 
 def reference_is_locally_delaunay(cx, facet):
@@ -223,7 +223,7 @@ def reference_is_locally_delaunay(cx, facet):
         raise InvalidComplexError(f"facet {facet} is not interior")
     c0, c1 = incident
     (v1,) = set(c1) - set(facet)
-    side = in_sphere(cx.cell_coords(c0), cx.points[v1])
+    side = in_sphere(cx.points[list(c0)], cx.points[v1])
     if side == Side.ON:
         raise NonGenericError(f"facet {facet}: cospherical opposite vertex")
     return side == Side.OUTSIDE
@@ -283,7 +283,7 @@ def test_flip_bad_diagonal():
     # direct circumradius oracle on both diagonal choices
     both = {
         d: max(
-            circumradius(quad_complex(d).cell_coords(c))
+            circumradius(quad_complex(d).points[list(c)])
             for c in quad_complex(d).cells
         )
         for d in (True, False)
@@ -336,10 +336,10 @@ def test_flip_records_equal_scalar_circumsphere_radii():
         _, records = legalize_to_delaunay(cx)
         for rec in records:
             old = replay.facet_cells(rec.facet)
-            a, b = replay.opposite_vertices(rec.facet)
+            a, b = [sum(c) - sum(rec.facet) for c in old]
             new = [tuple(sorted((a, b, w))) for w in rec.facet]
             radius = lambda cells: max(
-                circumsphere(replay.cell_coords(c)).radius for c in cells)
+                circumsphere(replay.points[list(c)]).radius for c in cells)
             assert rec.before_max_circumradius == radius(old)
             assert rec.after_max_circumradius == radius(new)
             for cell in old:
@@ -359,7 +359,7 @@ def _per_flip_records(cx, records):
     for rec in records:
         u, v = rec.facet
         old = replay.facet_cells(rec.facet)
-        a, b = replay.opposite_vertices(rec.facet)
+        a, b = [sum(c) - sum(rec.facet) for c in old]
         new = [tuple(sorted((a, b, u))), tuple(sorted((a, b, v)))]
         radii = circumradii(replay.points[np.array(old + new, dtype=np.int64)])
         log.append(FlipRecord(rec.facet, float(radii[:2].max()), float(radii[2:].max()),
@@ -490,6 +490,10 @@ def test_from_json_refuses_a_file_that_does_not_describe_the_complex(key, value)
     (lambda text: text[1:], "a complex file must be JSON: Extra data"),
     (lambda text: f"[{text}]", "a complex file is a JSON object, not list"),
     (lambda text: re.sub(r'"cells": \[.*?\]\]', '"cells": 5', text), "cells must be a list, not int"),
+    (lambda text: text.replace('"provenance": {}', '"provenance": 5'),
+     "provenance must be a JSON object, not int"),
+    (lambda text: text.replace('"provenance": {}', '"provenance": [1, 2]'),
+     "provenance must be a JSON object, not list"),
     (lambda text: re.sub(r'"points": \[.*?\]\]', '"points": "abc"', text),
      "points must be rows of numbers: could not convert"),
     (lambda text: re.sub(r'"points": \[\[.*?\]', '"points": [[0.0]', text),
@@ -499,12 +503,23 @@ def test_from_json_refuses_a_file_that_does_not_describe_the_complex(key, value)
        f"point 2 has a non-finite coordinate: [3.2, {value}]")
       for token, value in (("NaN", "nan"), ("Infinity", "inf"), ("-Infinity", "-inf"),
                            ("null", "nan"))),
-], ids=["not-json", "top-level-list", "cells-5", "points-text", "ragged-points",
-        "nan-point", "infinite-point", "negative-infinite-point", "null-point"])
+], ids=["not-json", "top-level-list", "cells-5", "provenance-5", "provenance-list",
+        "points-text", "ragged-points", "nan-point", "infinite-point", "negative-infinite-point", "null-point"])
 def test_from_json_names_text_that_is_not_a_complex(edit, message):
     text = edit(quad_complex().to_json())
     with pytest.raises(InvalidComplexError, match="^" + re.escape(message)):
         TriangulationComplex.from_json(text)
+
+
+@pytest.mark.parametrize("edit", [
+    lambda data: data.pop("provenance"),
+    lambda data: data.update(provenance=None),
+], ids=["missing", "null"])
+def test_from_json_reads_a_missing_or_null_provenance_as_empty(edit):
+    data = json.loads(quad_complex().to_json())
+    edit(data)
+    cx = TriangulationComplex.from_json(json.dumps(data))
+    assert cx.provenance == {} and cx.copy().provenance == {}
 
 
 def per_float_json(cx):
